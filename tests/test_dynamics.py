@@ -12,9 +12,8 @@ from soarsim.dynamics import (
     RollAction,
     UavState,
     dynamics_step,
-    pid_roll,
     predict_trajectory,
-    roll_damping_moment,
+    step_kinematics,
     turn_radius,
     wrap_angle,
 )
@@ -24,29 +23,52 @@ def kp_only(kp):
     return AirframeParams(pid=PidGains(kp=kp, ki=0.0, kd_gain=0.0))
 
 
+def aileron(af, bank_error, dt=0.02):
+    """The roll PID's aileron deflection for a bank error, read back from one
+    kernel step out of wings-level rest, where phi_ddot = k_a * aileron / i_x."""
+    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, dt, PidState())
+    return phi_dot * af.i_x / (af.k_a * dt)
+
+
 class TestPidRoll:
     def test_zero_error_zero_integrator(self, airframe):
-        assert pid_roll(airframe, 0.0, 0.02, PidState()) == 0.0
+        assert aileron(airframe, 0.0) == 0.0
 
     def test_saturates_positive(self):
         af = kp_only(1000.0)
-        assert pid_roll(af, 0.5, 0.02, PidState()) == 1.0
-        assert pid_roll(af, -0.5, 0.02, PidState()) == -1.0
+        assert aileron(af, 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert aileron(af, -0.5) == pytest.approx(-1.0, rel=1e-12)
 
     def test_proportional_only(self):
         af = kp_only(1.0)
-        assert pid_roll(af, 0.3, 0.02, PidState()) == pytest.approx(0.3)
+        assert aileron(af, 0.3) == pytest.approx(0.3, rel=1e-12)
 
     def test_integrator_antiwindup(self):
+        # the commanded 1 rad lies beyond the 40 deg bank stop, so the error
+        # never falls below 0.3 rad and the integrator runs into its clamp
         af = AirframeParams(pid=PidGains(kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3))
         state = PidState()
-        for _ in range(200):
-            pid_roll(af, 1.0, 0.02, state)
+        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0, 0.02, state, 200)
         assert state.integrator == pytest.approx(0.3)
+        assert state.prev_error == pytest.approx(1.0 - af.bank_limit)
 
     def test_rejects_bad_dt(self, airframe):
         with pytest.raises(ValueError):
-            pid_roll(airframe, 0.1, 0.0, PidState())
+            step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.1, 0.0, PidState())
+
+
+@pytest.mark.parametrize("target_deg", [-45.0, 0.0, 30.0])
+def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
+    state = (1.0, -2.0, 9.0, 2.9, 0.2, -0.4)
+    pid_many, pid_one = PidState(), PidState()
+    many = step_kinematics(free_airframe, *state, math.radians(target_deg), 0.02, pid_many, 137)
+    x, y, v, psi, phi, phi_dot = state
+    for _ in range(137):
+        x, y, psi, phi, phi_dot = step_kinematics(
+            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), 0.02, pid_one
+        )
+    assert many == (x, y, psi, phi, phi_dot)
+    assert pid_many == pid_one
 
 
 class TestDynamicsStep:
@@ -68,7 +90,7 @@ class TestDynamicsStep:
     def test_roll_equilibrium(self, free_airframe):
         # aileron exactly cancelling the damping moment leaves phi_dot unchanged
         phi_dot = 1.0
-        lp = roll_damping_moment(free_airframe, phi_dot, 9.0)
+        lp = -free_airframe.k_d * free_airframe.c_lp * phi_dot / (2.0 * 9.0)
         needed = lp / free_airframe.k_a
         af = AirframeParams(stall_prevention=False, pid=PidGains(kp=1.0, ki=0.0, kd_gain=0.0))
         s = UavState(0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, 100.0)
@@ -185,6 +207,12 @@ def test_airframe_validation():
 def test_stall_prevention_clamp():
     assert AirframeParams().bank_limit == pytest.approx(math.radians(40.0))
     assert AirframeParams(stall_prevention=False).bank_limit == pytest.approx(math.radians(45.0))
+
+
+def test_step_constants_follow_the_fields():
+    af = AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
+    assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, af.g, 1.0, math.radians(30.0))
+    assert af == AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
 
 
 def test_bank_rise_time(free_airframe):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from soarsim.dynamics import PidState, RollAction, UavState, predict_trajectory
 from soarsim.environment import (
     DECAY_S,
+    NormalBlocks,
     Scenario,
     ThermalSpec,
     calm_variant,
@@ -14,7 +16,6 @@ from soarsim.environment import (
     materialize,
     scenario_from_dict,
     scenario_to_dict,
-    sink,
     sink_rate,
     true_lift,
     vario_period_steps,
@@ -31,13 +32,11 @@ def quiet(**kw) -> Scenario:
 
 class TestSink:
     def test_level_flight(self):
-        sc = quiet(sink_s0=0.7)
-        assert sink(9.0, 0.0, sc) == pytest.approx(0.7)
+        assert sink_rate(0.7, 0.0) == pytest.approx(0.7)
 
     def test_45_degrees(self):
-        sc = quiet(sink_s0=0.7)
-        assert sink(9.0, math.radians(45.0), sc) == pytest.approx(0.7 * 2**0.75, rel=1e-12)
-        assert sink(9.0, math.radians(45.0), sc) == pytest.approx(1.682 * 0.7, abs=1e-3)
+        assert sink_rate(0.7, math.radians(45.0)) == pytest.approx(0.7 * 2**0.75, rel=1e-12)
+        assert sink_rate(0.7, math.radians(45.0)) == pytest.approx(1.682 * 0.7, abs=1e-3)
 
     def test_monotone_in_bank(self):
         phis = np.radians(np.linspace(0, 60, 25))
@@ -161,15 +160,15 @@ class TestGenObservation:
 
 class TestThermalLifecycle:
     def test_before_birth_and_decay(self):
-        spec = ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), birth=10.0, lifetime=100.0)
-        assert spec.lift(0.0, 0.0, 5.0) == 0.0
-        assert spec.lift(0.0, 0.0, 50.0) == pytest.approx(2.0)
-        assert spec.lift(0.0, 0.0, 10.0 + 100.0 + DECAY_S / 2) == pytest.approx(1.0)
-        assert spec.lift(0.0, 0.0, 10.0 + 100.0 + DECAY_S + 1.0) == 0.0
+        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), birth=10.0, lifetime=100.0),))
+        assert true_lift(sc, 0.0, 0.0, 5.0) == 0.0
+        assert true_lift(sc, 0.0, 0.0, 50.0) == pytest.approx(2.0)
+        assert true_lift(sc, 0.0, 0.0, 10.0 + 100.0 + DECAY_S / 2) == pytest.approx(1.0)
+        assert true_lift(sc, 0.0, 0.0, 10.0 + 100.0 + DECAY_S + 1.0) == 0.0
 
     def test_drift_moves_center(self):
-        spec = ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), drift=(1.0, 0.0))
-        assert spec.lift(20.0, 0.0, 20.0) == pytest.approx(2.0)
+        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), drift=(1.0, 0.0)),))
+        assert true_lift(sc, 20.0, 0.0, 20.0) == pytest.approx(2.0)
 
     def test_superposition(self):
         sc = quiet(
@@ -253,6 +252,83 @@ def test_calm_variant_strips_lift():
     assert calm.turbulence_sigma == 0.0
     assert calm.random_thermals is None
     assert calm.wind == sc.wind
+
+
+def reference_lift(th: ThermalSpec, x: float, y: float, t: float) -> float:
+    """One thermal's lift, written out per thermal as the model states it."""
+    age = t - th.birth
+    if age < 0.0:
+        return 0.0
+    if age <= th.lifetime:
+        w0 = th.params.w0
+    else:
+        fade = 1.0 - (age - th.lifetime) / DECAY_S
+        if fade <= 0.0:
+            return 0.0
+        w0 = th.params.w0 * fade
+    cx = th.params.cx + th.drift[0] * age
+    cy = th.params.cy + th.drift[1] * age
+    d2 = (x - cx) ** 2 + (y - cy) ** 2
+    return w0 * math.exp(-d2 / (th.params.r0 * th.params.r0))
+
+
+def test_true_lift_is_bit_identical_to_the_per_thermal_sum():
+    rng = np.random.default_rng(2)
+    thermals = tuple(
+        ThermalSpec(
+            ThermalParams(rng.uniform(-1.5, 3.0), rng.uniform(20.0, 150.0), *rng.uniform(-300.0, 300.0, 2)),
+            birth=rng.uniform(0.0, 200.0),
+            lifetime=rng.uniform(50.0, 300.0),
+            drift=tuple(rng.uniform(-1.0, 1.0, 2)),
+        )
+        for _ in range(14)
+    )
+    sc = quiet(thermals=thermals)
+    assert any(th.params.w0 < 0.0 for th in thermals)
+    seen = {"unborn": 0, "full": 0, "decaying": 0, "faded": 0}
+    for x, y, t in zip(rng.uniform(-400, 400, 3000), rng.uniform(-400, 400, 3000), rng.uniform(0.0, 550.0, 3000)):
+        expected = sum(reference_lift(th, x, y, t) for th in thermals)
+        assert true_lift(sc, x, y, t) == expected
+        for th in thermals:
+            age = t - th.birth
+            stage = ("unborn" if age < 0 else "full" if age <= th.lifetime
+                     else "decaying" if age < th.lifetime + DECAY_S else "faded")
+            seen[stage] += 1
+    assert min(seen.values()) > 100
+
+
+def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe):
+    # one kinematics kernel: predict_trajectory and env_step agree bit for bit
+    sc = quiet()
+    s0 = UavState(0.0, 0.0, 9.0, 0.7, 0.1, -0.2, 100.0)
+    for bank_deg in (-45.0, -15.0, 0.0, 30.0):
+        bank = math.radians(bank_deg)
+        tr = predict_trajectory(airframe, s0, RollAction(bank, 12.0), 0.02, 0.2)
+        w = make_world(sc, h0=100.0)
+        w.uav = s0.copy()
+        for k in range(1, 601):
+            env_step(sc, airframe, w, bank)
+            if k % 10 == 0:
+                i = k // 10
+                assert (w.uav.x, w.uav.y, w.uav.phi, w.uav.psi) == (tr.x[i], tr.y[i], tr.phi[i], tr.psi[i])
+        assert w.pid != PidState()
+
+
+def test_block_drawn_normals_equal_scalar_draws(airframe):
+    # 800 steps draw 800 turbulence and 400 interleaved vario normals, so the
+    # stream crosses a block boundary mid-flight
+    sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 80.0, 30.0, 40.0)),),
+               turbulence_sigma=0.15, vario_sigma=0.2, vario_rate=25.0)
+    out = []
+    for rng in (np.random.default_rng(5), NormalBlocks(np.random.default_rng(5))):
+        w = make_world(sc, 100.0)
+        trace = []
+        for _ in range(800):
+            env_step(sc, airframe, w, 0.2, rng=rng)
+            trace.append((w.lift, w.uav.h, gen_observation(sc, w, rng)))
+        out.append(trace)
+    assert out[0] == out[1]
+    assert 800 + sum(reading is not None for *_, reading in out[0]) > NormalBlocks.BLOCK
 
 
 def test_vario_period_steps():
