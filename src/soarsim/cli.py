@@ -12,10 +12,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .environment import Scenario, materialize, scenario_from_dict, load_scenario_file
+from .environment import Scenario, materialize
 from .experiment import (
     ConfigBundle,
     ExperimentPlan,
+    load_bundle,
     run_baseline,
     run_paired,
     run_sweep,
@@ -23,38 +24,15 @@ from .experiment import (
     summaries_to_json,
     write_report,
 )
-from .mission import BASELINE, POMDSOAR, mission_from_dict, run_flight, with_controller
-from .params import (
-    ConfigError,
-    airframe_from_params,
-    baseline_from_params,
-    noise_from_params,
-    parse_param_file,
-    planner_from_params,
-    prior_from_params,
-    resolve_params,
-)
+from .mission import BASELINE, POMDSOAR, run_flight
+from .params import ConfigError
 
 
-def _load_inputs(args) -> tuple[Scenario, ConfigBundle, dict]:
-    data = load_scenario_file(args.scenario)
-    sc = scenario_from_dict(data)
-    overrides = parse_param_file(args.params) if args.params else {}
-    params = resolve_params(overrides)
-    if "mission" not in data:
-        raise ConfigError(f"{args.scenario} has no 'mission' section")
-    mission = mission_from_dict(data["mission"], params)
-    bundle = ConfigBundle(
-        mission=mission,
-        airframe=airframe_from_params(params),
-        noise=noise_from_params(params),
-        prior=prior_from_params(params),
-        planner=planner_from_params(params, sink_s0=sc.sink_s0),
-        baseline=baseline_from_params(params),
-    )
+def _load_inputs(args) -> tuple[Scenario, ConfigBundle]:
+    sc, bundle = load_bundle(args.scenario, args.params)
     if getattr(args, "seed", None) is not None:
         sc = replace(sc, seed=args.seed)
-    return sc, bundle, params
+    return sc, bundle
 
 
 def _jsonl_sink(path: Path):
@@ -68,9 +46,9 @@ def _jsonl_sink(path: Path):
 
 
 def cmd_run(args) -> int:
-    sc, bundle, _ = _load_inputs(args)
+    sc, bundle = _load_inputs(args)
     world = materialize(sc, sc.seed)
-    cfg = with_controller(bundle.mission, args.controller)
+    cfg = replace(bundle.mission, controller=args.controller)
     sink = _jsonl_sink(Path(args.out)) if args.out else None
     try:
         rec = run_flight(
@@ -102,7 +80,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    sc, bundle, _ = _load_inputs(args)
+    sc, bundle = _load_inputs(args)
     world = materialize(sc, sc.seed)
     time = run_baseline(world, bundle, repetitions=args.reps, seed=sc.seed)
     out = {"baseline_time": time, "repetitions": args.reps, "seed": sc.seed}
@@ -113,7 +91,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_paired(args) -> int:
-    sc, bundle, _ = _load_inputs(args)
+    sc, bundle = _load_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sinks = [None, None]
@@ -139,9 +117,9 @@ def cmd_paired(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sc, bundle, _ = _load_inputs(args)
+    sc, bundle = _load_inputs(args)
     seeds = tuple(range(args.seed_start, args.seed_start + args.count))
-    plan = ExperimentPlan(seeds=seeds, baseline_reps=args.baseline_reps, site=bundle.mission.site)
+    plan = ExperimentPlan(seeds=seeds, baseline_reps=args.baseline_reps)
     summaries = run_sweep(sc, bundle, plan)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

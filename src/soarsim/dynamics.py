@@ -115,13 +115,6 @@ class UavState:
         if not abs(self.phi) < math.pi / 2:
             raise ValueError("bank magnitude must be below pi/2")
 
-    def copy(self) -> "UavState":
-        return UavState(self.x, self.y, self.v, self.psi, self.phi, self.phi_dot, self.h)
-
-    @property
-    def p(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class RollAction:
@@ -213,22 +206,6 @@ def step_kinematics(
                 phi_dot = 0.0
     pid_state.integrator, pid_state.prev_error = integrator, prev_error
     return x, y, psi, phi, phi_dot
-
-
-def dynamics_step(
-    params: AirframeParams,
-    s: UavState,
-    target_bank: float,
-    dt: float = SIM_DT,
-    pid_state: PidState | None = None,
-) -> UavState:
-    """Advance the UAV one step toward target_bank; altitude is untouched."""
-    if pid_state is None:
-        pid_state = PidState()
-    x, y, psi, phi, phi_dot = step_kinematics(
-        params, s.x, s.y, s.v, s.psi, s.phi, s.phi_dot, target_bank, dt, pid_state
-    )
-    return UavState(x, y, s.v, psi, phi, phi_dot, s.h)
 
 
 def predict_trajectory(

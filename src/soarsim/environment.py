@@ -269,35 +269,6 @@ def calm_variant(sc: Scenario) -> Scenario:
     return replace(sc, thermals=(), random_thermals=None, turbulence_sigma=0.0)
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "thermals": [
-            {
-                "w0": th.params.w0,
-                "r0": th.params.r0,
-                "center": [th.params.cx, th.params.cy],
-                "birth": th.birth,
-                "lifetime": th.lifetime if math.isfinite(th.lifetime) else None,
-                "drift": list(th.drift),
-            }
-            for th in sc.thermals
-        ],
-        "wind": list(sc.wind),
-        "turbulence_sigma": sc.turbulence_sigma,
-        "vario_sigma": sc.vario_sigma,
-        "vario_rate": sc.vario_rate,
-        "sink_s0": sc.sink_s0,
-        "seed": sc.seed,
-        "battery_j": sc.battery_j,
-        "motor_power_w": sc.motor_power_w,
-        "motor_climb_rate": sc.motor_climb_rate,
-        "avionics_power_w": sc.avionics_power_w,
-        "random_thermals": sc.random_thermals,
-        "random_wind": sc.random_wind,
-    }
-
-
 # what materialize reads from each random block: one key out of each group
 RANDOM_BLOCK_KEYS = {
     "random_thermals": (("w0",), ("r0",), ("count", "clusters"), ("box", "ring")),

@@ -21,8 +21,18 @@ from pathlib import Path
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig
 from .dynamics import AirframeParams
-from .environment import Scenario, calm_variant, materialize
-from .mission import BASELINE, POMDSOAR, MissionConfig, run_flight, with_controller
+from .environment import Scenario, calm_variant, load_scenario_file, materialize, scenario_from_dict
+from .mission import BASELINE, POMDSOAR, MissionConfig, mission_from_dict, run_flight
+from .params import (
+    ConfigError,
+    airframe_from_params,
+    baseline_from_params,
+    noise_from_params,
+    parse_param_file,
+    planner_from_params,
+    prior_from_params,
+    resolve_params,
+)
 from .pomdsoar import PlannerConfig
 
 REPORT_SCHEMA_VERSION = 1
@@ -56,7 +66,6 @@ class ExperimentPlan:
 
     seeds: tuple[int, ...]
     baseline_reps: int = 3
-    site: str = ""
 
     def controller_for_slot(self, flight_index: int, slot: int) -> str:
         # alternate the assignment so each controller flies each slot equally
@@ -75,6 +84,32 @@ class ConfigBundle:
     prior: GaussianBelief
     planner: PlannerConfig
     baseline: BaselineConfig
+
+
+def load_bundle(
+    scenario_path: str | Path, params_path: str | Path | None = None
+) -> tuple[Scenario, ConfigBundle]:
+    """The scenario of a site file and the configs its mission flies with,
+    built from the param file's values or, without one, the defaults. A
+    value a config rejects is a config error naming both files."""
+    data = load_scenario_file(scenario_path)
+    sc = scenario_from_dict(data)
+    if "mission" not in data:
+        raise ConfigError(f"{scenario_path} has no 'mission' section")
+    params = resolve_params(parse_param_file(params_path) if params_path else None)
+    try:
+        bundle = ConfigBundle(
+            mission=mission_from_dict(data["mission"], params),
+            airframe=airframe_from_params(params),
+            noise=noise_from_params(params),
+            prior=prior_from_params(params),
+            planner=planner_from_params(params, sink_s0=sc.sink_s0),
+            baseline=baseline_from_params(params),
+        )
+    except (ConfigError, ValueError) as exc:
+        source = f"{scenario_path} with {params_path}" if params_path else scenario_path
+        raise ConfigError(f"{source}: {exc}") from exc
+    return sc, bundle
 
 
 def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:
@@ -117,7 +152,6 @@ def run_paired(
     flight_id: str,
     swap: bool = False,
     baseline_reps: int = 3,
-    baseline_time: float | None = None,
     telemetry_sinks=(None, None),
 ) -> tuple[FlightSummary, FlightSummary]:
     """Fly both controllers simultaneously against one world realization.
@@ -128,12 +162,11 @@ def run_paired(
     controller experiences but never the world itself.
     """
     world_sc = materialize(sc, seed)
-    if baseline_time is None:
-        baseline_time = run_baseline(world_sc, bundle, repetitions=baseline_reps, seed=seed)
+    baseline_time = run_baseline(world_sc, bundle, repetitions=baseline_reps, seed=seed)
     controllers = (BASELINE, POMDSOAR) if swap else (POMDSOAR, BASELINE)
     summaries = []
     for slot, controller in enumerate(controllers):
-        cfg = with_controller(bundle.mission, controller)
+        cfg = replace(bundle.mission, controller=controller)
         rec = run_flight(
             world_sc,
             cfg,
@@ -192,7 +225,8 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
 
     Wins/losses are decided on baseline-corrected gains with a 1
     percentage point draw margin; raw flight times are tallied alongside
-    because the two rankings can differ.
+    because the two rankings can differ. A flight with two summaries for
+    one controller is a config error.
     """
     if not summaries:
         raise ValueError("report needs at least one flight summary")
@@ -214,7 +248,10 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
 
     by_flight: dict[str, dict[str, FlightSummary]] = {}
     for s in summaries:
-        by_flight.setdefault(s.flight_id, {})[s.controller] = s
+        pair = by_flight.setdefault(s.flight_id, {})
+        if s.controller in pair:
+            raise ConfigError(f"flight {s.flight_id!r} has two {s.controller} summaries")
+        pair[s.controller] = s
 
     wins = {POMDSOAR: 0, BASELINE: 0}
     raw_wins = {POMDSOAR: 0, BASELINE: 0}
@@ -305,5 +342,19 @@ def summaries_to_json(summaries: list[FlightSummary], path: str | Path) -> None:
 
 
 def summaries_from_json(path: str | Path) -> list[FlightSummary]:
-    data = json.loads(Path(path).read_text())
-    return [FlightSummary(**entry) for entry in data["summaries"]]
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read summaries file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict) or "summaries" not in data:
+        raise ConfigError(f"{path} has no 'summaries' list")
+    if data.get("schema_version") != REPORT_SCHEMA_VERSION:
+        raise ConfigError(
+            f"{path}: unsupported schema_version {data.get('schema_version')!r}, expected {REPORT_SCHEMA_VERSION}"
+        )
+    try:
+        return [FlightSummary(**entry) for entry in data["summaries"]]
+    except TypeError as exc:
+        raise ConfigError(f"{path}: malformed summary: {exc}") from exc

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import baseline as baseline_mod
 from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
-from .belief import GaussianBelief, NoiseConfig, default_prior, ekf_update, predict_shift
+from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
 from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
 from .environment import NormalBlocks, Scenario, env_step, gen_observation, make_world
 from .params import ConfigError
@@ -64,6 +64,10 @@ class MissionConfig:
             raise ConfigError("mission needs at least 3 waypoints")
         if self.controller not in (POMDSOAR, BASELINE):
             raise ConfigError(f"unknown controller {self.controller!r}")
+        if not self.detect_filter_tau > 0.0:
+            raise ConfigError(f"detect_filter_tau must be positive, got {self.detect_filter_tau}")
+        if not self.airspeed > 0.0:
+            raise ConfigError(f"airspeed must be positive, got {self.airspeed}")
         if len(self.geofence) >= 3:
             if not _is_convex(self.geofence):
                 raise ConfigError("geofence polygon must be convex")
@@ -191,7 +195,6 @@ class FlightRecord:
     crashed: bool
     mode_seconds: dict
     final_mode: str
-    records: list = field(default_factory=list)  # telemetry dicts per 0.2 s
 
 
 def mission_rngs(seed: int, slot: int):
@@ -206,27 +209,23 @@ def run_flight(
     cfg: MissionConfig,
     airframe: AirframeParams,
     noise: NoiseConfig,
-    prior: GaussianBelief | None = None,
-    planner_cfg: planner_mod.PlannerConfig | None = None,
-    baseline_cfg: BaselineConfig | None = None,
+    prior: GaussianBelief,
+    planner_cfg: planner_mod.PlannerConfig,
+    baseline_cfg: BaselineConfig,
     seed: int | None = None,
     slot: int = 0,
     telemetry_sink=None,
-    keep_records: bool = False,
 ) -> FlightRecord:
     """Simulate one mission to its termination event.
 
     The world realization (thermals, wind) comes from sc, which must
     already be materialized; per-slot noise and planner streams derive
     from the seed so paired missions share the world but not the noise.
-    telemetry_sink, when given, receives one dict per 0.2 s tick.
+    Every variometer reading of a 0.2 s control tick feeds the detection
+    filter and, while thermalling, the EKF, in the order taken and at the
+    air-frame position where it was taken. telemetry_sink, when given,
+    receives one dict per tick, whose vario is the tick's last reading.
     """
-    if prior is None:
-        prior = default_prior()
-    if planner_cfg is None:
-        planner_cfg = planner_mod.PlannerConfig(sink_s0=sc.sink_s0)
-    if baseline_cfg is None:
-        baseline_cfg = BaselineConfig()
     seed = sc.seed if seed is None else seed
     env_rng, planner_rng = mission_rngs(seed, slot)
     normals = NormalBlocks(env_rng)  # the same draws as env_rng, a block at a time
@@ -237,32 +236,31 @@ def run_flight(
     ticks_per_control = round(RECORD_DT / SIM_DT)
     dt_obs = sc.vario_period * SIM_DT
     mode_seconds = {m.value: 0.0 for m in FlightMode}
-    records: list = []
 
-    ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, world.uav.psi)
+    uav = world.uav  # env_step updates it in place
+    ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
     done = False
     while not done:
-        obs = None
+        readings = []  # (lift, x, y): every variometer reading of this tick, in order
         for _ in range(ticks_per_control):
             env_step(sc, airframe, world, ms.target_bank, SIM_DT, normals)
             reading = gen_observation(sc, world, normals)
             if reading is not None:
-                obs = reading
+                readings.append((reading, uav.x, uav.y))
             if world.crashed:
                 break
         mode_seconds[ms.mode.value] += ticks_per_control * SIM_DT
         if world.crashed:
             break
 
-        uav = world.uav
-        if obs is not None:
+        for obs, x, y in readings:
             ms.filtered_lift = filter_lift(ms.filtered_lift, obs, dt_obs, cfg.detect_filter_tau)
             if ms.mode is FlightMode.THERMALLING and ms.belief is not None:
-                dx = uav.x - ms.last_obs_pos[0]
-                dy = uav.y - ms.last_obs_pos[1]
+                dx = x - ms.last_obs_pos[0]
+                dy = y - ms.last_obs_pos[1]
                 ms.belief = predict_shift(ms.belief, (dx, dy), noise, dt_obs)
                 ms.belief = ekf_update(ms.belief, obs, noise)
-            ms.last_obs_pos = (uav.x, uav.y)
+            ms.last_obs_pos = (x, y)
 
         prev_mode = ms.mode
         in_fence = point_in_convex_polygon(world.ground_pos, cfg.geofence)
@@ -295,7 +293,7 @@ def run_flight(
         else:
             ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
 
-        if telemetry_sink is not None or keep_records:
+        if telemetry_sink is not None:
             rec = {
                 "t": round(world.t, 6),
                 "ground": [world.ground_pos[0], world.ground_pos[1]],
@@ -304,7 +302,7 @@ def run_flight(
                 "mode": mode.value,
                 "phi": uav.phi,
                 "target_bank": ms.target_bank,
-                "vario": obs,
+                "vario": readings[-1][0] if readings else None,
                 "filtered_lift": ms.filtered_lift,
                 "battery_j": world.battery_j,
             }
@@ -317,10 +315,7 @@ def run_flight(
                     "chosen_bank": ms.plan.chosen_bank,
                     "scores": ms.plan.per_action_scores,
                 }
-            if telemetry_sink is not None:
-                telemetry_sink(rec)
-            if keep_records:
-                records.append(rec)
+            telemetry_sink(rec)
 
         out_of_power = world.battery_j <= 0.0 and (
             mode is FlightMode.AUTO_CLIMB or uav.h <= cfg.alt_min
@@ -334,7 +329,6 @@ def run_flight(
         crashed=world.crashed,
         mode_seconds=mode_seconds,
         final_mode=ms.mode.value,
-        records=records,
     )
 
 
@@ -378,7 +372,3 @@ def mission_from_dict(data: dict, params: dict | None = None) -> MissionConfig:
         airspeed=p.get("ARSPD_TRIM", 9.0),
         site=data.get("site", ""),
     )
-
-
-def with_controller(cfg: MissionConfig, controller: str) -> MissionConfig:
-    return replace(cfg, controller=controller)

@@ -167,11 +167,9 @@ def planner_from_params(p: dict, sink_s0: float = 0.7):
 def baseline_from_params(p: dict):
     from .baseline import BaselineConfig
 
-    # the loiter flies under the same effective bank limit as the dynamics
-    max_bank = p["SOAR_MAX_BANK"] if p["SOAR_NO_STALLPRV"] else min(p["SOAR_MAX_BANK"], 40.0)
     return BaselineConfig(
         circle_radius=p["SOAR_THML_RADIUS"],
         kp=math.radians(p["SOAR_LOITER_KP"]),
         kd=math.radians(p["SOAR_LOITER_KD"]),
-        max_bank=math.radians(max_bank),
+        max_bank=airframe_from_params(p).bank_limit,  # the loiter flies under the dynamics' clamp
     )

@@ -21,6 +21,7 @@ import numpy as np
 
 from .belief import R0_FLOOR, GaussianBelief, NoiseConfig, sample_thermal, uncertainty
 from .dynamics import RECORD_DT, SIM_DT, AirframeParams, RollAction, UavState, predict_trajectory
+from .thermal import field_lift
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +39,6 @@ class PlannerConfig:
     n_samples: int = 10  # thermal hypotheses per cycle
     confidence_thres: float = 150.0  # trace gate; unit-coupled to trace_weights
     dt_record: float = RECORD_DT  # s, trajectory/scoring resolution
-    dt_sim: float = SIM_DT  # s, integration step
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     sink_correction: bool = True  # charge tighter turns their extra sink
     sink_s0: float = 0.7  # m/s, level-flight sink used by the correction
@@ -84,26 +84,19 @@ def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, h
     (current UAV position is the origin)."""
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     return [
-        predict_trajectory(airframe, s0, RollAction(bank, horizon), cfg.dt_sim, cfg.dt_record)
+        predict_trajectory(airframe, s0, RollAction(bank, horizon), SIM_DT, cfg.dt_record)
         for bank in cfg.bank_angles
     ]
-
-
-def _sample_arrays(samples):
-    w = np.array([s.w0 for s in samples])
-    r = np.array([s.r0 for s in samples])
-    cx = np.array([s.cx for s in samples])
-    cy = np.array([s.cy for s in samples])
-    return w, r, cx, cy
 
 
 def _sampled_lift(samples, pos: np.ndarray) -> np.ndarray:
     """Lift of each sampled thermal at each waypoint: (A, N, T) for
     pos of shape (A, T, 2)."""
-    w, r, cx, cy = _sample_arrays(samples)
-    dx = pos[:, None, :, 0] - cx[None, :, None]
-    dy = pos[:, None, :, 1] - cy[None, :, None]
-    return w[None, :, None] * np.exp(-(dx * dx + dy * dy) / (r * r)[None, :, None])
+    w = np.array([s.w0 for s in samples])[None, :, None]
+    r = np.array([s.r0 for s in samples])[None, :, None]
+    cx = np.array([s.cx for s in samples])[None, :, None]
+    cy = np.array([s.cy for s in samples])[None, :, None]
+    return field_lift(w, r, cx, cy, pos[:, None, :, 0], pos[:, None, :, 1])
 
 
 def explore_score(
@@ -112,8 +105,7 @@ def explore_score(
     b: GaussianBelief,
     airframe: AirframeParams,
     noise: NoiseConfig,
-    rng: np.random.Generator | None = None,
-    samples=None,
+    samples,
 ) -> np.ndarray:
     """Mean posterior uncertainty per action after imaginary EKF chains.
 
@@ -123,8 +115,6 @@ def explore_score(
     copy of the current belief; the score is the mean final weighted
     trace over samples (lower is better).
     """
-    if samples is None:
-        samples = draw_samples(b, cfg.n_samples, rng)
     trajs = _trajectories(cfg, uav, airframe, cfg.t_explore)
     a = len(trajs)
     n = len(samples)
@@ -175,15 +165,11 @@ def explore_score(
 def exploit_score(
     cfg: PlannerConfig,
     uav: UavState,
-    b: GaussianBelief,
     airframe: AirframeParams,
-    rng: np.random.Generator | None = None,
-    samples=None,
+    samples,
 ) -> np.ndarray:
     """Expected altitude gain per action, m, integrating hypothesis lift
     along each trajectory (minus bank-dependent sink when enabled)."""
-    if samples is None:
-        samples = draw_samples(b, cfg.n_samples, rng)
     trajs = _trajectories(cfg, uav, airframe, cfg.t_exploit)
     pos = np.stack([tr.positions[1:] for tr in trajs])  # (A, T, 2)
     lifts = _sampled_lift(samples, pos)  # (A, N, T)
@@ -213,11 +199,11 @@ def choose_action(
     actions against a common set of sampled thermals, return the winner."""
     samples = draw_samples(b, cfg.n_samples, rng)
     if uncertainty(b, cfg.trace_weights) < cfg.confidence_thres:
-        scores = exploit_score(cfg, uav, b, airframe, samples=samples)
+        scores = exploit_score(cfg, uav, airframe, samples)
         idx = _pick(cfg.bank_angles, scores, maximize=True)
         mode = EXPLOIT
     else:
-        scores = explore_score(cfg, uav, b, airframe, noise, samples=samples)
+        scores = explore_score(cfg, uav, b, airframe, noise, samples)
         idx = _pick(cfg.bank_angles, scores, maximize=False)
         mode = EXPLORE
     return PlannerDecision(

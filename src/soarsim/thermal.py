@@ -31,20 +31,10 @@ class ThermalParams:
         if not self.r0 > 0.0:
             raise ValueError(f"thermal radius must be positive, got {self.r0}")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
 
-
-def lift_at(th: ThermalParams, p) -> float | np.ndarray:
-    """Vertical air velocity at position(s) p, m/s.
-
-    p is a 2-vector (fast scalar path) or an (..., 2) array of positions,
-    in the same frame as th.center.
-    """
-    if isinstance(p, np.ndarray) and p.ndim > 1:
-        d2 = (p[..., 0] - th.cx) ** 2 + (p[..., 1] - th.cy) ** 2
-        return th.w0 * np.exp(-d2 / (th.r0 * th.r0))
+def lift_at(th: ThermalParams, p) -> float:
+    """Vertical air velocity at the 2-vector position p, m/s, in the same
+    frame as the center (th.cx, th.cy)."""
     px, py = float(p[0]), float(p[1])
     d2 = (px - th.cx) ** 2 + (py - th.cy) ** 2
     return th.w0 * math.exp(-d2 / (th.r0 * th.r0))
@@ -54,7 +44,7 @@ def lift_jacobian(th: ThermalParams) -> np.ndarray:
     """Partials of the lift observed at the origin w.r.t. (w0, r0, cx, cy).
 
     The observation point is the UAV position, which is the origin of the
-    relative frame; th.center is the thermal center minus the UAV position.
+    relative frame; (th.cx, th.cy) is the thermal center minus the UAV position.
     Same-frame perturbation of the center by +delta moves the thermal away
     from the UAV when the center component is positive, so the position
     partials carry a -2*c*w/r0^2 factor.
@@ -76,8 +66,8 @@ def lift_jacobian(th: ThermalParams) -> np.ndarray:
 def field_lift(w0, r0, cx, cy, px, py):
     """Vectorized lift of thermals (w0, r0, cx, cy) at points (px, py).
 
-    All arguments broadcast; used by the planner and grid oracles where
-    many hypotheses are evaluated at many points at once.
+    All arguments broadcast; the planner evaluates every sampled
+    hypothesis at every predicted waypoint with one call.
     """
     d2 = (px - cx) ** 2 + (py - cy) ** 2
     return w0 * np.exp(-d2 / (r0 * r0))

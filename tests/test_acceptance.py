@@ -14,30 +14,9 @@ import pytest
 import soarsim.cli as cli
 from soarsim.belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
 from soarsim.dynamics import AirframeParams, RollAction, UavState, predict_trajectory, turn_radius
-from soarsim.environment import (
-    Scenario,
-    env_step,
-    make_world,
-    scenario_from_dict,
-    load_scenario_file,
-    sink_rate,
-)
-from soarsim.experiment import (
-    ConfigBundle,
-    ExperimentPlan,
-    FlightSummary,
-    report,
-    run_sweep,
-)
-from soarsim.mission import BASELINE, POMDSOAR, mission_from_dict
-from soarsim.params import (
-    airframe_from_params,
-    baseline_from_params,
-    noise_from_params,
-    planner_from_params,
-    prior_from_params,
-    resolve_params,
-)
+from soarsim.environment import Scenario, env_step, make_world, sink_rate
+from soarsim.experiment import ExperimentPlan, FlightSummary, load_bundle, report, run_sweep
+from soarsim.mission import BASELINE, POMDSOAR
 from soarsim.pomdsoar import EXPLOIT, EXPLORE, PlannerConfig, choose_action
 from soarsim.thermal import ThermalParams, lift_at, lift_jacobian
 
@@ -239,17 +218,7 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
 
 def test_c07_paired_evaluation_reproduction():
     start = time.perf_counter()
-    data = load_scenario_file(REPO / "scenarios" / "field.json")
-    sc = scenario_from_dict(data)
-    params = resolve_params()
-    bundle = ConfigBundle(
-        mission=mission_from_dict(data["mission"], params),
-        airframe=airframe_from_params(params),
-        noise=noise_from_params(params),
-        prior=prior_from_params(params),
-        planner=planner_from_params(params, sink_s0=sc.sink_s0),
-        baseline=baseline_from_params(params),
-    )
+    sc, bundle = load_bundle(REPO / "scenarios" / "field.json")
     plan = ExperimentPlan(seeds=tuple(range(1, 51)), baseline_reps=1)
     summaries = run_sweep(sc, bundle, plan)
     _, agg = report(summaries)

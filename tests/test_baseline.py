@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from soarsim.baseline import BaselineConfig, baseline_choose_bank, commit_direction
-from soarsim.dynamics import AirframeParams, PidState, UavState, dynamics_step
+from soarsim.dynamics import AirframeParams, PidState, UavState, step_kinematics
 
 from conftest import make_belief
 
@@ -58,14 +59,16 @@ def test_invalid_radius():
 def test_converges_to_commanded_circle(start, direction):
     cfg = BaselineConfig()
     af = AirframeParams(stall_prevention=False)
-    uav, pid = start, PidState()
+    uav, pid = replace(start), PidState()
     period = 2 * math.pi * cfg.circle_radius / 9.0
     t, target, errors = 0.0, 0.0, []
     while t < 3 * period:
         if round(t / 0.02) % 10 == 0:
             b = belief_for_center(uav, 0.0, 0.0)
             target = baseline_choose_bank(cfg, uav, b, direction)
-        uav = dynamics_step(af, uav, target, 0.02, pid)
+        uav.x, uav.y, uav.psi, uav.phi, uav.phi_dot = step_kinematics(
+            af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, target, 0.02, pid
+        )
         t += 0.02
         if t > 2 * period:
             errors.append(abs(math.hypot(uav.x, uav.y) - cfg.circle_radius))

@@ -157,6 +157,41 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(site)]) == 2
         assert "random_wind is missing 'speed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["SOAR_POMDP_N=0", "SOAR_THML_R=0", "SOAR_MAX_BANK=95",
+                                      "SOAR_THML_RADIUS=0", "SOAR_FILT_TAU=0", "ARSPD_TRIM=0"])
+    def test_bad_param_value_is_config_error(self, tmp_path, capsys, line):
+        site = tiny_site(tmp_path)
+        params = tmp_path / "bad_value.param"
+        params.write_text(line + "\n")
+        assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bad_value.param" in err
+
+    @pytest.mark.parametrize("text", [None, "{not json", '{"schema_version": 1}',
+                                      '{"schema_version": 2, "summaries": []}',
+                                      '{"schema_version": 1, "summaries": [{"flight_id": "001"}]}'],
+                             ids=["missing", "not-json", "no-summaries", "schema", "bad-entry"])
+    def test_bad_summaries_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad_summaries.json"
+        if text is not None:
+            path.write_text(text)
+        code = cli.main(["report", "--summaries", str(path),
+                         "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bad_summaries.json" in err
+
+    def test_two_summaries_for_one_controller_is_config_error(self, tmp_path, capsys):
+        entry = {"flight_id": "001", "site": "mini", "controller": "pomdsoar", "airframe": "A",
+                 "flight_time": 900.0, "baseline_time": 600.0, "thermal_encounters": 1, "excluded": False}
+        rows = [entry, {**entry, "flight_time": 950.0}, {**entry, "controller": "baseline", "airframe": "B"}]
+        path = tmp_path / "summaries.json"
+        path.write_text(json.dumps({"schema_version": 1, "summaries": rows}))
+        code = cli.main(["report", "--summaries", str(path),
+                         "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "flight '001' has two pomdsoar summaries" in capsys.readouterr().err
+
     def test_simulation_failure_maps_to_3(self, tmp_path, monkeypatch):
         site = tiny_site(tmp_path)
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soarsim.dynamics import (
+    SIM_DT,
     AirframeParams,
     PidGains,
     PidState,
     RollAction,
     UavState,
-    dynamics_step,
     predict_trajectory,
     step_kinematics,
     turn_radius,
@@ -73,17 +73,16 @@ def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
 
 class TestDynamicsStep:
     def test_straight_flight(self, airframe):
-        s = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
-        out = dynamics_step(airframe, s, 0.0)
-        assert (out.x, out.y) == (0.0, pytest.approx(0.18))
-        assert out.psi == 0.0
-        assert out.phi == 0.0
-        assert out.phi_dot == 0.0
+        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, SIM_DT, PidState())
+        assert (x, y) == (0.0, pytest.approx(0.18))
+        assert psi == 0.0
+        assert phi == 0.0
+        assert phi_dot == 0.0
 
     def test_turn_rate_at_45_degrees(self, free_airframe):
-        s = UavState(0.0, 0.0, 9.0, 0.0, math.radians(45.0), 0.0, 100.0)
-        out = dynamics_step(free_airframe, s, math.radians(45.0))
-        psi_dot = (out.psi - s.psi) / 0.02
+        bank = math.radians(45.0)
+        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, SIM_DT, PidState())
+        psi_dot = psi / SIM_DT
         assert psi_dot == pytest.approx(9.80665 / 9.0, rel=1e-12)
         assert psi_dot == pytest.approx(1.08963, abs=1e-5)
 
@@ -93,22 +92,24 @@ class TestDynamicsStep:
         lp = -free_airframe.k_d * free_airframe.c_lp * phi_dot / (2.0 * 9.0)
         needed = lp / free_airframe.k_a
         af = AirframeParams(stall_prevention=False, pid=PidGains(kp=1.0, ki=0.0, kd_gain=0.0))
-        s = UavState(0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, 100.0)
-        out = dynamics_step(af, s, needed)  # error = needed, kp=1 -> aileron = needed
-        assert out.phi_dot == pytest.approx(phi_dot, rel=1e-12)
+        # error = needed, kp=1 -> aileron = needed
+        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, SIM_DT, PidState())
+        assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
 
     def test_never_non_finite_at_bank_stop(self, airframe):
-        s = UavState(0.0, 0.0, 9.0, 0.0, math.radians(39.9), 5.0, 100.0)
+        pid = PidState()
+        x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, math.radians(39.9), 5.0
         for _ in range(200):
-            s = dynamics_step(airframe, s, math.radians(45.0))
-        assert abs(s.phi) <= airframe.bank_limit + 1e-12
-        assert math.isfinite(s.psi) and math.isfinite(s.x)
+            x, y, psi, phi, phi_dot = step_kinematics(
+                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), SIM_DT, pid
+            )
+            assert abs(phi) <= airframe.bank_limit + 1e-12
+        assert math.isfinite(psi) and math.isfinite(x)
 
     def test_kinematics_energy_free(self, free_airframe):
-        s = UavState(3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 123.0)
-        out = dynamics_step(free_airframe, s, 0.5)
-        assert out.v == s.v
-        assert out.h == s.h
+        # constant airspeed: one step moves the UAV exactly v * dt
+        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, SIM_DT, PidState())
+        assert math.hypot(x - 3.0, y + 2.0) == pytest.approx(9.0 * SIM_DT, rel=1e-12)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
@@ -127,10 +128,13 @@ def test_wrap_angle_range(psi):
 
 
 def test_heading_stays_wrapped(free_airframe):
-    s = UavState(0.0, 0.0, 9.0, 3.0, math.radians(40.0), 0.0, 100.0)
+    pid = PidState()
+    x, y, psi, phi, phi_dot = 0.0, 0.0, 3.0, math.radians(40.0), 0.0
     for _ in range(600):
-        s = dynamics_step(free_airframe, s, math.radians(40.0))
-        assert -math.pi <= s.psi < math.pi
+        x, y, psi, phi, phi_dot = step_kinematics(
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), SIM_DT, pid
+        )
+        assert -math.pi <= psi < math.pi
 
 
 class TestPredictTrajectory:
@@ -173,14 +177,16 @@ class TestPredictTrajectory:
         s0 = UavState(0.0, 0.0, 9.0, 0.3, 0.05, 0.0, 100.0)
         action = RollAction(math.radians(30.0), 4.0)
         tr = predict_trajectory(free_airframe, s0, action)
-        s = s0.copy()
         pid = PidState()
+        x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
         for k in range(1, 201):
-            s = dynamics_step(free_airframe, s, action.target_bank, 0.02, pid)
+            x, y, psi, phi, phi_dot = step_kinematics(
+                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, 0.02, pid
+            )
             if k % 10 == 0:
                 i = k // 10
-                assert (s.x, s.y) == (tr.x[i], tr.y[i])
-                assert s.phi == tr.phi[i]
+                assert (x, y) == (tr.x[i], tr.y[i])
+                assert phi == tr.phi[i]
 
     def test_bad_record_interval_rejected(self, free_airframe):
         s0 = UavState()
@@ -217,14 +223,16 @@ def test_step_constants_follow_the_fields():
 
 def test_bank_rise_time(free_airframe):
     # closed loop reaches a commanded 45 deg from level in roughly 1.5 s
-    s = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
     pid = PidState()
+    x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, 0.0, 0.0
     t, reached, overshoot = 0.0, None, 0.0
     while t < 4.0:
-        s = dynamics_step(free_airframe, s, math.radians(45.0), 0.02, pid)
+        x, y, psi, phi, phi_dot = step_kinematics(
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), 0.02, pid
+        )
         t += 0.02
-        if reached is None and s.phi >= 0.98 * math.radians(45.0):
+        if reached is None and phi >= 0.98 * math.radians(45.0):
             reached = t
-        overshoot = max(overshoot, s.phi - math.radians(45.0))
+        overshoot = max(overshoot, phi - math.radians(45.0))
     assert reached is not None and 0.8 < reached < 2.5
     assert overshoot < math.radians(5.0)

@@ -22,6 +22,7 @@ from soarsim.experiment import (
     write_report,
 )
 from soarsim.mission import BASELINE, POMDSOAR, MissionConfig
+from soarsim.params import ConfigError
 from soarsim.pomdsoar import PlannerConfig
 
 
@@ -118,6 +119,11 @@ class TestReport:
         with pytest.raises(ValueError):
             report([])
 
+    def test_two_summaries_for_one_controller_rejected(self):
+        rows = self.make_pairs() + [summary("002", BASELINE, 27.0, 20.0, "B")]
+        with pytest.raises(ConfigError, match="flight '002' has two baseline summaries"):
+            report(rows)
+
     def test_csv_and_json_emission(self, tmp_path):
         rows = self.make_pairs()
         agg = write_report(rows, tmp_path / "r.csv", tmp_path / "r.json")
@@ -136,6 +142,23 @@ class TestReport:
         summaries_to_json(rows, tmp_path / "s.json")
         again = summaries_from_json(tmp_path / "s.json")
         assert again == rows
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "cannot read summaries file"),
+        ("[1, 2", "invalid JSON"),
+        ('["not", "an", "object"]', "has no 'summaries' list"),
+        ('{"schema_version": 1}', "has no 'summaries' list"),
+        ('{"schema_version": 0, "summaries": []}', "unsupported schema_version 0"),
+        ('{"schema_version": 1, "summaries": [{"flight_id": "001", "colour": "red"}]}', "malformed summary"),
+        ('{"schema_version": 1, "summaries": [["001"]]}', "malformed summary"),
+    ])
+    def test_bad_summaries_file_rejected(self, tmp_path, text, named):
+        path = tmp_path / "s.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=named) as err:
+            summaries_from_json(path)
+        assert str(path) in str(err.value)
 
 
 def tiny_bundle(**mission_kw) -> ConfigBundle:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import soarsim.mission as mission
 from soarsim.dynamics import AirframeParams
 from soarsim.environment import Scenario, ThermalSpec
 from soarsim.mission import (
@@ -17,9 +19,8 @@ from soarsim.mission import (
     run_flight,
     update_mode,
     waypoint_bank,
-    with_controller,
 )
-from soarsim.belief import NoiseConfig
+from soarsim.belief import NoiseConfig, default_prior
 from soarsim.params import ConfigError, resolve_params
 from soarsim.thermal import ThermalParams
 from soarsim.pomdsoar import PlannerConfig
@@ -189,35 +190,37 @@ class TestFilterLift:
 
 
 def flight_setup(sc_kw=None, mission_kw=None):
+    """A scenario, a mission config, and the models run_flight takes after
+    them: (airframe, noise, prior, planner config, baseline config)."""
     sc = Scenario(**{**dict(thermals=(), wind=(0.0, 0.0), turbulence_sigma=0.0,
                             vario_sigma=0.1, battery_j=2000.0), **(sc_kw or {})})
     cfg = mission_cfg(**(mission_kw or {}))
-    airframe = AirframeParams()
-    noise = NoiseConfig()
-    return sc, cfg, airframe, noise
+    models = (AirframeParams(), NoiseConfig(), default_prior(), PlannerConfig(sink_s0=sc.sink_s0), BaselineConfig())
+    return sc, cfg, models
 
 
 def test_no_thermal_flight_matches_soaring_off_exactly():
-    sc, cfg, airframe, noise = flight_setup()
-    on = run_flight(sc, cfg, airframe, noise, seed=4, slot=0)
-    off = run_flight(sc, with_controller(cfg, BASELINE), airframe, noise, seed=4, slot=0)
-    disabled = run_flight(sc, mission_cfg(soaring_enabled=False), airframe, noise, seed=4, slot=0)
+    sc, cfg, models = flight_setup()
+    on = run_flight(sc, cfg, *models, seed=4, slot=0)
+    off = run_flight(sc, replace(cfg, controller=BASELINE), *models, seed=4, slot=0)
+    disabled = run_flight(sc, mission_cfg(soaring_enabled=False), *models, seed=4, slot=0)
     assert on.thermal_encounters == 0
     assert on.flight_time == disabled.flight_time == off.flight_time
 
 
 def test_mode_seconds_account_for_flight_time():
-    sc, cfg, airframe, noise = flight_setup()
-    rec = run_flight(sc, cfg, airframe, noise, seed=4, slot=0)
+    sc, cfg, models = flight_setup()
+    rec = run_flight(sc, cfg, *models, seed=4, slot=0)
     assert sum(rec.mode_seconds.values()) == pytest.approx(rec.flight_time, abs=0.21)
     assert rec.mode_seconds[FlightMode.THERMALLING.value] == 0.0
     assert rec.energy_used <= 2000.0
 
 
 def test_pentagon_cross_track_after_first_lap():
-    sc, cfg, airframe, noise = flight_setup(sc_kw=dict(battery_j=2500.0))
-    rec = run_flight(sc, mission_cfg(soaring_enabled=False, alt_min=20.0, alt_cutoff=500.0, alt_max=520.0),
-                     airframe, noise, seed=1, slot=0, keep_records=True)
+    sc, cfg, models = flight_setup(sc_kw=dict(battery_j=2500.0))
+    records = []
+    run_flight(sc, mission_cfg(soaring_enabled=False, alt_min=20.0, alt_cutoff=500.0, alt_max=520.0),
+               *models, seed=1, slot=0, telemetry_sink=records.append)
     # distance from a point to the closest course edge
     wps = np.array(cfg.waypoints)
     edges = [(wps[i], wps[(i + 1) % len(wps)]) for i in range(len(wps))]
@@ -233,12 +236,12 @@ def test_pentagon_cross_track_after_first_lap():
     # first lap is complete once the waypoint index has cycled through all 5;
     # approximate it generously as one perimeter at cruise speed
     lap_time = 5 * 235.0 / 9.0 * 1.3
-    errs = [cross_track(np.array(r["ground"])) for r in rec.records if r["t"] > lap_time]
+    errs = [cross_track(np.array(r["ground"])) for r in records if r["t"] > lap_time]
     assert errs and max(errs) < 30.0
 
 
 def test_thermalling_flight_gains_time():
-    sc, cfg, airframe, noise = flight_setup(
+    sc, cfg, models = flight_setup(
         sc_kw=dict(
             thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),),
             battery_j=4000.0,
@@ -247,13 +250,46 @@ def test_thermalling_flight_gains_time():
         )
     )
     calm = Scenario(thermals=(), battery_j=4000.0, turbulence_sigma=0.0)
-    base = run_flight(calm, mission_cfg(soaring_enabled=False), airframe, noise, seed=2, slot=0)
+    base = run_flight(calm, mission_cfg(soaring_enabled=False), *models, seed=2, slot=0)
     for controller in (POMDSOAR, BASELINE):
-        rec = run_flight(sc, with_controller(cfg, controller), airframe, noise,
-                         planner_cfg=PlannerConfig(sink_s0=sc.sink_s0),
-                         baseline_cfg=BaselineConfig(), seed=2, slot=0)
+        rec = run_flight(sc, replace(cfg, controller=controller), *models, seed=2, slot=0)
         assert rec.thermal_encounters >= 1
         assert rec.flight_time > base.flight_time * 1.05
+
+
+@pytest.mark.parametrize("rate", [2.0, 5.0, 10.0, 25.0])
+def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypatch, rate):
+    sc, cfg, models = flight_setup(
+        sc_kw=dict(thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),), vario_rate=rate),
+        mission_kw=dict(controller=BASELINE, max_duration=120.0),
+    )
+    seen = {"mode": FlightMode.AUTO_GLIDE, "readings": 0, "due": 0, "updates": 0}
+    real_observation, real_update_mode, real_ekf_update = (
+        mission.gen_observation, mission.update_mode, mission.ekf_update)
+
+    def observation(*args):
+        reading = real_observation(*args)
+        if reading is not None:
+            seen["readings"] += 1
+            seen["due"] += seen["mode"] is FlightMode.THERMALLING
+        return reading
+
+    def update_mode(*args):
+        seen["mode"] = real_update_mode(*args)
+        return seen["mode"]
+
+    def ekf_update(*args):
+        seen["updates"] += 1
+        return real_ekf_update(*args)
+
+    monkeypatch.setattr(mission, "gen_observation", observation)
+    monkeypatch.setattr(mission, "update_mode", update_mode)
+    monkeypatch.setattr(mission, "ekf_update", ekf_update)
+    rec = run_flight(sc, cfg, *models, seed=3, slot=0)
+    assert rec.thermal_encounters >= 1 and not rec.crashed
+    assert seen["readings"] == round(rec.flight_time / 0.02) // sc.vario_period
+    assert seen["due"] > 0
+    assert seen["updates"] == seen["due"]
 
 
 def test_mission_from_dict_param_overrides():

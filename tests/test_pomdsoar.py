@@ -5,7 +5,7 @@ import pytest
 
 import soarsim.pomdsoar as planner
 from soarsim.belief import NoiseConfig, ekf_update, predict_shift, sample_thermal, uncertainty
-from soarsim.dynamics import RollAction, UavState, predict_trajectory
+from soarsim.dynamics import SIM_DT, RollAction, UavState, predict_trajectory
 from soarsim.environment import sink_rate
 from soarsim.pomdsoar import (
     EXPLOIT,
@@ -81,26 +81,53 @@ def test_exploit_argmax_matches_oracle_randomized(free_airframe, noise):
         assert dec.chosen_bank == exploit_oracle_bank(cfg, uav, th, free_airframe)
 
 
+def reference_sampled_lift(samples, pos):
+    """The planner's own bell, as it was written before it called
+    thermal.field_lift: the reference that call must match bit for bit."""
+    w = np.array([s.w0 for s in samples])
+    r = np.array([s.r0 for s in samples])
+    cx = np.array([s.cx for s in samples])
+    cy = np.array([s.cy for s in samples])
+    dx = pos[:, None, :, 0] - cx[None, :, None]
+    dy = pos[:, None, :, 1] - cy[None, :, None]
+    return w[None, :, None] * np.exp(-(dx * dx + dy * dy) / (r * r)[None, :, None])
+
+
+def test_sampled_lift_is_bit_identical_to_the_reference_bell():
+    rng = np.random.default_rng(77)
+    values = 0
+    for _ in range(300):
+        n, a, t = rng.integers(1, 17), rng.integers(1, 10), rng.integers(1, 70)
+        b = make_belief([rng.uniform(-1.0, 4.0), rng.uniform(20.0, 200.0), rng.uniform(-150.0, 150.0),
+                         rng.uniform(-150.0, 150.0)], [1.0, 900.0, 2500.0, 2500.0])
+        samples = draw_samples(b, n, rng)
+        pos = rng.uniform(-400.0, 400.0, size=(a, t, 2))
+        out = planner._sampled_lift(samples, pos)
+        assert out.shape == (a, n, t)
+        assert np.array_equal(out, reference_sampled_lift(samples, pos))
+        values += out.size
+    assert values > 300_000
+
+
 class TestExploitScore:
     def test_zero_strength_thermal_scores_zero(self, free_airframe):
         cfg = PlannerConfig(n_samples=1, sink_correction=False)
-        b = known_belief(ThermalParams(1.0, 50.0, 10.0, 10.0))
         samples = [ThermalParams(0.0, 50.0, 10.0, 10.0)]
-        scores = exploit_score(cfg, north_uav(), b, free_airframe, samples=samples)
+        scores = exploit_score(cfg, north_uav(), free_airframe, samples)
         assert np.all(scores == 0.0)
 
     def test_centered_wide_thermal_prefers_tightest_turn(self, free_airframe):
         # no sink correction: hugging the core wins, so max |bank| is best
         cfg = PlannerConfig(n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 200.0, 0.0, 0.0)
-        scores = exploit_score(cfg, north_uav(), known_belief(th), free_airframe, samples=[th])
+        scores = exploit_score(cfg, north_uav(), free_airframe, [th])
         best = cfg.bank_angles[int(np.argmax(scores))]
         assert abs(best) == pytest.approx(math.radians(45.0))
 
     def test_coarse_matches_fine_integration(self, free_airframe):
         cfg = PlannerConfig(n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 80.0, -30.0, 20.0)
-        scores = exploit_score(cfg, north_uav(), known_belief(th), free_airframe, samples=[th])
+        scores = exploit_score(cfg, north_uav(), free_airframe, [th])
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
             tr = predict_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit), 0.02, 0.02)
@@ -112,7 +139,7 @@ class TestExploitScore:
         picks = []
         for dt_record in (0.2, 0.1):
             cfg = PlannerConfig(n_samples=1, dt_record=dt_record)
-            scores = exploit_score(cfg, north_uav(), known_belief(th), free_airframe, samples=[th])
+            scores = exploit_score(cfg, north_uav(), free_airframe, [th])
             picks.append(cfg.bank_angles[int(np.argmax(scores))])
         assert picks[0] == picks[1]
         scores2 = 3.7 * np.asarray(scores)
@@ -123,7 +150,7 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
     out = []
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     for bank in cfg.bank_angles:
-        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore), cfg.dt_sim, cfg.dt_record)
+        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore), SIM_DT, cfg.dt_record)
         traces = []
         for s in samples:
             bb = b.copy()
@@ -141,14 +168,14 @@ class TestExploreScore:
         uav = UavState(0.0, 0.0, 9.0, 0.3, 0.1, 0.0, 100.0)
         b = make_belief([1.5, 80.0, 10.0, -20.0], [1.0, 400.0, 300.0, 300.0])
         samples = draw_samples(b, 3, np.random.default_rng(5))
-        batched = explore_score(cfg, uav, b, free_airframe, noise, samples=samples)
+        batched = explore_score(cfg, uav, b, free_airframe, noise, samples)
         reference = scalar_explore_reference(cfg, uav, b, free_airframe, noise, samples)
         np.testing.assert_allclose(batched, reference, rtol=1e-12)
 
     def test_scores_non_negative(self, free_airframe, noise, rng):
         cfg = PlannerConfig(n_samples=4)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
-        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, rng=rng)
+        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, draw_samples(b, cfg.n_samples, rng))
         assert np.all(scores >= 0.0)
 
     def test_position_uncertainty_chain_order(self, free_airframe, noise):
@@ -161,7 +188,7 @@ class TestExploreScore:
         cfg = PlannerConfig(n_samples=1)
         b = make_belief([2.5, 80.0, 0.0, 0.0], [1e-6, 1e-6, 400.0, 400.0])
         samples = [b.as_thermal()]
-        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, samples=samples)
+        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, samples)
         oracle = scalar_explore_reference(cfg, north_uav(), b, free_airframe, noise, samples)
         banks = [math.degrees(a) for a in cfg.bank_angles]
         straight, steep = banks.index(0.0), banks.index(45.0)
@@ -186,8 +213,10 @@ class TestExploreScore:
         cfg_2n = PlannerConfig(n_samples=16)
         s_n, s_2n = [], []
         for seed in range(30):
-            s_n.append(explore_score(cfg_n, uav, b, free_airframe, noise, rng=np.random.default_rng(seed))[0])
-            s_2n.append(explore_score(cfg_2n, uav, b, free_airframe, noise, rng=np.random.default_rng(seed + 500))[0])
+            samples_n = draw_samples(b, cfg_n.n_samples, np.random.default_rng(seed))
+            samples_2n = draw_samples(b, cfg_2n.n_samples, np.random.default_rng(seed + 500))
+            s_n.append(explore_score(cfg_n, uav, b, free_airframe, noise, samples_n)[0])
+            s_2n.append(explore_score(cfg_2n, uav, b, free_airframe, noise, samples_2n)[0])
         s_n, s_2n = np.array(s_n), np.array(s_2n)
         se = math.hypot(s_n.std() / math.sqrt(len(s_n)), s_2n.std() / math.sqrt(len(s_2n)))
         assert abs(s_n.mean() - s_2n.mean()) < 5 * se
@@ -229,15 +258,14 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     import logging
 
     cfg = PlannerConfig(n_samples=2)
-    b = make_belief([2.0, 80.0, 5.0, 5.0], [1e-9] * 4)
     good = ThermalParams(2.0, 80.0, 5.0, 5.0)
     bad = ThermalParams(float("nan"), 80.0, 5.0, 5.0)
     with caplog.at_level(logging.WARNING):
-        scores = exploit_score(cfg, north_uav(), b, free_airframe, samples=[good, bad])
+        scores = exploit_score(cfg, north_uav(), free_airframe, [good, bad])
     assert np.isfinite(scores).all()
     assert any("dropped" in rec.message for rec in caplog.records)
     with pytest.raises(ValueError):
-        exploit_score(cfg, north_uav(), b, free_airframe, samples=[bad, bad])
+        exploit_score(cfg, north_uav(), free_airframe, [bad, bad])
 
 
 def test_config_validation():

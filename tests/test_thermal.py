@@ -33,12 +33,13 @@ def test_invalid_radius_rejected():
 
 
 def test_lift_at_array_positions():
-    th = ThermalParams(2.0, 60.0, 5.0, -5.0)
     pts = np.array([[5.0, -5.0], [65.0, -5.0]])
-    out = lift_at(th, pts)
+    out = field_lift(2.0, 60.0, 5.0, -5.0, pts[:, 0], pts[:, 1])
     assert out.shape == (2,)
     assert out[0] == pytest.approx(2.0)
     assert out[1] == pytest.approx(2.0 * math.exp(-1.0))
+    th = ThermalParams(2.0, 60.0, 5.0, -5.0)
+    assert list(out) == pytest.approx([lift_at(th, p) for p in pts], rel=1e-15)
 
 
 @given(
