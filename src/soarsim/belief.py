@@ -33,7 +33,9 @@ class GaussianBelief:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(4)
         self.cov = np.asarray(self.cov, dtype=float).reshape(4, 4)
-        if not np.allclose(self.cov, self.cov.T, atol=1e-9):
+        # exact symmetry, which the updates keep, is far cheaper to test than
+        # closeness; a NaN fails both tests
+        if not ((self.cov == self.cov.T).all() or np.allclose(self.cov, self.cov.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
 
     def copy(self) -> "GaussianBelief":

@@ -82,7 +82,7 @@ def cmd_run(args) -> int:
 def cmd_baseline(args) -> int:
     sc, bundle = _load_inputs(args)
     world = materialize(sc, sc.seed)
-    time = run_baseline(world, bundle, repetitions=args.reps, seed=sc.seed)
+    time = run_baseline(world, bundle, repetitions=args.reps)
     out = {"baseline_time": time, "repetitions": args.reps, "seed": sc.seed}
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -139,6 +139,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _repetitions(text: str) -> int:
+    """The value of --reps or --baseline-reps: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soarsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="measure the no-soaring baseline time")
     common(p)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_repetitions, default=3)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=cmd_baseline)
 
@@ -167,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--flight-id", default="001")
     p.add_argument("--swap", action="store_true", help="give the baseline slot 0")
-    p.add_argument("--baseline-reps", type=int, default=3)
+    p.add_argument("--baseline-reps", type=_repetitions, default=3)
     p.add_argument("--no-telemetry", action="store_true")
     p.set_defaults(func=cmd_paired)
 
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--seed-start", type=int, default=1)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--baseline-reps", type=int, default=3)
+    p.add_argument("--baseline-reps", type=_repetitions, default=3)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -67,6 +67,10 @@ class ExperimentPlan:
     seeds: tuple[int, ...]
     baseline_reps: int = 3
 
+    def __post_init__(self):
+        if self.baseline_reps < 1:
+            raise ConfigError(f"baseline_reps must be at least 1, got {self.baseline_reps}")
+
     def controller_for_slot(self, flight_index: int, slot: int) -> str:
         # alternate the assignment so each controller flies each slot equally
         if (flight_index + slot) % 2 == 0:
@@ -118,31 +122,28 @@ def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:
     return (encounters_a == 0) != (encounters_b == 0)
 
 
-def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int = 3, seed: int | None = None) -> float:
+def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int = 3) -> float:
     """Mean no-soaring flight duration over repetitions, s.
 
     Uses the calm variant of the scenario (thermals and turbulence
     removed) with soaring disabled, mirroring baseline measurement
-    flights on still days.
+    flights on still days. The flight is flown once, because its
+    repetitions would be identical copies whatever their noise seed:
+    with turbulence_sigma at 0, env_step draws nothing from the noise
+    stream; with soaring off, the vario readings feed only
+    filtered_lift, which update_mode never reads, as it tests
+    soaring_enabled first; and no telemetry sink is attached. The result
+    stays the mean over `repetitions` copies of that time, because
+    (t + t + t) / 3 is not always t in floating point.
     """
+    if repetitions < 1:
+        raise ConfigError(f"baseline repetitions must be at least 1, got {repetitions}")
     calm = calm_variant(sc)
     cfg = replace(bundle.mission, soaring_enabled=False)
-    seed = sc.seed if seed is None else seed
-    times = []
-    for rep in range(repetitions):
-        rec = run_flight(
-            calm,
-            cfg,
-            bundle.airframe,
-            bundle.noise,
-            bundle.prior,
-            bundle.planner,
-            bundle.baseline,
-            seed=seed + rep,
-            slot=0,
-        )
-        times.append(rec.flight_time)
-    return sum(times) / len(times)
+    rec = run_flight(
+        calm, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline, slot=0
+    )
+    return sum([rec.flight_time] * repetitions) / repetitions
 
 
 def run_paired(
@@ -162,7 +163,7 @@ def run_paired(
     controller experiences but never the world itself.
     """
     world_sc = materialize(sc, seed)
-    baseline_time = run_baseline(world_sc, bundle, repetitions=baseline_reps, seed=seed)
+    baseline_time = run_baseline(world_sc, bundle, repetitions=baseline_reps)
     controllers = (BASELINE, POMDSOAR) if swap else (POMDSOAR, BASELINE)
     summaries = []
     for slot, controller in enumerate(controllers):
@@ -355,6 +356,18 @@ def summaries_from_json(path: str | Path) -> list[FlightSummary]:
             f"{path}: unsupported schema_version {data.get('schema_version')!r}, expected {REPORT_SCHEMA_VERSION}"
         )
     try:
-        return [FlightSummary(**entry) for entry in data["summaries"]]
+        summaries = [FlightSummary(**entry) for entry in data["summaries"]]
     except TypeError as exc:
         raise ConfigError(f"{path}: malformed summary: {exc}") from exc
+    for i, s in enumerate(summaries):
+        where = f"{path}: summary {i}"
+        for name in ("flight_time", "baseline_time"):
+            v = getattr(s, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
+                raise ConfigError(f"{where}: {name} must be a finite positive number, got {v!r}")
+        n = s.thermal_encounters
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ConfigError(f"{where}: thermal_encounters must be a non-negative int, got {n!r}")
+        if not isinstance(s.excluded, bool):
+            raise ConfigError(f"{where}: excluded must be a bool, got {s.excluded!r}")
+    return summaries

@@ -195,3 +195,17 @@ def test_noise_config_validation():
         NoiseConfig(q_diag=(-1, 0, 0, 0))
     with pytest.raises(ValueError):
         NoiseConfig(r_obs=0.0)
+
+
+@pytest.mark.parametrize("off, accepted", [(0.0, True), (5e-10, True), (1e-9, True), (2e-9, False),
+                                           (0.5, False), (math.nan, False)])
+def test_covariance_symmetry_check(off, accepted):
+    # against a zero mirror entry allclose allows exactly its atol, 1e-9;
+    # a NaN is never symmetric
+    cov = np.diag([1.0, 400.0, 400.0, 400.0])
+    cov[2, 0] = off
+    if accepted:
+        assert GaussianBelief(np.zeros(4), cov).cov[2, 0] == off
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianBelief(np.zeros(4), cov)

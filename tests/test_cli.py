@@ -117,6 +117,13 @@ def test_sweep_command(tmp_path, capsys):
     assert (out_dir / "report.csv").exists() and (out_dir / "report.json").exists()
 
 
+def summaries_text(**values) -> str:
+    """A summaries file of one pomdsoar entry with the given values."""
+    entry = {"flight_id": "001", "site": "mini", "controller": "pomdsoar", "airframe": "A",
+             "flight_time": 900.0, "baseline_time": 600.0, "thermal_encounters": 1, "excluded": False}
+    return json.dumps({"schema_version": 1, "summaries": [{**entry, **values}]})
+
+
 class TestExitCodes:
     def test_unknown_param_key_is_config_error(self, tmp_path):
         site = tiny_site(tmp_path)
@@ -167,10 +174,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "bad_value.param" in err
 
+    @pytest.mark.parametrize("argv, flag", [(["baseline", "--reps", "0"], "--reps"),
+                                            (["paired", "--baseline-reps", "-1", "--out", "o"], "--baseline-reps"),
+                                            (["sweep", "--baseline-reps", "0", "--out", "o"], "--baseline-reps"),
+                                            (["baseline", "--reps", "x"], "--reps")],
+                             ids=["baseline-0", "paired-minus-1", "sweep-0", "not-an-int"])
+    def test_bad_repetition_count_is_config_error(self, tmp_path, capsys, argv, flag):
+        site = tiny_site(tmp_path)
+        assert cli.main(argv + ["--scenario", str(site)]) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema_version": 1}',
                                       '{"schema_version": 2, "summaries": []}',
-                                      '{"schema_version": 1, "summaries": [{"flight_id": "001"}]}'],
-                             ids=["missing", "not-json", "no-summaries", "schema", "bad-entry"])
+                                      '{"schema_version": 1, "summaries": [{"flight_id": "001"}]}',
+                                      summaries_text(flight_time="900"), summaries_text(baseline_time=0.0)],
+                             ids=["missing", "not-json", "no-summaries", "schema", "bad-entry",
+                                  "string-flight-time", "zero-baseline-time"])
     def test_bad_summaries_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad_summaries.json"
         if text is not None:

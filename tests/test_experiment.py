@@ -1,18 +1,22 @@
 import csv
 import json
 import math
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from soarsim.dynamics import AirframeParams
 from soarsim.baseline import BaselineConfig
 from soarsim.belief import NoiseConfig, default_prior
-from soarsim.environment import Scenario, materialize
+from soarsim import experiment
+from soarsim.environment import Scenario, calm_variant, materialize
 from soarsim.experiment import (
     ConfigBundle,
     ExperimentPlan,
     FlightSummary,
     exclusion_flag,
+    load_bundle,
     report,
     run_baseline,
     run_paired,
@@ -21,7 +25,7 @@ from soarsim.experiment import (
     summaries_to_json,
     write_report,
 )
-from soarsim.mission import BASELINE, POMDSOAR, MissionConfig
+from soarsim.mission import BASELINE, POMDSOAR, FlightRecord, MissionConfig, run_flight
 from soarsim.params import ConfigError
 from soarsim.pomdsoar import PlannerConfig
 
@@ -60,6 +64,12 @@ def test_exclusion_flag():
     assert exclusion_flag(2, 0)
     assert not exclusion_flag(0, 0)
     assert not exclusion_flag(4, 1)
+
+
+def summaries_text(**bad) -> str:
+    """A summaries file whose second entry carries the given values."""
+    good = asdict(summary("001", POMDSOAR, 900, 600.0))
+    return json.dumps({"schema_version": 1, "summaries": [good, {**good, **bad, "controller": BASELINE}]})
 
 
 class TestReport:
@@ -151,6 +161,20 @@ class TestReport:
         ('{"schema_version": 0, "summaries": []}', "unsupported schema_version 0"),
         ('{"schema_version": 1, "summaries": [{"flight_id": "001", "colour": "red"}]}', "malformed summary"),
         ('{"schema_version": 1, "summaries": [["001"]]}', "malformed summary"),
+        pytest.param(summaries_text(flight_time="900"), "summary 1: flight_time must be", id="string-time"),
+        pytest.param(summaries_text(flight_time=True), "summary 1: flight_time must be", id="bool-time"),
+        pytest.param(summaries_text(flight_time=math.nan), "summary 1: flight_time must be", id="nan-time"),
+        pytest.param(summaries_text(baseline_time=0.0), "summary 1: baseline_time must be", id="zero-baseline"),
+        pytest.param(summaries_text(baseline_time=-600), "summary 1: baseline_time must be", id="negative-baseline"),
+        pytest.param(summaries_text(baseline_time=math.inf), "summary 1: baseline_time must be", id="inf-baseline"),
+        pytest.param(summaries_text(thermal_encounters=-1), "summary 1: thermal_encounters must be",
+                     id="negative-encounters"),
+        pytest.param(summaries_text(thermal_encounters=1.0), "summary 1: thermal_encounters must be",
+                     id="float-encounters"),
+        pytest.param(summaries_text(thermal_encounters=False), "summary 1: thermal_encounters must be",
+                     id="bool-encounters"),
+        pytest.param(summaries_text(excluded=0), "summary 1: excluded must be a bool", id="int-excluded"),
+        pytest.param(summaries_text(excluded="false"), "summary 1: excluded must be a bool", id="string-excluded"),
     ])
     def test_bad_summaries_file_rejected(self, tmp_path, text, named):
         path = tmp_path / "s.json"
@@ -238,6 +262,59 @@ class TestRunBaseline:
         sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
         bundle = tiny_bundle()
         assert run_baseline(sc, bundle, 2) == run_baseline(sc, bundle, 2)
+
+    def test_one_flight_averaged_over_the_repetitions(self, monkeypatch):
+        # 400.1 is a flight time whose three-term mean rounds to 400.1000000000001
+        flown = []
+
+        def fake_run_flight(*args, **kwargs):
+            flown.append(kwargs)
+            return FlightRecord(400.1, 0.0, 0, False, {}, "AUTO_GLIDE")
+
+        monkeypatch.setattr(experiment, "run_flight", fake_run_flight)
+        sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
+        assert run_baseline(sc, tiny_bundle(), repetitions=3) == (400.1 + 400.1 + 400.1) / 3 != 400.1
+        assert len(flown) == 1
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_fewer_than_one_repetition_rejected(self, reps):
+        sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
+        with pytest.raises(ConfigError, match="repetitions must be at least 1"):
+            run_baseline(sc, tiny_bundle(), repetitions=reps)
+        with pytest.raises(ConfigError, match="baseline_reps must be at least 1"):
+            ExperimentPlan(seeds=(1,), baseline_reps=reps)
+
+
+def reference_run_baseline(sc, bundle, repetitions, seed):
+    """The mean over `repetitions` calm flights, each flown with its own seed."""
+    calm = calm_variant(sc)
+    cfg = replace(bundle.mission, soaring_enabled=False)
+    times = []
+    for rep in range(repetitions):
+        rec = run_flight(calm, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner,
+                         bundle.baseline, seed=seed + rep, slot=0)
+        times.append(rec.flight_time)
+    return sum(times) / len(times)
+
+
+SITES = [Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json" for name in ("field", "valley")]
+
+
+@pytest.mark.parametrize("site", SITES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calm_flights_do_not_depend_on_their_seed(site, seed):
+    sc, bundle = load_bundle(site)
+    world = materialize(sc, seed)
+    calm = calm_variant(world)
+    cfg = replace(bundle.mission, soaring_enabled=False)
+    records = [
+        run_flight(calm, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner,
+                   bundle.baseline, seed=s, slot=0)
+        for s in (seed, seed + 1, seed + 2)
+    ]
+    assert records[0] == records[1] == records[2]
+    for reps in (1, 2, 3):
+        assert run_baseline(world, bundle, reps) == reference_run_baseline(world, bundle, reps, seed)
 
 
 def paired_scenario():
