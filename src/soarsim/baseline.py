@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .belief import GaussianBelief
-from .dynamics import UavState
+from .dynamics import G, STALL_BANK_LIMIT, UavState
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,7 @@ class BaselineConfig:
     circle_radius: float = 60.0  # m
     kp: float = math.radians(0.8)  # rad of bank per m of radial error
     kd: float = math.radians(2.0)  # rad of bank per m/s of radial rate
-    max_bank: float = math.radians(40.0)  # loiter honors the stall-prevention limit
-    g: float = 9.80665
+    max_bank: float = STALL_BANK_LIMIT  # loiter honors the stall-prevention limit
 
     def __post_init__(self):
         if not self.circle_radius > 0.0:
@@ -55,6 +54,6 @@ def baseline_choose_bank(
         r_rate = (dx * vx + dy * vy) / r
     else:
         r_rate = 0.0
-    nominal = math.atan(uav.v * uav.v / (cfg.g * cfg.circle_radius))
+    nominal = math.atan(uav.v * uav.v / (G * cfg.circle_radius))
     cmd = direction * (nominal + cfg.kp * err + cfg.kd * r_rate)
     return max(-cfg.max_bank, min(cfg.max_bank, cmd))

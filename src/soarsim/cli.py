@@ -139,15 +139,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _repetitions(text: str) -> int:
-    """The value of --reps or --baseline-reps: an int of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,18 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario/mission JSON file")
         p.add_argument("--params", help="KEY=VALUE param file")
         if seed:
-            p.add_argument("--seed", type=int, help="override the scenario seed")
+            p.add_argument("--seed", type=_int_at_least(0), help="override the scenario seed")
 
     p = sub.add_parser("run", help="fly one mission")
     common(p)
     p.add_argument("--controller", choices=[POMDSOAR, BASELINE], default=POMDSOAR)
-    p.add_argument("--slot", type=int, default=0, help="noise-stream slot (0 or 1)")
+    p.add_argument("--slot", type=int, choices=(0, 1), default=0, help="noise-stream slot (0 or 1)")
     p.add_argument("--out", help="telemetry JSONL path")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("baseline", help="measure the no-soaring baseline time")
     common(p)
-    p.add_argument("--reps", type=_repetitions, default=3)
+    p.add_argument("--reps", type=_int_at_least(1), default=3)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=cmd_baseline)
 
@@ -178,15 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--flight-id", default="001")
     p.add_argument("--swap", action="store_true", help="give the baseline slot 0")
-    p.add_argument("--baseline-reps", type=_repetitions, default=3)
+    p.add_argument("--baseline-reps", type=_int_at_least(1), default=3)
     p.add_argument("--no-telemetry", action="store_true")
     p.set_defaults(func=cmd_paired)
 
     p = sub.add_parser("sweep", help="paired missions over a seed range")
     common(p, seed=False)
-    p.add_argument("--seed-start", type=int, default=1)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--baseline-reps", type=_repetitions, default=3)
+    p.add_argument("--seed-start", type=_int_at_least(0), default=1)
+    p.add_argument("--count", type=_int_at_least(1), default=50)
+    p.add_argument("--baseline-reps", type=_int_at_least(1), default=3)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -22,7 +22,10 @@ from math import cos, pi, sin, tan
 import numpy as np
 
 SIM_DT = 0.02  # s, fixed integration step (50 Hz loop)
-RECORD_DT = 0.2  # s, trajectory recording resolution
+RECORD_DT = 0.2  # s, control tick and trajectory recording resolution
+STEPS_PER_RECORD = round(RECORD_DT / SIM_DT)
+G = 9.80665  # m/s^2
+STALL_BANK_LIMIT = math.radians(40.0)  # bank clamp while stall prevention is active
 
 
 def wrap_angle(a: float) -> float:
@@ -47,16 +50,13 @@ class PidState:
     integrator: float = 0.0
     prev_error: float | None = None
 
-    def copy(self) -> "PidState":
-        return PidState(self.integrator, self.prev_error)
-
 
 @dataclass(frozen=True)
 class AirframeParams:
     """Roll-axis airframe constants plus bank limits and PID gains.
 
     Defaults are the Radian Pro 2 m sailplane values. stall_prevention
-    tightens the bank clamp to stall_bank_limit (autopilot behavior keyed
+    tightens the bank clamp to STALL_BANK_LIMIT (autopilot behavior keyed
     by SOAR_NO_STALLPRV in the param file: 0 = prevention active).
     """
 
@@ -64,10 +64,8 @@ class AirframeParams:
     c_lp: float = -1.12808704  # roll damping derivative (< 0)
     k_d: float = 0.41073588  # roll damping coefficient
     k_a: float = 1.448331  # aileron effectiveness coefficient
-    g: float = 9.80665  # m/s^2
     max_bank: float = math.radians(45.0)
     stall_prevention: bool = True
-    stall_bank_limit: float = math.radians(40.0)
     pid: PidGains = field(default_factory=PidGains)
 
     def __post_init__(self):
@@ -84,16 +82,16 @@ class AirframeParams:
     def bank_limit(self) -> float:
         """Effective bank clamp applied by the dynamics."""
         if self.stall_prevention:
-            return min(self.max_bank, self.stall_bank_limit)
+            return min(self.max_bank, STALL_BANK_LIMIT)
         return self.max_bank
 
     @cached_property
     def step_constants(self) -> tuple[float, ...]:
         """What step_kinematics reads, gathered once per (frozen) instance:
-        (kp, ki, kd_gain, int_limit, k_a, i_x, g, -k_d*c_lp, bank_limit).
+        (kp, ki, kd_gain, int_limit, k_a, i_x, -k_d*c_lp, bank_limit).
         The damping moment is then -k_d*c_lp * phi_dot / (2v)."""
         p = self.pid
-        return (p.kp, p.ki, p.kd_gain, p.int_limit, self.k_a, self.i_x, self.g,
+        return (p.kp, p.ki, p.kd_gain, p.int_limit, self.k_a, self.i_x,
                 -self.k_d * self.c_lp, self.bank_limit)
 
 
@@ -155,12 +153,11 @@ def step_kinematics(
     phi: float,
     phi_dot: float,
     target_bank: float,
-    dt: float,
     pid_state: PidState,
     steps: int = 1,
 ) -> tuple[float, float, float, float, float]:
-    """steps explicit-Euler steps of the roll PID and the roll/turn/position
-    equations toward target_bank; updates pid_state.
+    """steps explicit-Euler SIM_DT steps of the roll PID and the
+    roll/turn/position equations toward target_bank; updates pid_state.
 
     Returns (x, y, psi, phi, phi_dot). Each step evaluates every
     derivative at the current state. The PID output (aileron deflection)
@@ -168,9 +165,8 @@ def step_kinematics(
     attained bank is clamped to the airframe's bank limit and the outward
     roll rate zeroed at the stop, so tan(phi) stays finite.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    kp, ki, kd, int_limit, k_a, i_x, g, damping, limit = params.step_constants
+    kp, ki, kd, int_limit, k_a, i_x, damping, limit = params.step_constants
+    dt, g = SIM_DT, G  # locals: the 50 Hz loop reads them every step
     two_v, two_pi = 2.0 * v, 2.0 * pi
     integrator, prev_error = pid_state.integrator, pid_state.prev_error
     # Scalar math.* on purpose: np.tan differs from math.tan in the last bit
@@ -208,34 +204,22 @@ def step_kinematics(
     return x, y, psi, phi, phi_dot
 
 
-def predict_trajectory(
-    params: AirframeParams,
-    s0: UavState,
-    action: RollAction,
-    dt: float = SIM_DT,
-    dt_record: float = RECORD_DT,
-    pid_state: PidState | None = None,
-) -> ActionTrajectory:
+def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction) -> ActionTrajectory:
     """Simulate the closed-loop response to action and record poses.
 
-    Integrates at dt (default 0.02 s, matching the control loop) and
-    records (t, position, phi, psi) every dt_record, from t = 0 through
-    t = action.duration. The PID state defaults to a fresh controller and
-    is never shared with the caller's.
+    Integrates at SIM_DT from a fresh PID and records (t, position, phi,
+    psi) every RECORD_DT, from t = 0 through t = action.duration.
     """
-    every = round(dt_record / dt)
-    if every < 1 or abs(every * dt - dt_record) > 1e-9:
-        raise ValueError("dt_record must be a multiple of dt")
-    n_rec = round(action.duration / dt_record)
-    pid = PidState() if pid_state is None else pid_state.copy()
+    n_rec = round(action.duration / RECORD_DT)
+    pid = PidState()
 
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
     ts, xs, ys, phis, psis = [0.0], [x], [y], [phi], [psi]
     for i in range(1, n_rec + 1):
         x, y, psi, phi, phi_dot = step_kinematics(
-            params, x, y, s0.v, psi, phi, phi_dot, action.target_bank, dt, pid, every
+            params, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, STEPS_PER_RECORD
         )
-        ts.append(i * every * dt)
+        ts.append(i * STEPS_PER_RECORD * SIM_DT)
         xs.append(x)
         ys.append(y)
         phis.append(phi)
@@ -243,7 +227,7 @@ def predict_trajectory(
     return ActionTrajectory(*np.array([ts, xs, ys, phis, psis], dtype=float))
 
 
-def turn_radius(v: float, phi: float, g: float = 9.80665) -> float:
+def turn_radius(v: float, phi: float) -> float:
     """Steady coordinated-turn radius v^2/(g*tan(phi))."""
-    return v * v / (g * math.tan(phi))
+    return v * v / (G * math.tan(phi))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from math import exp
 from pathlib import Path
@@ -113,12 +113,12 @@ class WorldState:
     """Per-mission simulation state; one instance per UAV."""
 
     uav: UavState
+    battery_j: float
     pid: PidState = field(default_factory=PidState)
     t: float = 0.0
     step: int = 0
     gx: float = 0.0  # integrated wind drift, m
     gy: float = 0.0
-    battery_j: float = 15600.0
     motor_on: bool = False
     crashed: bool = False
     lift: float = 0.0  # true airmass vertical velocity at the UAV
@@ -128,8 +128,8 @@ class WorldState:
         return (self.uav.x + self.gx, self.uav.y + self.gy)
 
 
-def make_world(sc: Scenario, h0: float, psi0: float = 0.0, v: float = 9.0) -> WorldState:
-    return WorldState(uav=UavState(0.0, 0.0, v, psi0, 0.0, 0.0, h0), battery_j=sc.battery_j)
+def make_world(sc: Scenario, h0: float, v: float = 9.0) -> WorldState:
+    return WorldState(uav=UavState(0.0, 0.0, v, 0.0, 0.0, 0.0, h0), battery_j=sc.battery_j)
 
 
 def env_step(
@@ -137,24 +137,25 @@ def env_step(
     airframe: AirframeParams,
     w: WorldState,
     target_bank: float,
-    dt: float = SIM_DT,
-    rng: np.random.Generator | NormalBlocks | None = None,
+    rng: np.random.Generator | NormalBlocks,
 ) -> WorldState:
-    """Advance the world one tick; mutates and returns w.
+    """Advance the world one SIM_DT step; mutates and returns w.
 
     Kinematics advance in the air-mass frame, then lift/sink/motor set
     the altitude rate at the new pose, wind accumulates ground offset,
     and the battery drains (motor power while on, avionics always).
-    Turbulence is one rng.standard_normal() draw per tick.
+    Turbulence is one rng.standard_normal() draw per step; a calm
+    scenario (turbulence_sigma 0) draws nothing.
     """
+    dt = SIM_DT
     u = w.uav
     u.x, u.y, u.psi, u.phi, u.phi_dot = step_kinematics(
-        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, dt, w.pid, 1
+        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, w.pid, 1
     )
     w.step += 1
     w.t = w.step * dt
     lift = true_lift(sc, u.x, u.y, w.t)
-    if sc.turbulence_sigma > 0.0 and rng is not None:
+    if sc.turbulence_sigma > 0.0:
         lift += sc.turbulence_sigma * rng.standard_normal()
     w.lift = lift
     climb = sc.motor_climb_rate if w.motor_on else 0.0
@@ -169,8 +170,8 @@ def env_step(
     return w
 
 
-def vario_period_steps(sc: Scenario, dt: float = SIM_DT) -> int:
-    return max(1, round(1.0 / (sc.vario_rate * dt)))
+def vario_period_steps(sc: Scenario) -> int:
+    return max(1, round(1.0 / (sc.vario_rate * SIM_DT)))
 
 
 class NormalBlocks:
@@ -276,6 +277,10 @@ RANDOM_BLOCK_KEYS = {
 }
 
 
+# the Scenario fields a file may set; the rest keep Scenario's defaults
+SCENARIO_KEYS = tuple(f.name for f in fields(Scenario) if f.init and f.name != "thermals")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -300,21 +305,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
             for th in data.get("thermals", [])
         )
-        return Scenario(
-            thermals=thermals,
-            wind=tuple(data.get("wind", (0.0, 0.0))),
-            turbulence_sigma=data.get("turbulence_sigma", 0.15),
-            vario_sigma=data.get("vario_sigma", 0.2),
-            vario_rate=data.get("vario_rate", 5.0),
-            sink_s0=data.get("sink_s0", 0.7),
-            seed=data.get("seed", 0),
-            battery_j=data.get("battery_j", 15600.0),
-            motor_power_w=data.get("motor_power_w", 90.0),
-            motor_climb_rate=data.get("motor_climb_rate", 2.5),
-            avionics_power_w=data.get("avionics_power_w", 3.0),
-            random_thermals=data.get("random_thermals"),
-            random_wind=data.get("random_wind"),
-        )
+        given = {k: data[k] for k in SCENARIO_KEYS if k in data}
+        if "wind" in given:
+            given["wind"] = tuple(given["wind"])
+        return Scenario(thermals=thermals, **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
 

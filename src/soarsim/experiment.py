@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .baseline import BaselineConfig
@@ -90,30 +91,50 @@ class ConfigBundle:
     baseline: BaselineConfig
 
 
+class _ReadLog(dict):
+    """A params dict that records each key read from it."""
+
+    def __init__(self, params: dict):
+        super().__init__(params)
+        self.read: list[str] = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
 def load_bundle(
     scenario_path: str | Path, params_path: str | Path | None = None
 ) -> tuple[Scenario, ConfigBundle]:
     """The scenario of a site file and the configs its mission flies with,
     built from the param file's values or, without one, the defaults. A
-    value a config rejects is a config error naming both files."""
+    value a config rejects is a config error naming both files, the
+    builder, and the param-file keys that builder read."""
     data = load_scenario_file(scenario_path)
     sc = scenario_from_dict(data)
     if "mission" not in data:
         raise ConfigError(f"{scenario_path} has no 'mission' section")
-    params = resolve_params(parse_param_file(params_path) if params_path else None)
-    try:
-        bundle = ConfigBundle(
-            mission=mission_from_dict(data["mission"], params),
-            airframe=airframe_from_params(params),
-            noise=noise_from_params(params),
-            prior=prior_from_params(params),
-            planner=planner_from_params(params, sink_s0=sc.sink_s0),
-            baseline=baseline_from_params(params),
-        )
-    except (ConfigError, ValueError) as exc:
-        source = f"{scenario_path} with {params_path}" if params_path else scenario_path
-        raise ConfigError(f"{source}: {exc}") from exc
-    return sc, bundle
+    overrides = parse_param_file(params_path) if params_path else {}
+    params = resolve_params(overrides)
+    builders = {
+        "mission": partial(mission_from_dict, data["mission"]),
+        "airframe": airframe_from_params,
+        "noise": noise_from_params,
+        "prior": prior_from_params,
+        "planner": partial(planner_from_params, sink_s0=sc.sink_s0),
+        "baseline": baseline_from_params,
+    }
+    configs = {}
+    for name, build in builders.items():
+        log = _ReadLog(params)
+        try:
+            configs[name] = build(log)
+        except (ConfigError, ValueError) as exc:
+            source = f"{scenario_path} with {params_path}" if params_path else scenario_path
+            builder = getattr(build, "func", build).__name__
+            keys = ", ".join(f"{k}={overrides[k]}" for k in dict.fromkeys(log.read) if k in overrides)
+            raise ConfigError(f"{source}: {builder} rejected {keys or 'its input'}: {exc}") from exc
+    return sc, ConfigBundle(**configs)
 
 
 def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:
@@ -361,6 +382,12 @@ def summaries_from_json(path: str | Path) -> list[FlightSummary]:
         raise ConfigError(f"{path}: malformed summary: {exc}") from exc
     for i, s in enumerate(summaries):
         where = f"{path}: summary {i}"
+        if s.controller not in (POMDSOAR, BASELINE):
+            raise ConfigError(f"{where}: controller must be {POMDSOAR!r} or {BASELINE!r}, got {s.controller!r}")
+        for name in ("flight_id", "site", "airframe"):
+            v = getattr(s, name)
+            if not isinstance(v, str):
+                raise ConfigError(f"{where}: {name} must be a string, got {v!r}")
         for name in ("flight_time", "baseline_time"):
             v = getattr(s, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:

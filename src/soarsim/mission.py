@@ -21,7 +21,7 @@ from . import baseline as baseline_mod
 from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
-from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
+from .dynamics import RECORD_DT, SIM_DT, STEPS_PER_RECORD, AirframeParams, wrap_angle
 from .environment import NormalBlocks, Scenario, env_step, gen_observation, make_world
 from .params import ConfigError
 
@@ -139,9 +139,8 @@ def update_mode(
     state: MissionState,
     h: float,
     in_fence: bool,
-    dt: float,
 ) -> FlightMode:
-    """Advance the flight-mode state machine one control tick.
+    """Advance the flight-mode state machine one RECORD_DT control tick.
 
     Uses state.filtered_lift for detection/exit; mutates the exit timer
     and returns the (possibly unchanged) mode without performing entry or
@@ -163,7 +162,7 @@ def update_mode(
             mode = FlightMode.THERMALLING
     else:  # THERMALLING
         if state.filtered_lift < cfg.exit_threshold:
-            state.exit_timer += dt
+            state.exit_timer += RECORD_DT
         else:
             state.exit_timer = 0.0
         if h >= cfg.alt_max or h <= cfg.alt_min or not in_fence or state.exit_timer >= cfg.exit_hold:
@@ -194,7 +193,6 @@ class FlightRecord:
     thermal_encounters: int
     crashed: bool
     mode_seconds: dict
-    final_mode: str
 
 
 def mission_rngs(seed: int, slot: int):
@@ -231,9 +229,7 @@ def run_flight(
     normals = NormalBlocks(env_rng)  # the same draws as env_rng, a block at a time
 
     world = make_world(sc, h0=cfg.alt_cutoff, v=cfg.airspeed)
-    world.battery_j = sc.battery_j
     ms = MissionState()
-    ticks_per_control = round(RECORD_DT / SIM_DT)
     dt_obs = sc.vario_period * SIM_DT
     mode_seconds = {m.value: 0.0 for m in FlightMode}
 
@@ -242,14 +238,14 @@ def run_flight(
     done = False
     while not done:
         readings = []  # (lift, x, y): every variometer reading of this tick, in order
-        for _ in range(ticks_per_control):
-            env_step(sc, airframe, world, ms.target_bank, SIM_DT, normals)
+        for _ in range(STEPS_PER_RECORD):
+            env_step(sc, airframe, world, ms.target_bank, normals)
             reading = gen_observation(sc, world, normals)
             if reading is not None:
                 readings.append((reading, uav.x, uav.y))
             if world.crashed:
                 break
-        mode_seconds[ms.mode.value] += ticks_per_control * SIM_DT
+        mode_seconds[ms.mode.value] += RECORD_DT
         if world.crashed:
             break
 
@@ -264,7 +260,7 @@ def run_flight(
 
         prev_mode = ms.mode
         in_fence = point_in_convex_polygon(world.ground_pos, cfg.geofence)
-        mode = update_mode(cfg, ms, uav.h, in_fence, RECORD_DT)
+        mode = update_mode(cfg, ms, uav.h, in_fence)
         if mode is not prev_mode:
             if mode is FlightMode.THERMALLING:
                 ms.belief = prior.copy()
@@ -328,17 +324,13 @@ def run_flight(
         thermal_encounters=ms.thermal_encounters,
         crashed=world.crashed,
         mode_seconds=mode_seconds,
-        final_mode=ms.mode.value,
     )
 
 
-def mission_from_dict(data: dict, params: dict | None = None) -> MissionConfig:
-    """Build a MissionConfig from the mission section of a site file.
-
-    Param-file SOAR_* values override the file's altitude bands and
-    detection settings when present.
+def mission_from_dict(data: dict, p: dict) -> MissionConfig:
+    """Build a MissionConfig from the mission section of a site file and
+    the resolved params p. An altitude band set in p overrides the file's.
     """
-    p = params or {}
     try:
         waypoints = tuple((float(x), float(y)) for x, y in data["waypoints"])
         geofence = tuple((float(x), float(y)) for x, y in data["geofence"])
@@ -349,8 +341,7 @@ def mission_from_dict(data: dict, params: dict | None = None) -> MissionConfig:
         raise ConfigError(f"malformed mission section: {exc}") from exc
 
     def over(key, value):
-        v = p.get(key)
-        return value if v is None else v
+        return value if p[key] is None else p[key]
 
     return MissionConfig(
         waypoints=waypoints,
@@ -358,17 +349,17 @@ def mission_from_dict(data: dict, params: dict | None = None) -> MissionConfig:
         alt_min=over("SOAR_ALT_MIN", alt_min),
         alt_cutoff=over("SOAR_ALT_CUTOFF", alt_cutoff),
         alt_max=over("SOAR_ALT_MAX", alt_max),
-        detect_threshold=p.get("SOAR_VSPEED", 0.5),
-        detect_filter_tau=p.get("SOAR_FILT_TAU", 2.0),
-        exit_threshold=p.get("SOAR_EXIT_VSPEED", 0.0),
-        exit_hold=p.get("SOAR_EXIT_HOLD", 8.0),
-        reentry_margin=p.get("SOAR_REENTRY_M", 10.0),
-        soaring_enabled=bool(p.get("SOAR_ENABLE", 1)),
-        controller=POMDSOAR if p.get("SOAR_POMDP_ON", 1) else BASELINE,
-        nav_bank_limit=math.radians(p.get("NAV_BANK_LIM", 30.0)),
-        nav_gain=p.get("NAV_GAIN", 1.5),
-        wp_radius=p.get("NAV_WP_RADIUS", 20.0),
-        replan_period=p.get("SOAR_POMDP_REPLAN", 1.0),
-        airspeed=p.get("ARSPD_TRIM", 9.0),
+        detect_threshold=p["SOAR_VSPEED"],
+        detect_filter_tau=p["SOAR_FILT_TAU"],
+        exit_threshold=p["SOAR_EXIT_VSPEED"],
+        exit_hold=p["SOAR_EXIT_HOLD"],
+        reentry_margin=p["SOAR_REENTRY_M"],
+        soaring_enabled=bool(p["SOAR_ENABLE"]),
+        controller=POMDSOAR if p["SOAR_POMDP_ON"] else BASELINE,
+        nav_bank_limit=math.radians(p["NAV_BANK_LIM"]),
+        nav_gain=p["NAV_GAIN"],
+        wp_radius=p["NAV_WP_RADIUS"],
+        replan_period=p["SOAR_POMDP_REPLAN"],
+        airspeed=p["ARSPD_TRIM"],
         site=data.get("site", ""),
     )

@@ -150,7 +150,7 @@ def prior_from_params(p: dict):
     )
 
 
-def planner_from_params(p: dict, sink_s0: float = 0.7):
+def planner_from_params(p: dict, sink_s0: float):
     from .pomdsoar import PlannerConfig
 
     return PlannerConfig(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import R0_FLOOR, GaussianBelief, NoiseConfig, sample_thermal, uncertainty
-from .dynamics import RECORD_DT, SIM_DT, AirframeParams, RollAction, UavState, predict_trajectory
+from .dynamics import RECORD_DT, AirframeParams, RollAction, UavState, predict_trajectory
 from .thermal import field_lift
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,6 @@ class PlannerConfig:
     exploit_extension: float = 3.0  # exploit horizon = t_explore * this
     n_samples: int = 10  # thermal hypotheses per cycle
     confidence_thres: float = 150.0  # trace gate; unit-coupled to trace_weights
-    dt_record: float = RECORD_DT  # s, trajectory/scoring resolution
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     sink_correction: bool = True  # charge tighter turns their extra sink
     sink_s0: float = 0.7  # m/s, level-flight sink used by the correction
@@ -81,12 +80,9 @@ def _pick(banks, scores, maximize: bool) -> int:
 
 def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, horizon: float):
     """Predicted trajectories for every candidate bank, planning frame
-    (current UAV position is the origin)."""
+    (current UAV position is the origin), sampled every RECORD_DT."""
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
-    return [
-        predict_trajectory(airframe, s0, RollAction(bank, horizon), SIM_DT, cfg.dt_record)
-        for bank in cfg.bank_angles
-    ]
+    return [predict_trajectory(airframe, s0, RollAction(bank, horizon)) for bank in cfg.bank_angles]
 
 
 def _sampled_lift(samples, pos: np.ndarray) -> np.ndarray:
@@ -110,7 +106,7 @@ def explore_score(
     """Mean posterior uncertainty per action after imaginary EKF chains.
 
     For each action and each sampled thermal, walks the predicted
-    trajectory at dt_record, synthesizes the sample's noiseless lift as
+    trajectory at RECORD_DT, synthesizes the sample's noiseless lift as
     the observation at every waypoint, and runs shift + EKF update on a
     copy of the current belief; the score is the mean final weighted
     trace over samples (lower is better).
@@ -124,7 +120,7 @@ def explore_score(
 
     means = np.broadcast_to(b.mean, (a, n, 4)).copy()
     covs = np.broadcast_to(b.cov, (a, n, 4, 4)).copy()
-    q_step = np.diag(noise.q_diag) * cfg.dt_record
+    q_step = np.diag(noise.q_diag) * RECORD_DT
     n_steps = pos.shape[1]
     for t in range(n_steps):
         # shift: relative center moves opposite the UAV displacement
@@ -173,7 +169,7 @@ def exploit_score(
     trajs = _trajectories(cfg, uav, airframe, cfg.t_exploit)
     pos = np.stack([tr.positions[1:] for tr in trajs])  # (A, T, 2)
     lifts = _sampled_lift(samples, pos)  # (A, N, T)
-    gains = lifts.sum(axis=2) * cfg.dt_record  # (A, N)
+    gains = lifts.sum(axis=2) * RECORD_DT  # (A, N)
     valid = np.isfinite(gains).all(axis=0)
     if not valid.all():
         log.warning("exploit: dropped %d/%d belief samples", int((~valid).sum()), len(samples))
@@ -183,7 +179,7 @@ def exploit_score(
     if cfg.sink_correction:
         phis = np.stack([tr.phi[1:] for tr in trajs])  # (A, T)
         sink = cfg.sink_s0 * (1.0 / np.cos(phis)) ** 1.5
-        scores = scores - sink.sum(axis=1) * cfg.dt_record
+        scores = scores - sink.sum(axis=1) * RECORD_DT
     return scores
 
 

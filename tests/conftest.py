@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from soarsim.dynamics import AirframeParams
+from soarsim.dynamics import SIM_DT, ActionTrajectory, AirframeParams, PidState, step_kinematics
 from soarsim.belief import GaussianBelief, NoiseConfig
 
 # acceptance test name -> criterion description, for the summary lines
@@ -64,3 +64,16 @@ def make_belief(mean, diag):
 
 def deg(x: float) -> float:
     return math.radians(x)
+
+
+def fine_trajectory(airframe, s0, action) -> ActionTrajectory:
+    """The poses of predict_trajectory at every SIM_DT step, not only every
+    RECORD_DT: the kernel stepped once at a time from a fresh PID. The 0.02 s
+    integration oracles that check the planner's 0.2 s scoring run on it."""
+    pid = PidState()
+    x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
+    poses = [(0.0, x, y, phi, psi)]
+    for i in range(1, round(action.duration / SIM_DT) + 1):
+        x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid)
+        poses.append((i * SIM_DT, x, y, phi, psi))
+    return ActionTrajectory(*np.array(poses, dtype=float).T)

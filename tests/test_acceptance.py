@@ -20,6 +20,7 @@ from soarsim.mission import BASELINE, POMDSOAR
 from soarsim.pomdsoar import EXPLOIT, EXPLORE, PlannerConfig, choose_action
 from soarsim.thermal import ThermalParams, lift_at, lift_jacobian
 
+from conftest import fine_trajectory
 from test_cli import tiny_site
 
 REPO = Path(__file__).resolve().parents[1]
@@ -147,9 +148,10 @@ def test_c04_trajectory_prediction_self_consistency():
         s0 = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
         tr = predict_trajectory(airframe, s0, RollAction(bank, 20.0))
         world = make_world(sc, h0=100.0)
+        rng = np.random.default_rng(0)  # calm: nothing is drawn
         divergence = 0.0
         for k in range(1, 1001):
-            env_step(sc, airframe, world, bank)
+            env_step(sc, airframe, world, bank, rng)
             if k % 10 == 0:
                 i = k // 10
                 divergence = max(
@@ -205,8 +207,8 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
 
         best, best_bank = -math.inf, None
         for bank in cfg.bank_angles:
-            tr = predict_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
-                                    RollAction(bank, cfg.t_exploit), 0.02, 0.02)
+            tr = fine_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
+                                 RollAction(bank, cfg.t_exploit))
             gain = 0.0
             for t in range(1, len(tr)):
                 gain += (lift_at(th, (tr.x[t], tr.y[t])) - sink_rate(cfg.sink_s0, tr.phi[t])) * 0.02

@@ -4,6 +4,8 @@ Every public module-level function or class in src/soarsim and scripts/,
 and every public method or property of such a class, must be named
 somewhere in src/ or scripts/ outside its own definition. The package
 __init__.py only re-exports names, so a mention there does not count.
+Every field of a dataclass in src/soarsim must be read, as an attribute,
+somewhere in src/ or scripts/: a field that is only ever written is dead.
 """
 
 import ast
@@ -59,6 +61,34 @@ def unused_names() -> set[str]:
 
 def test_every_public_name_is_used_by_production_code():
     assert sorted(unused_names() - set(ALLOWED)) == []
+
+
+def dataclass_fields():
+    """(qualified name, field name) of each field of each dataclass in src/soarsim."""
+    for path in FILES:
+        if path.parent.name != "soarsim":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{path.stem}.{node.name}.{member.target.id}", member.target.id
+
+
+def test_every_dataclass_field_is_read_by_production_code():
+    read = {
+        node.attr
+        for path in FILES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = list(dataclass_fields())
+    assert len(fields) > 50
+    assert sorted(qualified for qualified, name in fields if name not in read) == []
 
 
 def test_allow_list_holds_only_unused_names_with_a_reason():

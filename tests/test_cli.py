@@ -174,6 +174,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "bad_value.param" in err
 
+    @pytest.mark.parametrize("text, named", [
+        ("SOAR_MAX_BANK=95\n", "mission.param: airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
+        ("SOAR_POMDP_N=12\nSOAR_MAX_BANK=95\n", "airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
+        ("SOAR_FILT_TAU=0\n", "mission_from_dict rejected SOAR_FILT_TAU=0.0: detect_filter_tau"),
+    ], ids=["max-bank", "max-bank-among-others", "filter-tau"])
+    def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
+        site = tiny_site(tmp_path)
+        params = tmp_path / "mission.param"
+        params.write_text(text)
+        assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["run", "--slot", "-1"], "argument --slot: invalid choice: -1"),
+        (["run", "--slot", "2"], "argument --slot: invalid choice: 2"),
+        (["paired", "--seed", "-2", "--out", "o"], "argument --seed: must be at least 0, got -2"),
+        (["sweep", "--seed-start", "-1", "--out", "o"], "argument --seed-start: must be at least 0, got -1"),
+        (["sweep", "--count", "0", "--out", "o"], "argument --count: must be at least 1, got 0"),
+    ], ids=["run-seed", "run-slot-minus-1", "run-slot-2", "paired-seed", "sweep-seed-start", "sweep-count"])
+    def test_bad_seed_slot_or_count_is_config_error(self, tmp_path, capsys, argv, message):
+        site = tiny_site(tmp_path)
+        assert cli.main(argv + ["--scenario", str(site)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag", [(["baseline", "--reps", "0"], "--reps"),
                                             (["paired", "--baseline-reps", "-1", "--out", "o"], "--baseline-reps"),
                                             (["sweep", "--baseline-reps", "0", "--out", "o"], "--baseline-reps"),
@@ -187,9 +212,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema_version": 1}',
                                       '{"schema_version": 2, "summaries": []}',
                                       '{"schema_version": 1, "summaries": [{"flight_id": "001"}]}',
-                                      summaries_text(flight_time="900"), summaries_text(baseline_time=0.0)],
+                                      summaries_text(flight_time="900"), summaries_text(baseline_time=0.0),
+                                      summaries_text(controller="pid"), summaries_text(flight_id=1),
+                                      summaries_text(site=5)],
                              ids=["missing", "not-json", "no-summaries", "schema", "bad-entry",
-                                  "string-flight-time", "zero-baseline-time"])
+                                  "string-flight-time", "zero-baseline-time", "unknown-controller",
+                                  "int-flight-id", "int-site"])
     def test_bad_summaries_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad_summaries.json"
         if text is not None:

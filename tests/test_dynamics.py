@@ -23,11 +23,11 @@ def kp_only(kp):
     return AirframeParams(pid=PidGains(kp=kp, ki=0.0, kd_gain=0.0))
 
 
-def aileron(af, bank_error, dt=0.02):
+def aileron(af, bank_error):
     """The roll PID's aileron deflection for a bank error, read back from one
     kernel step out of wings-level rest, where phi_ddot = k_a * aileron / i_x."""
-    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, dt, PidState())
-    return phi_dot * af.i_x / (af.k_a * dt)
+    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, PidState())
+    return phi_dot * af.i_x / (af.k_a * SIM_DT)
 
 
 class TestPidRoll:
@@ -48,24 +48,20 @@ class TestPidRoll:
         # never falls below 0.3 rad and the integrator runs into its clamp
         af = AirframeParams(pid=PidGains(kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3))
         state = PidState()
-        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0, 0.02, state, 200)
+        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0, state, 200)
         assert state.integrator == pytest.approx(0.3)
         assert state.prev_error == pytest.approx(1.0 - af.bank_limit)
-
-    def test_rejects_bad_dt(self, airframe):
-        with pytest.raises(ValueError):
-            step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.1, 0.0, PidState())
 
 
 @pytest.mark.parametrize("target_deg", [-45.0, 0.0, 30.0])
 def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
     state = (1.0, -2.0, 9.0, 2.9, 0.2, -0.4)
     pid_many, pid_one = PidState(), PidState()
-    many = step_kinematics(free_airframe, *state, math.radians(target_deg), 0.02, pid_many, 137)
+    many = step_kinematics(free_airframe, *state, math.radians(target_deg), pid_many, 137)
     x, y, v, psi, phi, phi_dot = state
     for _ in range(137):
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), 0.02, pid_one
+            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), pid_one
         )
     assert many == (x, y, psi, phi, phi_dot)
     assert pid_many == pid_one
@@ -73,7 +69,7 @@ def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
 
 class TestDynamicsStep:
     def test_straight_flight(self, airframe):
-        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, SIM_DT, PidState())
+        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, PidState())
         assert (x, y) == (0.0, pytest.approx(0.18))
         assert psi == 0.0
         assert phi == 0.0
@@ -81,7 +77,7 @@ class TestDynamicsStep:
 
     def test_turn_rate_at_45_degrees(self, free_airframe):
         bank = math.radians(45.0)
-        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, SIM_DT, PidState())
+        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, PidState())
         psi_dot = psi / SIM_DT
         assert psi_dot == pytest.approx(9.80665 / 9.0, rel=1e-12)
         assert psi_dot == pytest.approx(1.08963, abs=1e-5)
@@ -93,7 +89,7 @@ class TestDynamicsStep:
         needed = lp / free_airframe.k_a
         af = AirframeParams(stall_prevention=False, pid=PidGains(kp=1.0, ki=0.0, kd_gain=0.0))
         # error = needed, kp=1 -> aileron = needed
-        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, SIM_DT, PidState())
+        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState())
         assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
 
     def test_never_non_finite_at_bank_stop(self, airframe):
@@ -101,14 +97,14 @@ class TestDynamicsStep:
         x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, math.radians(39.9), 5.0
         for _ in range(200):
             x, y, psi, phi, phi_dot = step_kinematics(
-                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), SIM_DT, pid
+                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid
             )
             assert abs(phi) <= airframe.bank_limit + 1e-12
         assert math.isfinite(psi) and math.isfinite(x)
 
     def test_kinematics_energy_free(self, free_airframe):
         # constant airspeed: one step moves the UAV exactly v * dt
-        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, SIM_DT, PidState())
+        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, PidState())
         assert math.hypot(x - 3.0, y + 2.0) == pytest.approx(9.0 * SIM_DT, rel=1e-12)
 
     def test_invalid_state_rejected(self):
@@ -132,7 +128,7 @@ def test_heading_stays_wrapped(free_airframe):
     x, y, psi, phi, phi_dot = 0.0, 0.0, 3.0, math.radians(40.0), 0.0
     for _ in range(600):
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), SIM_DT, pid
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), pid
         )
         assert -math.pi <= psi < math.pi
 
@@ -181,17 +177,12 @@ class TestPredictTrajectory:
         x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
         for k in range(1, 201):
             x, y, psi, phi, phi_dot = step_kinematics(
-                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, 0.02, pid
+                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid
             )
             if k % 10 == 0:
                 i = k // 10
                 assert (x, y) == (tr.x[i], tr.y[i])
                 assert phi == tr.phi[i]
-
-    def test_bad_record_interval_rejected(self, free_airframe):
-        s0 = UavState()
-        with pytest.raises(ValueError):
-            predict_trajectory(free_airframe, s0, RollAction(0.0, 4.0), dt=0.02, dt_record=0.03)
 
 
 def test_default_airframe_constants(airframe):
@@ -217,7 +208,7 @@ def test_stall_prevention_clamp():
 
 def test_step_constants_follow_the_fields():
     af = AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
-    assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, af.g, 1.0, math.radians(30.0))
+    assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, 1.0, math.radians(30.0))
     assert af == AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
 
 
@@ -228,7 +219,7 @@ def test_bank_rise_time(free_airframe):
     t, reached, overshoot = 0.0, None, 0.0
     while t < 4.0:
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), 0.02, pid
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid
         )
         t += 0.02
         if reached is None and phi >= 0.98 * math.radians(45.0):

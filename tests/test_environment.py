@@ -307,17 +307,17 @@ def test_true_lift_is_bit_identical_to_the_per_thermal_sum():
     assert min(seen.values()) > 100
 
 
-def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe):
+def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe, rng):
     # one kinematics kernel: predict_trajectory and env_step agree bit for bit
     sc = quiet()
     s0 = UavState(0.0, 0.0, 9.0, 0.7, 0.1, -0.2, 100.0)
     for bank_deg in (-45.0, -15.0, 0.0, 30.0):
         bank = math.radians(bank_deg)
-        tr = predict_trajectory(airframe, s0, RollAction(bank, 12.0), 0.02, 0.2)
+        tr = predict_trajectory(airframe, s0, RollAction(bank, 12.0))
         w = make_world(sc, h0=100.0)
         w.uav = replace(s0)
         for k in range(1, 601):
-            env_step(sc, airframe, w, bank)
+            env_step(sc, airframe, w, bank, rng)
             if k % 10 == 0:
                 i = k // 10
                 assert (w.uav.x, w.uav.y, w.uav.phi, w.uav.psi) == (tr.x[i], tr.y[i], tr.phi[i], tr.psi[i])

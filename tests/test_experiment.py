@@ -69,7 +69,7 @@ def test_exclusion_flag():
 def summaries_text(**bad) -> str:
     """A summaries file whose second entry carries the given values."""
     good = asdict(summary("001", POMDSOAR, 900, 600.0))
-    return json.dumps({"schema_version": 1, "summaries": [good, {**good, **bad, "controller": BASELINE}]})
+    return json.dumps({"schema_version": 1, "summaries": [good, {**good, "controller": BASELINE, **bad}]})
 
 
 class TestReport:
@@ -175,6 +175,11 @@ class TestReport:
                      id="bool-encounters"),
         pytest.param(summaries_text(excluded=0), "summary 1: excluded must be a bool", id="int-excluded"),
         pytest.param(summaries_text(excluded="false"), "summary 1: excluded must be a bool", id="string-excluded"),
+        pytest.param(summaries_text(controller="pid"), "summary 1: controller must be 'pomdsoar' or 'baseline'",
+                     id="unknown-controller"),
+        pytest.param(summaries_text(flight_id=1), "summary 1: flight_id must be a string", id="int-flight-id"),
+        pytest.param(summaries_text(site=5), "summary 1: site must be a string", id="int-site"),
+        pytest.param(summaries_text(airframe=None), "summary 1: airframe must be a string", id="null-airframe"),
     ])
     def test_bad_summaries_file_rejected(self, tmp_path, text, named):
         path = tmp_path / "s.json"
@@ -269,7 +274,7 @@ class TestRunBaseline:
 
         def fake_run_flight(*args, **kwargs):
             flown.append(kwargs)
-            return FlightRecord(400.1, 0.0, 0, False, {}, "AUTO_GLIDE")
+            return FlightRecord(400.1, 0.0, 0, False, {})
 
         monkeypatch.setattr(experiment, "run_flight", fake_run_flight)
         sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)

@@ -79,9 +79,9 @@ class TestPointInPolygon:
 
 
 class TestUpdateMode:
-    def tick(self, cfg, state, h, lift, in_fence=True, dt=0.2):
+    def tick(self, cfg, state, h, lift, in_fence=True):
         state.filtered_lift = lift
-        return update_mode(cfg, state, h, in_fence, dt)
+        return update_mode(cfg, state, h, in_fence)
 
     def test_climb_to_glide_at_cutoff(self):
         cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_CLIMB)

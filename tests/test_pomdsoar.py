@@ -5,7 +5,7 @@ import pytest
 
 import soarsim.pomdsoar as planner
 from soarsim.belief import NoiseConfig, ekf_update, predict_shift, sample_thermal, uncertainty
-from soarsim.dynamics import SIM_DT, RollAction, UavState, predict_trajectory
+from soarsim.dynamics import RECORD_DT, RollAction, UavState, predict_trajectory
 from soarsim.environment import sink_rate
 from soarsim.pomdsoar import (
     EXPLOIT,
@@ -18,7 +18,7 @@ from soarsim.pomdsoar import (
 )
 from soarsim.thermal import ThermalParams, lift_at
 
-from conftest import make_belief
+from conftest import fine_trajectory, make_belief
 
 
 def north_uav():
@@ -48,7 +48,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
     best, best_bank = -math.inf, None
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     for bank in cfg.bank_angles:
-        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit), 0.02, 0.02)
+        tr = fine_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit))
         gain = 0.0
         for t in range(1, len(tr)):
             gain += lift_at(th, (tr.x[t], tr.y[t])) * 0.02
@@ -130,18 +130,13 @@ class TestExploitScore:
         scores = exploit_score(cfg, north_uav(), free_airframe, [th])
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
-            tr = predict_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit), 0.02, 0.02)
+            tr = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
             fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr)))
             assert abs(scores[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
         th = ThermalParams(2.0, 60.0, -35.0, 10.0)
-        picks = []
-        for dt_record in (0.2, 0.1):
-            cfg = PlannerConfig(n_samples=1, dt_record=dt_record)
-            scores = exploit_score(cfg, north_uav(), free_airframe, [th])
-            picks.append(cfg.bank_angles[int(np.argmax(scores))])
-        assert picks[0] == picks[1]
+        scores = exploit_score(PlannerConfig(n_samples=1), north_uav(), free_airframe, [th])
         scores2 = 3.7 * np.asarray(scores)
         assert int(np.argmax(scores2)) == int(np.argmax(scores))
 
@@ -150,12 +145,12 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
     out = []
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     for bank in cfg.bank_angles:
-        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore), SIM_DT, cfg.dt_record)
+        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))
         traces = []
         for s in samples:
             bb = b.copy()
             for t in range(1, len(tr)):
-                bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, cfg.dt_record)
+                bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, RECORD_DT)
                 bb = ekf_update(bb, lift_at(s, (tr.x[t], tr.y[t])), noise)
             traces.append(uncertainty(bb, cfg.trace_weights))
         out.append(float(np.mean(traces)))
