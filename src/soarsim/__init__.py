@@ -9,7 +9,7 @@ paired-mission evaluation harness.
 from .baseline import BaselineConfig, baseline_choose_bank
 from .belief import GaussianBelief, NoiseConfig, default_prior, ekf_update, predict_shift, sample_thermal, uncertainty
 from .dynamics import AirframeParams, RollAction, UavState, predict_trajectory
-from .environment import Scenario, ThermalSpec, WorldState, env_step, gen_observation
+from .environment import Scenario, ThermalSpec, WorldState, env_step, env_tick, gen_observation
 from .experiment import ExperimentPlan, FlightSummary, report, run_baseline, run_paired, write_report
 from .mission import FlightMode, MissionConfig, filter_lift, run_flight, update_mode, waypoint_bank
 from .params import ConfigError, parse_param_file, resolve_params

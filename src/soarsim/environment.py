@@ -6,6 +6,12 @@ same scenario with or without wind produces identical air-mass
 trajectories and variometer readings. The variometer is netto: it
 reports vertical airmass velocity at the UAV with sailplane sink already
 removed, which is exactly the quantity the thermal belief models.
+
+env_tick is the 50 Hz loop of one 0.2 s control tick: it advances the
+world by env_step, one SIM_DT step at a time, reads the variometer on
+sensor steps and returns that tick's readings, so the mission makes one
+environment call per tick. env_step moves the airframe through
+dynamics.step_kinematics, the kernel trajectory prediction uses too.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SIM_DT, AirframeParams, PidState, UavState, step_kinematics
+from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, PidState, UavState, step_kinematics
 from .params import ConfigError
 from .thermal import ThermalParams
 
@@ -88,6 +94,10 @@ def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
     # last bit on about 5% of inputs (92,375 of 2,000,000 uniform in [-20, 0]
     # with numpy 2.4 on an AVX-512 Xeon), which would change every pinned
     # telemetry and report digest. So would another order of the additions.
+    # ** 2.0 makes the same libm pow call as ** 2 (CPython converts the int
+    # exponent first), without the conversion. a * a is not the same: glibc
+    # pow is not correctly rounded, and a * a differs from a ** 2 in the last
+    # bit on 862 of 1,000,000 inputs uniform in [-500, 500] (glibc, x86-64).
     total = 0.0
     for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in sc.lift_rows:
         age = t - birth
@@ -98,7 +108,7 @@ def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
             if fade <= 0.0:
                 continue
             w0 = w0 * fade
-        d2 = (x - (cx + drift_x * age)) ** 2 + (y - (cy + drift_y * age)) ** 2
+        d2 = (x - (cx + drift_x * age)) ** 2.0 + (y - (cy + drift_y * age)) ** 2.0
         total += w0 * exp(-d2 / r0_sq)
     return total
 
@@ -121,7 +131,6 @@ class WorldState:
     gy: float = 0.0
     motor_on: bool = False
     crashed: bool = False
-    lift: float = 0.0  # true airmass vertical velocity at the UAV
 
     @property
     def ground_pos(self) -> tuple[float, float]:
@@ -138,8 +147,9 @@ def env_step(
     w: WorldState,
     target_bank: float,
     rng: np.random.Generator | NormalBlocks,
-) -> WorldState:
-    """Advance the world one SIM_DT step; mutates and returns w.
+) -> float:
+    """Advance the world one SIM_DT step; mutates w, w.uav and w.pid and
+    returns the lift at the new pose, turbulence included.
 
     Kinematics advance in the air-mass frame, then lift/sink/motor set
     the altitude rate at the new pose, wind accumulates ground offset,
@@ -149,25 +159,54 @@ def env_step(
     """
     dt = SIM_DT
     u = w.uav
-    u.x, u.y, u.psi, u.phi, u.phi_dot = step_kinematics(
+    x, y, u.psi, phi, u.phi_dot = step_kinematics(
         airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, w.pid, 1
     )
-    w.step += 1
-    w.t = w.step * dt
-    lift = true_lift(sc, u.x, u.y, w.t)
+    u.x, u.y, u.phi = x, y, phi
+    w.step = step = w.step + 1
+    w.t = t = step * dt
+    lift = true_lift(sc, x, y, t)
     if sc.turbulence_sigma > 0.0:
         lift += sc.turbulence_sigma * rng.standard_normal()
-    w.lift = lift
     climb = sc.motor_climb_rate if w.motor_on else 0.0
-    u.h += (lift - sink_rate(sc.sink_s0, u.phi) + climb) * dt
-    if u.h <= 0.0:
-        u.h = 0.0
+    h = u.h + (lift - sink_rate(sc.sink_s0, phi) + climb) * dt
+    if h <= 0.0:
+        h = 0.0
         w.crashed = True
-    w.gx += sc.wind[0] * dt
-    w.gy += sc.wind[1] * dt
+    u.h = h
+    wind_x, wind_y = sc.wind
+    w.gx += wind_x * dt
+    w.gy += wind_y * dt
     power = sc.avionics_power_w + (sc.motor_power_w if w.motor_on else 0.0)
-    w.battery_j = max(0.0, w.battery_j - power * dt)
-    return w
+    battery = w.battery_j - power * dt
+    w.battery_j = battery if battery > 0.0 else 0.0
+    return lift
+
+
+def env_tick(
+    sc: Scenario,
+    airframe: AirframeParams,
+    w: WorldState,
+    target_bank: float,
+    rng: np.random.Generator | NormalBlocks,
+) -> list[tuple[float, float, float]]:
+    """Advance the world one RECORD_DT control tick of STEPS_PER_RECORD
+    env_step steps toward target_bank, stopping after a step that reaches
+    the ground (w.crashed set).
+
+    Returns (reading, x, y) for each variometer reading of the tick, in
+    the order taken, with the air-frame position where it was taken.
+    """
+    u = w.uav
+    period = sc.vario_period
+    readings = []
+    for _ in range(STEPS_PER_RECORD):
+        lift = env_step(sc, airframe, w, target_bank, rng)
+        if w.step % period == 0:
+            readings.append((gen_observation(sc, lift, rng), u.x, u.y))
+        if w.crashed:
+            break
+    return readings
 
 
 def vario_period_steps(sc: Scenario) -> int:
@@ -192,13 +231,12 @@ class NormalBlocks:
         self.standard_normal = chain.from_iterable(blocks).__next__
 
 
-def gen_observation(sc: Scenario, w: WorldState, rng: np.random.Generator | NormalBlocks) -> float | None:
-    """Netto variometer reading when a sensor tick elapses, else None."""
-    if w.step == 0 or w.step % sc.vario_period != 0:
-        return None
+def gen_observation(sc: Scenario, lift: float, rng: np.random.Generator | NormalBlocks) -> float:
+    """Netto variometer reading of the true lift at the UAV: one
+    rng.standard_normal() draw of sensor noise, none when vario_sigma is 0."""
     if sc.vario_sigma > 0.0:
-        return w.lift + sc.vario_sigma * rng.standard_normal()
-    return w.lift
+        return lift + sc.vario_sigma * rng.standard_normal()
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +308,30 @@ def calm_variant(sc: Scenario) -> Scenario:
     return replace(sc, thermals=(), random_thermals=None, turbulence_sigma=0.0)
 
 
-# what materialize reads from each random block: one key out of each group
+# what materialize reads from each random block: (one key out of each
+# group, the optional keys)
 RANDOM_BLOCK_KEYS = {
-    "random_thermals": (("w0",), ("r0",), ("count", "clusters"), ("box", "ring")),
-    "random_wind": (("speed",),),
+    "random_thermals": ((("w0",), ("r0",), ("count", "clusters"), ("box", "ring")),
+                        ("r0_log", "bells", "offset_sigma", "birth", "lifetime", "drift")),
+    "random_wind": ((("speed",),), ()),
 }
 
 
 # the Scenario fields a file may set; the rest keep Scenario's defaults
 SCENARIO_KEYS = tuple(f.name for f in fields(Scenario) if f.init and f.name != "thermals")
+# what a site file may hold beside them; load_bundle reads the mission section
+FILE_KEYS = SCENARIO_KEYS + ("thermals", "mission", "schema_version", "site")
+THERMAL_KEYS = ("w0", "r0", "center", "birth", "lifetime", "drift")
+
+
+def reject_unknown_keys(data: dict, known, where: str) -> None:
+    """A ConfigError naming the first key of data outside known: a misspelt
+    key would otherwise leave its setting at the default."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -286,16 +339,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(
             f"unsupported scenario schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
-    for name, required in RANDOM_BLOCK_KEYS.items():
+    reject_unknown_keys(data, FILE_KEYS, "the scenario")
+    for name, (required, optional) in RANDOM_BLOCK_KEYS.items():
         block = data.get(name)
         if block is None:
             continue
-        if not isinstance(block, dict):
-            raise ConfigError(f"{name} must be a JSON object")
+        reject_unknown_keys(block, set(chain(*required, optional)), name)
         for keys in required:
             if not any(k in block for k in keys):
                 raise ConfigError(f"{name} is missing {' or '.join(repr(k) for k in keys)}")
     try:
+        for i, th in enumerate(data.get("thermals", [])):
+            reject_unknown_keys(th, THERMAL_KEYS, f"thermals[{i}]")
         thermals = tuple(
             ThermalSpec(
                 ThermalParams(th["w0"], th["r0"], th["center"][0], th["center"][1]),

@@ -111,7 +111,10 @@ def load_bundle(
     value a config rejects is a config error naming both files, the
     builder, and the param-file keys that builder read."""
     data = load_scenario_file(scenario_path)
-    sc = scenario_from_dict(data)
+    try:
+        sc = scenario_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{scenario_path}: {exc}") from exc
     if "mission" not in data:
         raise ConfigError(f"{scenario_path} has no 'mission' section")
     overrides = parse_param_file(params_path) if params_path else {}

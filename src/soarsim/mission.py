@@ -21,8 +21,8 @@ from . import baseline as baseline_mod
 from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
-from .dynamics import RECORD_DT, SIM_DT, STEPS_PER_RECORD, AirframeParams, wrap_angle
-from .environment import NormalBlocks, Scenario, env_step, gen_observation, make_world
+from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
+from .environment import NormalBlocks, Scenario, env_tick, make_world, reject_unknown_keys
 from .params import ConfigError
 
 POMDSOAR = "pomdsoar"
@@ -233,18 +233,12 @@ def run_flight(
     dt_obs = sc.vario_period * SIM_DT
     mode_seconds = {m.value: 0.0 for m in FlightMode}
 
-    uav = world.uav  # env_step updates it in place
+    uav = world.uav  # env_tick updates it in place
     ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
     done = False
     while not done:
-        readings = []  # (lift, x, y): every variometer reading of this tick, in order
-        for _ in range(STEPS_PER_RECORD):
-            env_step(sc, airframe, world, ms.target_bank, normals)
-            reading = gen_observation(sc, world, normals)
-            if reading is not None:
-                readings.append((reading, uav.x, uav.y))
-            if world.crashed:
-                break
+        # (lift, x, y): every variometer reading of this tick, in order
+        readings = env_tick(sc, airframe, world, ms.target_bank, normals)
         mode_seconds[ms.mode.value] += RECORD_DT
         if world.crashed:
             break
@@ -327,10 +321,14 @@ def run_flight(
     )
 
 
+MISSION_KEYS = ("waypoints", "geofence", "alt_min", "alt_cutoff", "alt_max", "site")
+
+
 def mission_from_dict(data: dict, p: dict) -> MissionConfig:
     """Build a MissionConfig from the mission section of a site file and
     the resolved params p. An altitude band set in p overrides the file's.
     """
+    reject_unknown_keys(data, MISSION_KEYS, "the mission section")
     try:
         waypoints = tuple((float(x), float(y)) for x, y in data["waypoints"])
         geofence = tuple((float(x), float(y)) for x, y in data["geofence"])

@@ -159,6 +159,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"random_thermals is missing {named}" in err
 
+    @pytest.mark.parametrize("section, key, where", [
+        (None, "turbulance_sigma", "the scenario"),
+        ("thermals", "lifetim", "thermals[0]"),
+        ("mission", "alt_maxx", "the mission section"),
+        ("random_wind", "sped", "random_wind"),
+    ], ids=["top-level", "thermal", "mission", "random-wind"])
+    def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, section, key, where):
+        doc = json.loads(tiny_site(tmp_path, random_wind={"speed": [0.0, 1.0]}).read_text())
+        target = doc if section is None else doc[section]
+        (target[0] if isinstance(target, list) else target)[key] = 0.0
+        bad = tmp_path / "misspelt.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"unknown key {key!r} in {where}" in err
+
     def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
         site = tiny_site(tmp_path, random_wind={})
         assert cli.main(["run", "--scenario", str(site)]) == 2

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import soarsim.environment as environment
 import soarsim.mission as mission
-from soarsim.dynamics import AirframeParams
+from soarsim.dynamics import RECORD_DT, AirframeParams
 from soarsim.environment import Scenario, ThermalSpec
 from soarsim.mission import (
     BASELINE,
@@ -265,14 +266,12 @@ def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypa
     )
     seen = {"mode": FlightMode.AUTO_GLIDE, "readings": 0, "due": 0, "updates": 0}
     real_observation, real_update_mode, real_ekf_update = (
-        mission.gen_observation, mission.update_mode, mission.ekf_update)
+        environment.gen_observation, mission.update_mode, mission.ekf_update)
 
-    def observation(*args):
-        reading = real_observation(*args)
-        if reading is not None:
-            seen["readings"] += 1
-            seen["due"] += seen["mode"] is FlightMode.THERMALLING
-        return reading
+    def observation(*args):  # env_tick calls it once per reading
+        seen["readings"] += 1
+        seen["due"] += seen["mode"] is FlightMode.THERMALLING
+        return real_observation(*args)
 
     def update_mode(*args):
         seen["mode"] = real_update_mode(*args)
@@ -282,7 +281,7 @@ def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypa
         seen["updates"] += 1
         return real_ekf_update(*args)
 
-    monkeypatch.setattr(mission, "gen_observation", observation)
+    monkeypatch.setattr(environment, "gen_observation", observation)
     monkeypatch.setattr(mission, "update_mode", update_mode)
     monkeypatch.setattr(mission, "ekf_update", ekf_update)
     rec = run_flight(sc, cfg, *models, seed=3, slot=0)
@@ -290,6 +289,24 @@ def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypa
     assert seen["readings"] == round(rec.flight_time / 0.02) // sc.vario_period
     assert seen["due"] > 0
     assert seen["updates"] == seen["due"]
+
+
+def test_one_environment_call_per_control_tick(monkeypatch):
+    sc, cfg, models = flight_setup(
+        sc_kw=dict(thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),), turbulence_sigma=0.1),
+        mission_kw=dict(controller=BASELINE, max_duration=60.0),
+    )
+    calls = []
+    real_tick = mission.env_tick
+
+    def env_tick(*args):
+        calls.append(args)
+        return real_tick(*args)
+
+    monkeypatch.setattr(mission, "env_tick", env_tick)
+    rec = run_flight(sc, cfg, *models, seed=3, slot=0)
+    assert not rec.crashed and rec.flight_time == pytest.approx(60.0)
+    assert len(calls) == round(rec.flight_time / RECORD_DT)
 
 
 def test_mission_from_dict_param_overrides():
@@ -308,3 +325,5 @@ def test_mission_from_dict_param_overrides():
     assert not cfg.soaring_enabled
     with pytest.raises(ConfigError):
         mission_from_dict({"waypoints": [[0, 1]]}, p)
+    with pytest.raises(ConfigError, match="unknown key 'alt_maxx' in the mission section"):
+        mission_from_dict({**data, "alt_maxx": 170.0}, p)
