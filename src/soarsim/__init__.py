@@ -7,7 +7,7 @@ paired-mission evaluation harness.
 """
 
 from .baseline import BaselineConfig, baseline_choose_bank
-from .belief import GaussianBelief, NoiseConfig, default_prior, ekf_update, predict_shift, sample_thermal, uncertainty
+from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift, sample_thermal, uncertainty
 from .dynamics import AirframeParams, RollAction, UavState, predict_trajectory
 from .environment import Scenario, ThermalSpec, WorldState, env_step, env_tick, gen_observation
 from .experiment import ExperimentPlan, FlightSummary, report, run_baseline, run_paired, write_report

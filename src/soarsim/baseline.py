@@ -13,15 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .belief import GaussianBelief
-from .dynamics import G, STALL_BANK_LIMIT, UavState
+from .dynamics import G, UavState
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    circle_radius: float = 60.0  # m
-    kp: float = math.radians(0.8)  # rad of bank per m of radial error
-    kd: float = math.radians(2.0)  # rad of bank per m/s of radial rate
-    max_bank: float = STALL_BANK_LIMIT  # loiter honors the stall-prevention limit
+    circle_radius: float  # m
+    kp: float  # rad of bank per m of radial error
+    kd: float  # rad of bank per m/s of radial rate
+    max_bank: float  # rad; the loiter flies under the dynamics' bank clamp
 
     def __post_init__(self):
         if not self.circle_radius > 0.0:
@@ -37,7 +37,7 @@ def baseline_choose_bank(
     cfg: BaselineConfig,
     uav: UavState,
     b: GaussianBelief,
-    direction: int = 1,
+    direction: int,
 ) -> float:
     """Target bank, rad, tracking the fixed circle about the belief mean.
 

@@ -50,8 +50,8 @@ class GaussianBelief:
 class NoiseConfig:
     """Process noise (diagonal, per second) and variometer noise variance."""
 
-    q_diag: tuple[float, float, float, float] = (0.0004, 0.0004, 0.25, 0.25)
-    r_obs: float = 0.04  # (m/s)^2, sigma = 0.2 m/s
+    q_diag: tuple[float, float, float, float]
+    r_obs: float  # (m/s)^2
 
     def __post_init__(self):
         if any(q < 0.0 for q in self.q_diag):
@@ -60,25 +60,11 @@ class NoiseConfig:
             raise ValueError("observation noise variance must be positive")
 
 
-def default_prior(
-    w0: float = 1.5,
-    r0: float = 80.0,
-    var_w0: float = 1.0,
-    var_r0: float = 400.0,
-    var_pos: float = 400.0,
-) -> GaussianBelief:
-    """Initial thermal belief: typical local thermal, center at the UAV."""
-    return GaussianBelief(
-        np.array([w0, r0, 0.0, 0.0]),
-        np.diag([var_w0, var_r0, var_pos, var_pos]),
-    )
-
-
 def predict_shift(
     b: GaussianBelief,
     uav_displacement,
     noise: NoiseConfig,
-    dt: float = 1.0,
+    dt: float,
 ) -> GaussianBelief:
     """Transition under UAV motion: the relative center shifts opposite the
     displacement, the thermal itself does not change, and process noise
@@ -94,24 +80,17 @@ def ekf_update(
     b: GaussianBelief,
     observed_lift: float,
     noise: NoiseConfig,
-    linear_h: np.ndarray | None = None,
 ) -> GaussianBelief:
     """Scalar-measurement EKF correction for one variometer reading.
 
     The measurement is the vertical airmass velocity at the UAV (the
-    origin of the relative frame). linear_h replaces the linearized
-    observation map with a fixed linear one (o = h @ state), used by
-    equivalence tests against closed-form Kalman algebra.
+    origin of the relative frame), linearized at the current mean.
     """
     if not np.isfinite(observed_lift):
         raise ValueError(f"non-finite variometer reading: {observed_lift}")
-    if linear_h is not None:
-        h = np.asarray(linear_h, dtype=float)
-        predicted = float(h @ b.mean)
-    else:
-        th = b.as_thermal()
-        h = lift_jacobian(th)
-        predicted = lift_at(th, (0.0, 0.0))
+    th = b.as_thermal()
+    h = lift_jacobian(th)
+    predicted = lift_at(th, (0.0, 0.0))
     cov_h = b.cov @ h
     s = float(h @ cov_h) + noise.r_obs
     k = cov_h / s
@@ -142,13 +121,10 @@ def sample_thermal(b: GaussianBelief, rng: np.random.Generator) -> ThermalParams
     return ThermalParams(float(draw[0]), max(float(draw[1]), R0_FLOOR), float(draw[2]), float(draw[3]))
 
 
-def uncertainty(b: GaussianBelief, weights=None) -> float:
-    """Covariance trace, optionally weighted per component.
+def uncertainty(b: GaussianBelief, weights) -> float:
+    """Covariance trace, weighted per component.
 
     Units mix (m/s)^2 and m^2, so the confidence threshold that consumes
     this value is coupled to the chosen weights.
     """
-    d = np.diagonal(b.cov)
-    if weights is None:
-        return float(d.sum())
-    return float(np.dot(np.asarray(weights, dtype=float), d))
+    return float(np.dot(np.asarray(weights, dtype=float), np.diagonal(b.cov)))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .environment import Scenario, materialize
 from .experiment import (
+    BASELINE_REPS,
     ConfigBundle,
     ExperimentPlan,
     load_bundle,
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="measure the no-soaring baseline time")
     common(p)
-    p.add_argument("--reps", type=_int_at_least(1), default=3)
+    p.add_argument("--reps", type=_int_at_least(1), default=BASELINE_REPS)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=cmd_baseline)
 
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--flight-id", default="001")
     p.add_argument("--swap", action="store_true", help="give the baseline slot 0")
-    p.add_argument("--baseline-reps", type=_int_at_least(1), default=3)
+    p.add_argument("--baseline-reps", type=_int_at_least(1), default=BASELINE_REPS)
     p.add_argument("--no-telemetry", action="store_true")
     p.set_defaults(func=cmd_paired)
 
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--seed-start", type=_int_at_least(0), default=1)
     p.add_argument("--count", type=_int_at_least(1), default=50)
-    p.add_argument("--baseline-reps", type=_int_at_least(1), default=3)
+    p.add_argument("--baseline-reps", type=_int_at_least(1), default=BASELINE_REPS)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

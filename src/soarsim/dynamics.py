@@ -15,7 +15,7 @@ and executed paths agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import cos, pi, sin, tan
 
@@ -37,10 +37,10 @@ def wrap_angle(a: float) -> float:
 class PidGains:
     """Roll-channel PID gains; output is aileron deflection in [-1, 1]."""
 
-    kp: float = 0.04
-    ki: float = 0.006
-    kd_gain: float = 0.01
-    int_limit: float = 0.3  # clamp on the accumulated integral term
+    kp: float
+    ki: float
+    kd_gain: float
+    int_limit: float  # clamp on the accumulated integral term
 
 
 @dataclass
@@ -55,18 +55,18 @@ class PidState:
 class AirframeParams:
     """Roll-axis airframe constants plus bank limits and PID gains.
 
-    Defaults are the Radian Pro 2 m sailplane values. stall_prevention
-    tightens the bank clamp to STALL_BANK_LIMIT (autopilot behavior keyed
-    by SOAR_NO_STALLPRV in the param file: 0 = prevention active).
+    stall_prevention tightens the bank clamp to STALL_BANK_LIMIT
+    (autopilot behavior keyed by SOAR_NO_STALLPRV in the param file:
+    0 = prevention active).
     """
 
-    i_x: float = 0.00257482  # roll moment of inertia, kg m^2
-    c_lp: float = -1.12808704  # roll damping derivative (< 0)
-    k_d: float = 0.41073588  # roll damping coefficient
-    k_a: float = 1.448331  # aileron effectiveness coefficient
-    max_bank: float = math.radians(45.0)
-    stall_prevention: bool = True
-    pid: PidGains = field(default_factory=PidGains)
+    i_x: float  # roll moment of inertia, kg m^2
+    c_lp: float  # roll damping derivative (< 0)
+    k_d: float  # roll damping coefficient
+    k_a: float  # aileron effectiveness coefficient
+    max_bank: float  # rad
+    stall_prevention: bool
+    pid: PidGains
 
     def __post_init__(self):
         if not self.i_x > 0.0:
@@ -135,9 +135,6 @@ class ActionTrajectory:
     y: np.ndarray  # (n,) m
     phi: np.ndarray  # (n,) rad
     psi: np.ndarray  # (n,) rad
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     @property
     def positions(self) -> np.ndarray:

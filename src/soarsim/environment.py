@@ -137,7 +137,7 @@ class WorldState:
         return (self.uav.x + self.gx, self.uav.y + self.gy)
 
 
-def make_world(sc: Scenario, h0: float, v: float = 9.0) -> WorldState:
+def make_world(sc: Scenario, h0: float, v: float) -> WorldState:
     return WorldState(uav=UavState(0.0, 0.0, v, 0.0, 0.0, 0.0, h0), battery_j=sc.battery_j)
 
 
@@ -334,6 +334,37 @@ def reject_unknown_keys(data: dict, known, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _pair(value, where: str, ordered: bool = True):
+    """value, checked to be two finite numbers, low <= high when ordered."""
+    numbers = isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
+    if not numbers or (ordered and value[0] > value[1]):
+        shape = "a [low, high] range" if ordered else "two finite numbers"
+        raise ConfigError(f"{where} must be {shape}, got {value!r}")
+    return value
+
+
+def _check_random_block(name: str, block: dict) -> None:
+    """The shapes materialize relies on, checked without drawing anything."""
+    for key in ("w0", "r0", "birth", "lifetime", "drift", "speed", "bells"):
+        if key in block:
+            _pair(block[key], f"{name}.{key}")
+    if "r0" in block and not block["r0"][0] > 0.0:
+        raise ConfigError(f"{name}.r0 must start above 0, got {block['r0']!r}")
+    for n in [block.get("count", 0), block.get("clusters", 0), *block.get("bells", ())]:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ConfigError(f"{name}: count, clusters and bells must be non-negative ints, got {n!r}")
+    if "ring" in block:
+        reject_unknown_keys(block["ring"], ("radius",), f"{name}.ring")
+        _pair(block["ring"].get("radius"), f"{name}.ring.radius")
+    if "box" in block:
+        box = block["box"]
+        if not (isinstance(box, list) and len(box) == 2):
+            raise ConfigError(f"{name}.box must hold two points, got {box!r}")
+        for low_high in zip(*(_pair(point, f"{name}.box", ordered=False) for point in box)):
+            _pair(low_high, f"{name}.box (low corner first)")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -348,21 +379,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         for keys in required:
             if not any(k in block for k in keys):
                 raise ConfigError(f"{name} is missing {' or '.join(repr(k) for k in keys)}")
+        _check_random_block(name, block)
     try:
         for i, th in enumerate(data.get("thermals", [])):
             reject_unknown_keys(th, THERMAL_KEYS, f"thermals[{i}]")
         thermals = tuple(
             ThermalSpec(
-                ThermalParams(th["w0"], th["r0"], th["center"][0], th["center"][1]),
+                ThermalParams(th["w0"], th["r0"], *_pair(th.get("center"), f"thermals[{i}].center", ordered=False)),
                 birth=th.get("birth", 0.0),
                 lifetime=math.inf if th.get("lifetime") is None else th["lifetime"],
-                drift=tuple(th.get("drift", (0.0, 0.0))),
+                drift=tuple(_pair(th.get("drift", (0.0, 0.0)), f"thermals[{i}].drift", ordered=False)),
             )
-            for th in data.get("thermals", [])
+            for i, th in enumerate(data.get("thermals", []))
         )
         given = {k: data[k] for k in SCENARIO_KEYS if k in data}
         if "wind" in given:
-            given["wind"] = tuple(given["wind"])
+            given["wind"] = tuple(_pair(given["wind"], "wind", ordered=False))
         return Scenario(thermals=thermals, **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc

@@ -37,6 +37,7 @@ from .params import (
 from .pomdsoar import PlannerConfig
 
 REPORT_SCHEMA_VERSION = 1
+BASELINE_REPS = 3  # calm-flight repetitions the CLI averages by default
 DRAW_MARGIN_PP = 1.0  # |gain difference| below this is a draw, percentage points
 SLOT_NAMES = ("A", "B")
 
@@ -66,7 +67,7 @@ class ExperimentPlan:
     """A seed manifest plus the swap schedule for a paired sweep."""
 
     seeds: tuple[int, ...]
-    baseline_reps: int = 3
+    baseline_reps: int
 
     def __post_init__(self):
         if self.baseline_reps < 1:
@@ -146,7 +147,7 @@ def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:
     return (encounters_a == 0) != (encounters_b == 0)
 
 
-def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int = 3) -> float:
+def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int) -> float:
     """Mean no-soaring flight duration over repetitions, s.
 
     Uses the calm variant of the scenario (thermals and turbulence
@@ -175,8 +176,8 @@ def run_paired(
     bundle: ConfigBundle,
     seed: int,
     flight_id: str,
-    swap: bool = False,
-    baseline_reps: int = 3,
+    swap: bool,
+    baseline_reps: int,
     telemetry_sinks=(None, None),
 ) -> tuple[FlightSummary, FlightSummary]:
     """Fly both controllers simultaneously against one world realization.
@@ -237,9 +238,7 @@ def run_sweep(sc: Scenario, bundle: ConfigBundle, plan: ExperimentPlan) -> list[
 
 
 def sign_test_p(wins: int, decisive: int) -> float:
-    """Two-sided exact binomial sign test at p = 1/2."""
-    if decisive == 0:
-        return 1.0
+    """Two-sided exact binomial sign test at p = 1/2 (1.0 for no decisive pairs)."""
     k = max(wins, decisive - wins)
     tail = sum(math.comb(decisive, j) for j in range(k, decisive + 1)) / 2.0**decisive
     return min(1.0, 2.0 * tail)

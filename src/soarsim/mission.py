@@ -42,20 +42,20 @@ class MissionConfig:
     alt_min: float
     alt_cutoff: float
     alt_max: float
-    detect_threshold: float = 0.5  # m/s filtered netto lift to enter
-    detect_filter_tau: float = 2.0  # s
-    exit_threshold: float = 0.0  # m/s
-    exit_hold: float = 8.0  # s below exit_threshold before giving up
-    reentry_margin: float = 10.0  # m below alt_max before re-arming detection
-    soaring_enabled: bool = True
-    controller: str = POMDSOAR
-    nav_bank_limit: float = math.radians(30.0)
-    nav_gain: float = 1.5  # bank per rad of heading error
-    wp_radius: float = 20.0  # m acceptance radius
-    replan_period: float = 1.0  # s between planner invocations
-    airspeed: float = 9.0  # m/s
+    detect_threshold: float  # m/s filtered netto lift to enter
+    detect_filter_tau: float  # s
+    exit_threshold: float  # m/s
+    exit_hold: float  # s below exit_threshold before giving up
+    reentry_margin: float  # m below alt_max before re-arming detection
+    soaring_enabled: bool
+    controller: str  # POMDSOAR or BASELINE
+    nav_bank_limit: float  # rad
+    nav_gain: float  # bank per rad of heading error
+    wp_radius: float  # m acceptance radius
+    replan_period: float  # s between planner invocations
+    airspeed: float  # m/s
+    site: str
     max_duration: float = 14400.0  # s safety cap
-    site: str = ""
 
     def __post_init__(self):
         if not (self.alt_min < self.alt_cutoff < self.alt_max):

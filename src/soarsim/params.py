@@ -1,14 +1,17 @@
 """Autopilot-style parameter file: KEY=VALUE lines, '#' comments.
 
 Unknown keys are rejected with the offending line number. Values
-override the built-in defaults; angle-valued keys are in degrees in the
-file and converted to radians when configs are built.
+override the defaults in PARAM_SPEC, the one source of every config
+default; angle-valued keys are in degrees in the file and converted to
+radians when configs are built.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -24,7 +27,7 @@ def _banks(text: str) -> tuple[float, ...]:
 
 # key -> (parser, default). Ints double as flags (0/1), autopilot style.
 PARAM_SPEC: dict = {
-    # airframe (roll-axis constants fitted for the Radian Pro) and roll PID
+    # airframe (roll-axis constants of the Radian Pro 2 m sailplane) and roll PID
     "SOAR_I_MOMENT": (float, 0.00257482),
     "SOAR_ROLL_CLP": (float, -1.12808704),
     "SOAR_K_ROLLDAMP": (float, 0.41073588),
@@ -75,10 +78,6 @@ PARAM_SPEC: dict = {
 }
 
 
-def default_params() -> dict:
-    return {key: default for key, (_, default) in PARAM_SPEC.items()}
-
-
 def parse_param_file(path: str | Path) -> dict:
     """Parse overrides from a param file; unknown keys are an error."""
     try:
@@ -104,10 +103,8 @@ def parse_param_file(path: str | Path) -> dict:
 
 
 def resolve_params(overrides: dict | None = None) -> dict:
-    params = default_params()
-    if overrides:
-        params.update(overrides)
-    return params
+    """Every key's PARAM_SPEC default, with overrides applied."""
+    return {key: default for key, (_, default) in PARAM_SPEC.items()} | (overrides or {})
 
 
 def airframe_from_params(p: dict):
@@ -139,14 +136,12 @@ def noise_from_params(p: dict):
 
 
 def prior_from_params(p: dict):
-    from .belief import default_prior
+    """Initial thermal belief: a typical local thermal centered at the UAV."""
+    from .belief import GaussianBelief
 
-    return default_prior(
-        w0=p["SOAR_THML_W0"],
-        r0=p["SOAR_THML_R0"],
-        var_w0=p["SOAR_THML_VAR_W0"],
-        var_r0=p["SOAR_THML_VAR_R0"],
-        var_pos=p["SOAR_THML_VAR_POS"],
+    return GaussianBelief(
+        np.array([p["SOAR_THML_W0"], p["SOAR_THML_R0"], 0.0, 0.0]),
+        np.diag([p["SOAR_THML_VAR_W0"], p["SOAR_THML_VAR_R0"], p["SOAR_THML_VAR_POS"], p["SOAR_THML_VAR_POS"]]),
     )
 
 

@@ -14,7 +14,6 @@ sink) along each trajectory and picks the largest expected altitude gain.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,22 +24,20 @@ from .thermal import field_lift
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BANKS = tuple(math.radians(d) for d in (-45, -30, -15, 0, 15, 30, 45))
-
 EXPLORE = "explore"
 EXPLOIT = "exploit"
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    bank_angles: tuple[float, ...] = DEFAULT_BANKS  # rad, candidate actions
-    t_explore: float = 4.0  # s, exploration horizon
-    exploit_extension: float = 3.0  # exploit horizon = t_explore * this
-    n_samples: int = 10  # thermal hypotheses per cycle
-    confidence_thres: float = 150.0  # trace gate; unit-coupled to trace_weights
+    bank_angles: tuple[float, ...]  # rad, candidate actions
+    t_explore: float  # s, exploration horizon
+    exploit_extension: float  # exploit horizon = t_explore * this
+    n_samples: int  # thermal hypotheses per cycle
+    confidence_thres: float  # trace gate; unit-coupled to trace_weights
+    sink_correction: bool  # charge tighter turns their extra sink
+    sink_s0: float  # m/s, level-flight sink used by the correction
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    sink_correction: bool = True  # charge tighter turns their extra sink
-    sink_s0: float = 0.7  # m/s, level-flight sink used by the correction
 
     def __post_init__(self):
         if not self.bank_angles:

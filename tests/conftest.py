@@ -1,10 +1,67 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soarsim.dynamics import SIM_DT, ActionTrajectory, AirframeParams, PidState, step_kinematics
-from soarsim.belief import GaussianBelief, NoiseConfig
+from soarsim.dynamics import SIM_DT, ActionTrajectory, PidState, step_kinematics
+from soarsim.belief import GaussianBelief
+from soarsim.environment import Scenario
+from soarsim.experiment import ConfigBundle
+from soarsim.mission import mission_from_dict
+from soarsim.params import (
+    airframe_from_params,
+    baseline_from_params,
+    noise_from_params,
+    planner_from_params,
+    prior_from_params,
+    resolve_params,
+)
+
+REPO = Path(__file__).resolve().parents[1]
+
+# The tests' configs, built the way load_bundle builds them: by the param
+# builders from the param table's defaults, the one source of every default.
+# A test changes a value with dataclasses.replace, which runs the class's
+# checks again.
+PARAMS = resolve_params()
+AIRFRAME = airframe_from_params(PARAMS)
+NOISE = noise_from_params(PARAMS)
+PLANNER = planner_from_params(PARAMS, sink_s0=Scenario().sink_s0)
+BASELINE_CFG = baseline_from_params(PARAMS)
+AIRSPEED = PARAMS["ARSPD_TRIM"]
+# a pentagon course inside a 690 m square fence, with its 50/110/160 m bands
+COURSE = {
+    "waypoints": [[0.0, 200.0], [-190.0, 62.0], [-118.0, -162.0], [118.0, -162.0], [190.0, 62.0]],
+    "geofence": [[345.0, 345.0], [-345.0, 345.0], [-345.0, -345.0], [345.0, -345.0]],
+    "alt_min": 50.0,
+    "alt_cutoff": 110.0,
+    "alt_max": 160.0,
+}
+
+
+def prior() -> GaussianBelief:
+    """A fresh copy of the default prior (beliefs are mutable)."""
+    return prior_from_params(PARAMS)
+
+
+def mission_config(**changes):
+    """The default mission on COURSE, with changes applied."""
+    return replace(mission_from_dict(COURSE, PARAMS), **changes)
+
+
+def config_bundle(mission=None) -> ConfigBundle:
+    """Every default config; the mission defaults to mission_config()."""
+    return ConfigBundle(
+        mission=mission_config() if mission is None else mission,
+        airframe=AIRFRAME,
+        noise=NOISE,
+        prior=prior(),
+        planner=PLANNER,
+        baseline=BASELINE_CFG,
+    )
+
 
 # acceptance test name -> criterion description, for the summary lines
 ACCEPTANCE = {
@@ -30,27 +87,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             name = rep.nodeid.rsplit("::", 1)[-1]
             if name in ACCEPTANCE:
                 lines.append((name, f"ACCEPTANCE {name[6:8]} [{marker}] {ACCEPTANCE[name]}"))
-    if lines:
-        tw = terminalreporter
-        tw.section("acceptance criteria")
-        for _, line in sorted(lines):
-            tw.write_line(line)
+    tw = terminalreporter
+    tw.section("acceptance criteria")
+    for _, line in sorted(lines):
+        tw.write_line(line)
+    # the tracked size of the program: physical lines, as wc -l counts them
+    sources = sorted((REPO / "src" / "soarsim").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    n = sum(p.read_bytes().count(b"\n") for p in sources)
+    tw.write_line(f"LINES src+scripts {n}")
 
 
 @pytest.fixture
 def airframe():
-    return AirframeParams()
+    return AIRFRAME
 
 
 @pytest.fixture
 def free_airframe():
     """Airframe with stall prevention off, so 45 deg banks are attainable."""
-    return AirframeParams(stall_prevention=False)
+    return replace(AIRFRAME, stall_prevention=False)
 
 
 @pytest.fixture
 def noise():
-    return NoiseConfig()
+    return NOISE
 
 
 @pytest.fixture

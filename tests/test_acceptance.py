@@ -6,31 +6,37 @@ conftest.py prints one PASS/FAIL line per criterion.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soarsim.belief as belief_mod
 import soarsim.cli as cli
-from soarsim.belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
-from soarsim.dynamics import AirframeParams, RollAction, UavState, predict_trajectory, turn_radius
+from soarsim.belief import GaussianBelief, ekf_update, predict_shift
+from soarsim.dynamics import RollAction, UavState, predict_trajectory, turn_radius
 from soarsim.environment import Scenario, env_tick, make_world, sink_rate
 from soarsim.experiment import ExperimentPlan, FlightSummary, load_bundle, report, run_sweep
 from soarsim.mission import BASELINE, POMDSOAR
-from soarsim.pomdsoar import EXPLOIT, EXPLORE, PlannerConfig, choose_action
+from soarsim.pomdsoar import EXPLOIT, EXPLORE, choose_action
 from soarsim.thermal import ThermalParams, lift_at, lift_jacobian
 
-from conftest import fine_trajectory
+from conftest import AIRFRAME, NOISE, PLANNER, fine_trajectory
 from test_cli import tiny_site
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_c01_ekf_linear_map_equivalence():
+def test_c01_ekf_linear_map_equivalence(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
+    noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
     h = np.array([1.0, 0.5, -0.2, 0.1])
+    # the update's linearized observation map, replaced by the fixed linear
+    # map o = h @ (w0, r0, cx, cy)
+    monkeypatch.setattr(belief_mod, "lift_jacobian", lambda th: h)
+    monkeypatch.setattr(belief_mod, "lift_at", lambda th, p: float(h @ np.array([th.w0, th.r0, th.cx, th.cy])))
     for _ in range(1000):
         a = rng.normal(size=(4, 4))
         cov = a @ a.T + 0.5 * np.eye(4)
@@ -38,7 +44,7 @@ def test_c01_ekf_linear_map_equivalence():
         b = GaussianBelief(mean.copy(), cov.copy())
         obs = float(h @ mean) + rng.uniform(-1, 1)
 
-        out = ekf_update(b, obs, noise, linear_h=h)
+        out = ekf_update(b, obs, noise)
 
         # closed-form Kalman algebra, written independently of the update path
         s = float(h @ cov @ h) + noise.r_obs
@@ -98,7 +104,7 @@ def test_c03_estimation_convergence_and_grid_oracle():
     start = time.perf_counter()
     truth = ThermalParams(2.5, 80.0, 0.0, 0.0)
     v, dt, n_obs = 9.0, 0.2, 200
-    noise = NoiseConfig()  # the filter's own configured noise
+    noise = NOISE  # the filter's own configured noise
     prior_abs = np.array([1.0, 80.0, 20.0, 20.0])  # center offset (20, 20) from truth
     prior_var = np.array([1.0, 400.0, 400.0, 400.0])
 
@@ -141,13 +147,13 @@ def test_c03_estimation_convergence_and_grid_oracle():
 
 def test_c04_trajectory_prediction_self_consistency():
     start = time.perf_counter()
-    airframe = AirframeParams(stall_prevention=False)
+    airframe = replace(AIRFRAME, stall_prevention=False)
     sc = Scenario(thermals=(), wind=(0.0, 0.0), turbulence_sigma=0.0, vario_sigma=0.0)
     for bank_deg in (0.0, 15.0, -15.0, 30.0, -30.0, 45.0, -45.0):
         bank = math.radians(bank_deg)
         s0 = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
         tr = predict_trajectory(airframe, s0, RollAction(bank, 20.0))
-        world = make_world(sc, h0=100.0)
+        world = make_world(sc, h0=100.0, v=s0.v)
         rng = np.random.default_rng(0)  # calm: nothing is drawn
         divergence = 0.0
         for i in range(1, 101):
@@ -159,7 +165,7 @@ def test_c04_trajectory_prediction_self_consistency():
 
 def test_c05_coordinated_turn_radius():
     start = time.perf_counter()
-    airframe = AirframeParams(stall_prevention=False)
+    airframe = replace(AIRFRAME, stall_prevention=False)
     for bank_deg in (10.0, 15.0, 20.0, 30.0, 40.0, 45.0):
         phi = math.radians(bank_deg)
         radius = turn_radius(9.0, phi)
@@ -177,7 +183,7 @@ def test_c05_coordinated_turn_radius():
 def test_c06_planner_gate_and_argmax(free_airframe, noise):
     start = time.perf_counter()
     # gate is exact on the weighted-trace threshold
-    cfg = PlannerConfig(confidence_thres=100.0, n_samples=1)
+    cfg = replace(PLANNER, confidence_thres=100.0, n_samples=1)
     below = GaussianBelief(np.array([2.0, 80.0, 10.0, 0.0]), np.diag([12.5] * 4))
     above = GaussianBelief(np.array([2.0, 80.0, 10.0, 0.0]), np.diag([50.0] * 4))
     uav = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
@@ -206,7 +212,7 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
             tr = fine_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
                                  RollAction(bank, cfg.t_exploit))
             gain = 0.0
-            for t in range(1, len(tr)):
+            for t in range(1, len(tr.t)):
                 gain += (lift_at(th, (tr.x[t], tr.y[t])) - sink_rate(cfg.sink_s0, tr.phi[t])) * 0.02
             if gain > best:
                 best, best_bank = gain, bank
@@ -323,7 +329,7 @@ def test_c10_planning_budget(free_airframe, noise):
     uav = UavState(0.0, 0.0, 9.0, 0.0, 0.1, 0.0, 100.0)
     explore_belief = GaussianBelief(np.array([1.5, 80.0, 5.0, 5.0]), np.diag([1.0, 400.0, 400.0, 400.0]))
     exploit_belief = GaussianBelief(np.array([2.0, 80.0, 5.0, 5.0]), np.diag([1.0, 10.0, 10.0, 10.0]))
-    cfg = PlannerConfig()
+    cfg = PLANNER
     choose_action(cfg, uav, explore_belief, free_airframe, noise, np.random.default_rng(0))  # warm-up
     worst = 0.0
     for seed, belief in [(i, explore_belief) for i in range(5)] + [(i, exploit_belief) for i in range(5)]:

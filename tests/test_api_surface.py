@@ -6,6 +6,8 @@ somewhere in src/ or scripts/ outside its own definition. The package
 __init__.py only re-exports names, so a mention there does not count.
 Every field of a dataclass in src/soarsim must be read, as an attribute,
 somewhere in src/ or scripts/: a field that is only ever written is dead.
+No field that a param builder always sets may have a default of its own:
+params.PARAM_SPEC is the one copy of those defaults.
 """
 
 import ast
@@ -94,3 +96,38 @@ def test_every_dataclass_field_is_read_by_production_code():
 def test_allow_list_holds_only_unused_names_with_a_reason():
     assert set(ALLOWED) <= unused_names()
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def builder_keywords() -> dict[str, set[str]]:
+    """Class name -> the keywords every call of that class by name in a
+    param builder (a *_from_params function or mission_from_dict) passes."""
+    passed: dict[str, set[str]] = {}
+    for path in FILES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.FunctionDef) or not (
+                node.name.endswith("_from_params") or node.name == "mission_from_dict"
+            ):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    keywords = {kw.arg for kw in call.keywords if kw.arg is not None}
+                    name = call.func.id
+                    passed[name] = passed[name] & keywords if name in passed else keywords
+    return passed
+
+
+def test_no_field_a_param_builder_sets_has_a_default():
+    # the param table (params.PARAM_SPEC) is the one source of these defaults
+    passed = builder_keywords()
+    assert {"AirframeParams", "PidGains", "NoiseConfig", "PlannerConfig", "BaselineConfig", "MissionConfig"} <= set(passed)
+    copies = []
+    for path in FILES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                copies += [
+                    f"{path.stem}.{node.name}.{member.target.id}"
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and member.value is not None
+                    and member.target.id in passed.get(node.name, ())
+                ]
+    assert sorted(copies) == []

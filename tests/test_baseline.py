@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from soarsim.baseline import BaselineConfig, baseline_choose_bank, commit_direction
-from soarsim.dynamics import AirframeParams, PidState, UavState, step_kinematics
+from soarsim.baseline import baseline_choose_bank, commit_direction
+from soarsim.dynamics import PidState, UavState, step_kinematics
 
-from conftest import make_belief
+from conftest import AIRFRAME, BASELINE_CFG, make_belief
 
 
 def belief_for_center(uav, cx, cy):
@@ -14,7 +14,7 @@ def belief_for_center(uav, cx, cy):
 
 
 def test_on_circle_nominal_bank():
-    cfg = BaselineConfig()
+    cfg = BASELINE_CFG
     uav = UavState(-60.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)  # tangent, center east
     cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction=1)
     expected = math.atan(81.0 / (9.80665 * 60.0))
@@ -23,14 +23,14 @@ def test_on_circle_nominal_bank():
 
 
 def test_at_center_commands_max_bank():
-    cfg = BaselineConfig()
+    cfg = BASELINE_CFG
     uav = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
     cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction=1)
     assert abs(cmd) == pytest.approx(cfg.max_bank)
 
 
 def test_output_always_clamped():
-    cfg = BaselineConfig()
+    cfg = BASELINE_CFG
     uav = UavState(500.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
     for direction in (1, -1):
         cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction)
@@ -45,7 +45,7 @@ def test_commit_direction():
 
 def test_invalid_radius():
     with pytest.raises(ValueError):
-        BaselineConfig(circle_radius=0.0)
+        replace(BASELINE_CFG, circle_radius=0.0)
 
 
 @pytest.mark.parametrize(
@@ -57,8 +57,8 @@ def test_invalid_radius():
     ],
 )
 def test_converges_to_commanded_circle(start, direction):
-    cfg = BaselineConfig()
-    af = AirframeParams(stall_prevention=False)
+    cfg = BASELINE_CFG
+    af = replace(AIRFRAME, stall_prevention=False)
     uav, pid = replace(start), PidState()
     period = 2 * math.pi * cfg.circle_radius / 9.0
     t, target, errors = 0.0, 0.0, []

@@ -1,15 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soarsim.belief as belief_mod
 from soarsim.belief import (
     R0_FLOOR,
     GaussianBelief,
-    NoiseConfig,
-    default_prior,
     ekf_update,
     predict_shift,
     sample_thermal,
@@ -17,24 +17,24 @@ from soarsim.belief import (
 )
 from soarsim.thermal import ThermalParams, lift_at
 
-from conftest import make_belief
+from conftest import NOISE, PLANNER, make_belief, prior
 
 
 class TestPredictShift:
     def test_identity_transition(self, noise):
-        b = default_prior()
-        out = predict_shift(b, (0.0, 0.0), NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04))
+        b = prior()
+        out = predict_shift(b, (0.0, 0.0), replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04), 0.2)
         np.testing.assert_array_equal(out.mean, b.mean)
         np.testing.assert_array_equal(out.cov, b.cov)
 
     def test_center_shifts_opposite_displacement(self, noise):
         b = make_belief([1.5, 80.0, 10.0, 0.0], [1, 400, 400, 400])
-        out = predict_shift(b, (10.0, 0.0), noise)
+        out = predict_shift(b, (10.0, 0.0), noise, 0.2)
         assert out.mean[2] == 0.0 and out.mean[3] == 0.0
         assert out.mean[0] == 1.5 and out.mean[1] == 80.0
 
     def test_trace_grows_by_q(self, noise):
-        b = default_prior()
+        b = prior()
         out = predict_shift(b, (3.0, -4.0), noise, dt=1.0)
         assert np.trace(out.cov) - np.trace(b.cov) == pytest.approx(sum(noise.q_diag))
         out2 = predict_shift(b, (3.0, -4.0), noise, dt=0.2)
@@ -49,17 +49,20 @@ class TestEkfUpdate:
         np.testing.assert_allclose(out.mean, b.mean, atol=1e-12)
         assert np.trace(out.cov) < np.trace(b.cov)
 
-    def test_scalar_kalman_case(self):
+    def test_scalar_kalman_case(self, monkeypatch):
         b = make_belief([1.5, 80.0, 0.0, 0.0], [1, 1, 1, 1])
-        noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=1.0)
+        noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=1.0)
         h = np.array([1.0, 0.0, 0.0, 0.0])
-        out = ekf_update(b, float(h @ b.mean) + 1.0, noise, linear_h=h)
+        # the linearized observation map, replaced by the fixed linear map h
+        monkeypatch.setattr(belief_mod, "lift_jacobian", lambda th: h)
+        monkeypatch.setattr(belief_mod, "lift_at", lambda th, p: float(h @ np.array([th.w0, th.r0, th.cx, th.cy])))
+        out = ekf_update(b, float(h @ b.mean) + 1.0, noise)
         assert out.mean[0] == pytest.approx(1.5 + 0.5)
         assert out.cov[0, 0] == pytest.approx(0.5)
         np.testing.assert_allclose(out.cov[1:, 1:], np.eye(3), atol=1e-12)
 
     def test_rejects_non_finite_observation(self, noise):
-        b = default_prior()
+        b = prior()
         with pytest.raises(ValueError):
             ekf_update(b, float("nan"), noise)
         with pytest.raises(ValueError):
@@ -67,16 +70,16 @@ class TestEkfUpdate:
 
     def test_r0_floor_enforced(self):
         b = make_belief([2.0, 1.2, 0.0, 0.0], [1e-6, 400, 1e-6, 1e-6])
-        noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
+        noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
         out = b
         for _ in range(50):
             out = ekf_update(out, 0.0, noise)
         assert out.mean[1] >= R0_FLOOR
 
     def test_shift_then_update_equals_update(self):
-        noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
+        noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
         b = make_belief([1.5, 70.0, 20.0, -10.0], [1, 300, 300, 300])
-        a = ekf_update(predict_shift(b, (0.0, 0.0), noise), 0.8, noise)
+        a = ekf_update(predict_shift(b, (0.0, 0.0), noise, 0.2), 0.8, noise)
         c = ekf_update(b, 0.8, noise)
         np.testing.assert_array_equal(a.mean, c.mean)
         np.testing.assert_array_equal(a.cov, c.cov)
@@ -121,7 +124,7 @@ class TestSampleThermal:
         assert s.r0 == pytest.approx(60.0, abs=1e-6)
 
     def test_seed_determinism(self):
-        b = default_prior()
+        b = prior()
         a = sample_thermal(b, np.random.default_rng(77))
         c = sample_thermal(b, np.random.default_rng(77))
         assert (a.w0, a.r0, a.cx, a.cy) == (c.w0, c.r0, c.cx, c.cy)
@@ -140,7 +143,7 @@ class TestSampleThermal:
             assert sample_thermal(b, rng).r0 >= R0_FLOOR
 
     def test_corrupt_covariance_raises(self, rng):
-        b = default_prior()
+        b = prior()
         b.cov[0, 0] = -5.0
         with pytest.raises(ValueError):
             sample_thermal(b, rng)
@@ -148,18 +151,18 @@ class TestSampleThermal:
 
 class TestUncertainty:
     def test_identity_trace(self):
-        assert uncertainty(make_belief([1, 80, 0, 0], [1, 1, 1, 1])) == pytest.approx(4.0)
+        assert uncertainty(make_belief([1, 80, 0, 0], [1, 1, 1, 1]), (1, 1, 1, 1)) == pytest.approx(4.0)
 
     def test_weighted_trace_ignores_components(self):
         b = make_belief([1, 80, 0, 0], [7.0, 11.0, 2.0, 3.0])
         assert uncertainty(b, (0, 0, 1, 1)) == pytest.approx(5.0)
 
     def test_update_never_increases_uncertainty(self, rng):
-        noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
+        noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
         b = make_belief([1.5, 80.0, 10.0, 10.0], [1, 400, 400, 400])
         for _ in range(30):
             nxt = ekf_update(b, rng.normal(1.0, 0.5), noise)
-            assert uncertainty(nxt) <= uncertainty(b) + 1e-12
+            assert uncertainty(nxt, PLANNER.trace_weights) <= uncertainty(b, PLANNER.trace_weights) + 1e-12
             b = nxt
 
 
@@ -167,8 +170,8 @@ class TestUncertainty:
 @settings(max_examples=30, deadline=None)
 def test_covariance_stays_spd_over_random_sequences(seed):
     rng = np.random.default_rng(seed)
-    noise = NoiseConfig()
-    b = default_prior()
+    noise = NOISE
+    b = prior()
     for _ in range(25):
         b = predict_shift(b, rng.normal(0, 2, 2), noise, dt=0.2)
         b = ekf_update(b, rng.normal(0.5, 1.0), noise)
@@ -179,7 +182,7 @@ def test_covariance_stays_spd_over_random_sequences(seed):
 def test_single_viewpoint_radial_ambiguity():
     # observing from one fixed point shrinks radial position uncertainty but
     # cannot touch the tangential direction
-    noise = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
+    noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
     b = make_belief([2.0, 80.0, 30.0, 0.0], [1e-9, 1e-9, 400.0, 400.0])
     predicted = lift_at(b.as_thermal(), (0.0, 0.0))
     for _ in range(50):
@@ -192,9 +195,9 @@ def test_single_viewpoint_radial_ambiguity():
 
 def test_noise_config_validation():
     with pytest.raises(ValueError):
-        NoiseConfig(q_diag=(-1, 0, 0, 0))
+        replace(NOISE, q_diag=(-1, 0, 0, 0))
     with pytest.raises(ValueError):
-        NoiseConfig(r_obs=0.0)
+        replace(NOISE, r_obs=0.0)
 
 
 @pytest.mark.parametrize("off, accepted", [(0.0, True), (5e-10, True), (1e-9, True), (2e-9, False),

@@ -15,6 +15,10 @@ def ring(n, radius, phase=90.0):
     ]
 
 
+# a complete random_thermals block: three bells anywhere in a 200 m box
+RANDOM_BOX = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+
+
 def tiny_site(tmp_path, **overrides) -> Path:
     doc = {
         "schema_version": 1,
@@ -174,6 +178,25 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"unknown key {key!r} in {where}" in err
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(random_thermals={"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radus": [140.0, 215.0]}}),
+         "unknown key 'radus' in random_thermals.ring"),
+        (dict(random_thermals={**RANDOM_BOX, "w0": [1.5]}), "random_thermals.w0 must be a [low, high] range"),
+        (dict(random_thermals={**RANDOM_BOX, "w0": [3.0, 1.0]}), "random_thermals.w0 must be a [low, high] range"),
+        (dict(random_wind={"speed": "fast"}), "random_wind.speed must be a [low, high] range"),
+        (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0]}]), "thermals[0].center must be two finite numbers"),
+        (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0], "drift": [0.1]}]),
+         "thermals[0].drift must be two finite numbers"),
+        (dict(wind=[1.0]), "wind must be two finite numbers"),
+        (dict(wind=[1.0, 0.0, 0.0]), "wind must be two finite numbers"),
+    ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
+            "wind-one-number", "wind-three-numbers"])
+    def test_malformed_site_value_is_config_error(self, tmp_path, capsys, overrides, named):
+        site = tiny_site(tmp_path, **overrides)
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(site) in err and named in err
 
     def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
         site = tiny_site(tmp_path, random_wind={})

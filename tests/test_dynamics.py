@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from soarsim.dynamics import (
     SIM_DT,
-    AirframeParams,
     PidGains,
     PidState,
     RollAction,
@@ -18,9 +18,11 @@ from soarsim.dynamics import (
     wrap_angle,
 )
 
+from conftest import AIRFRAME
+
 
 def kp_only(kp):
-    return AirframeParams(pid=PidGains(kp=kp, ki=0.0, kd_gain=0.0))
+    return replace(AIRFRAME, pid=replace(AIRFRAME.pid, kp=kp, ki=0.0, kd_gain=0.0))
 
 
 def aileron(af, bank_error):
@@ -46,7 +48,7 @@ class TestPidRoll:
     def test_integrator_antiwindup(self):
         # the commanded 1 rad lies beyond the 40 deg bank stop, so the error
         # never falls below 0.3 rad and the integrator runs into its clamp
-        af = AirframeParams(pid=PidGains(kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3))
+        af = replace(AIRFRAME, pid=PidGains(kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3))
         state = PidState()
         step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0, state, 200)
         assert state.integrator == pytest.approx(0.3)
@@ -87,7 +89,7 @@ class TestDynamicsStep:
         phi_dot = 1.0
         lp = -free_airframe.k_d * free_airframe.c_lp * phi_dot / (2.0 * 9.0)
         needed = lp / free_airframe.k_a
-        af = AirframeParams(stall_prevention=False, pid=PidGains(kp=1.0, ki=0.0, kd_gain=0.0))
+        af = replace(free_airframe, pid=replace(AIRFRAME.pid, kp=1.0, ki=0.0, kd_gain=0.0))
         # error = needed, kp=1 -> aileron = needed
         *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState())
         assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
@@ -137,7 +139,7 @@ class TestPredictTrajectory:
     def test_straight_samples_and_endpoint(self, free_airframe):
         s0 = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
         tr = predict_trajectory(free_airframe, s0, RollAction(0.0, 4.0))
-        assert len(tr) == 21
+        assert len(tr.t) == 21
         assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(4.0)
         assert tr.x[-1] == pytest.approx(0.0, abs=1e-9)
         assert tr.y[-1] == pytest.approx(36.0, rel=1e-9)
@@ -194,22 +196,23 @@ def test_default_airframe_constants(airframe):
 
 def test_airframe_validation():
     with pytest.raises(ValueError):
-        AirframeParams(i_x=0.0)
+        replace(AIRFRAME, i_x=0.0)
     with pytest.raises(ValueError):
-        AirframeParams(c_lp=0.5)
+        replace(AIRFRAME, c_lp=0.5)
     with pytest.raises(ValueError):
-        AirframeParams(max_bank=math.pi / 2)
+        replace(AIRFRAME, max_bank=math.pi / 2)
 
 
 def test_stall_prevention_clamp():
-    assert AirframeParams().bank_limit == pytest.approx(math.radians(40.0))
-    assert AirframeParams(stall_prevention=False).bank_limit == pytest.approx(math.radians(45.0))
+    assert AIRFRAME.bank_limit == pytest.approx(math.radians(40.0))
+    assert replace(AIRFRAME, stall_prevention=False).bank_limit == pytest.approx(math.radians(45.0))
 
 
 def test_step_constants_follow_the_fields():
-    af = AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
+    changes = dict(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
+    af = replace(AIRFRAME, **changes)
     assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, 1.0, math.radians(30.0))
-    assert af == AirframeParams(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
+    assert af == replace(AIRFRAME, **changes)
 
 
 def test_bank_rise_time(free_airframe):

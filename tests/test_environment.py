@@ -30,8 +30,9 @@ from soarsim.environment import (
     vario_period_steps,
 )
 from soarsim.params import ConfigError
-from soarsim.pomdsoar import DEFAULT_BANKS
 from soarsim.thermal import ThermalParams
+
+from conftest import AIRSPEED, PLANNER
 
 
 def quiet(**kw) -> Scenario:
@@ -58,14 +59,14 @@ class TestSink:
 class TestEnvStep:
     def test_pure_sink_descent(self, airframe, rng):
         sc = quiet(sink_s0=0.7)
-        w = make_world(sc, h0=100.0)
+        w = make_world(sc, h0=100.0, v=AIRSPEED)
         for _ in range(5):
             env_tick(sc, airframe, w, 0.0, rng)
         assert 100.0 - w.uav.h == pytest.approx(0.7, rel=1e-9)
 
     def test_thermal_superposition_climb(self, airframe, rng):
         sc = quiet(thermals=(ThermalSpec(ThermalParams(2.5, 5000.0, 0.0, 0.0)),), sink_s0=0.7)
-        w = make_world(sc, h0=100.0)
+        w = make_world(sc, h0=100.0, v=AIRSPEED)
         env_tick(sc, airframe, w, 0.0, rng)
         climb = (w.uav.h - 100.0) / 0.2
         assert climb == pytest.approx(1.8, abs=1e-4)
@@ -73,7 +74,7 @@ class TestEnvStep:
     def test_wind_accumulates_ground_offset_only(self, airframe, rng):
         sc_wind = quiet(wind=(3.0, 0.0))
         sc_calm = quiet()
-        ww, wc = make_world(sc_wind, 100.0), make_world(sc_calm, 100.0)
+        ww, wc = make_world(sc_wind, 100.0, v=AIRSPEED), make_world(sc_calm, 100.0, v=AIRSPEED)
         for _ in range(50):
             env_tick(sc_wind, airframe, ww, 0.2, rng)
             env_tick(sc_calm, airframe, wc, 0.2, rng)
@@ -84,7 +85,7 @@ class TestEnvStep:
 
     def test_motor_adds_climb_and_drains_battery(self, airframe, rng):
         sc = quiet(sink_s0=0.7, battery_j=1000.0, motor_power_w=90.0, avionics_power_w=3.0)
-        w = make_world(sc, h0=100.0)
+        w = make_world(sc, h0=100.0, v=AIRSPEED)
         w.motor_on = True
         for _ in range(5):
             env_tick(sc, airframe, w, 0.0, rng)
@@ -93,14 +94,14 @@ class TestEnvStep:
 
     def test_crash_flag_at_ground(self, airframe, rng):
         sc = quiet(sink_s0=2.0)
-        w = make_world(sc, h0=0.03)
+        w = make_world(sc, h0=0.03, v=AIRSPEED)
         env_tick(sc, airframe, w, 0.0, rng)
         assert w.crashed and w.uav.h == 0.0
         assert w.step == 1 and w.t == SIM_DT  # the tick stops at the crash step
 
     def test_battery_never_negative(self, airframe, rng):
         sc = quiet(battery_j=1.0, motor_power_w=90.0)
-        w = make_world(sc, h0=100.0)
+        w = make_world(sc, h0=100.0, v=AIRSPEED)
         w.motor_on = True
         for _ in range(10):
             env_tick(sc, airframe, w, 0.0, rng)
@@ -119,7 +120,7 @@ def test_frame_consistency_with_wind(airframe):
     out = {}
     for name, sc in (("wind", sc_wind), ("calm", sc_calm)):
         rng = np.random.default_rng(99)
-        w = make_world(sc, 100.0)
+        w = make_world(sc, 100.0, v=AIRSPEED)
         path, obs = [], []
         for k in range(50):
             obs += env_tick(sc, airframe, w, 0.3 if k >= 20 else 0.0, rng)
@@ -133,7 +134,7 @@ class TestGenObservation:
     # at 5 Hz the reading is taken on a tick's last step, so at the tick's end time
     def test_exact_when_noiseless(self, airframe, rng):
         sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 100.0, 0.0, 0.0)),))
-        w = make_world(sc, 100.0)
+        w = make_world(sc, 100.0, v=AIRSPEED)
         seen = 0
         for _ in range(4):
             for reading, x, y in env_tick(sc, airframe, w, 0.0, rng):
@@ -144,7 +145,7 @@ class TestGenObservation:
 
     def test_rate_contract(self, airframe, rng):
         sc = quiet(vario_rate=5.0)
-        w = make_world(sc, 100.0)
+        w = make_world(sc, 100.0, v=AIRSPEED)
         count = 0
         for _ in range(20):  # 4 s at 50 Hz
             count += len(env_tick(sc, airframe, w, 0.0, rng))
@@ -153,7 +154,7 @@ class TestGenObservation:
     def test_noise_statistics(self, airframe):
         sc = quiet(vario_sigma=0.25, thermals=(ThermalSpec(ThermalParams(2.0, 5000.0, 0.0, 0.0)),))
         rng = np.random.default_rng(7)
-        w = make_world(sc, 100.0)
+        w = make_world(sc, 100.0, v=AIRSPEED)
         errs = []
         for _ in range(5000):
             for reading, x, y in env_tick(sc, airframe, w, 0.0, rng):
@@ -217,6 +218,30 @@ class TestScenarioFiles:
     def test_unknown_keys_rejected(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "site": "s", "mission": {}, **change})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"r0": [0.0, 80.0]}, "random_thermals.r0 must start above 0"),
+        ({"lifetime": [900.0, 400.0]}, "random_thermals.lifetime must be a [low, high] range"),
+        ({"birth": [0.0, math.nan]}, "random_thermals.birth must be a [low, high] range"),
+        ({"drift": [0.0, True]}, "random_thermals.drift must be a [low, high] range"),
+        ({"count": -1}, "count, clusters and bells must be non-negative ints, got -1"),
+        ({"count": 2.5}, "count, clusters and bells must be non-negative ints, got 2.5"),
+        ({"count": None, "clusters": True}, "count, clusters and bells must be non-negative ints, got True"),
+        ({"bells": [1.5, 3]}, "count, clusters and bells must be non-negative ints, got 1.5"),
+        ({"bells": [3, 1]}, "random_thermals.bells must be a [low, high] range"),
+        ({"box": [[0.0, 0.0]]}, "random_thermals.box must hold two points"),
+        ({"box": [[0.0, 0.0], [1.0]]}, "random_thermals.box must be two finite numbers"),
+        ({"box": [[100.0, -100.0], [-100.0, 100.0]]}, "random_thermals.box (low corner first) must be a [low, high]"),
+        ({"box": None, "ring": {}}, "random_thermals.ring.radius must be a [low, high] range, got None"),
+        ({"box": None, "ring": {"radius": [215.0, 140.0]}}, "random_thermals.ring.radius must be a [low, high]"),
+    ], ids=["r0-at-zero", "lifetime-reversed", "birth-nan", "drift-bool", "count-negative", "count-float",
+            "clusters-bool", "bells-float", "bells-reversed", "box-one-point", "box-short-point",
+            "box-reversed", "ring-without-radius", "ring-reversed"])
+    def test_malformed_random_thermals_rejected(self, change, message):
+        block = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+        block = {k: v for k, v in {**block, **change}.items() if v is not None}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict({"schema_version": 1, "random_thermals": block})
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
@@ -338,10 +363,10 @@ def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe, rng):
     # stall stop too
     sc = quiet()
     s0 = UavState(0.0, 0.0, 9.0, 0.7, 0.1, -0.2, 100.0)
-    assert len(DEFAULT_BANKS) == 7 and max(DEFAULT_BANKS) > airframe.bank_limit
-    for bank in DEFAULT_BANKS:
+    assert len(PLANNER.bank_angles) == 7 and max(PLANNER.bank_angles) > airframe.bank_limit
+    for bank in PLANNER.bank_angles:
         tr = predict_trajectory(airframe, s0, RollAction(bank, 12.0))
-        w = make_world(sc, h0=100.0)
+        w = make_world(sc, h0=100.0, v=AIRSPEED)
         w.uav = replace(s0)
         for i in range(1, 61):
             env_tick(sc, airframe, w, bank, rng)
@@ -358,7 +383,7 @@ def test_block_drawn_normals_equal_scalar_draws(airframe):
                turbulence_sigma=0.15, vario_sigma=0.2, vario_rate=25.0)
     out = []
     for rng in (np.random.default_rng(5), NormalBlocks(np.random.default_rng(5))):
-        w = make_world(sc, 100.0)
+        w = make_world(sc, 100.0, v=AIRSPEED)
         trace = []
         for _ in range(80):
             readings = env_tick(sc, airframe, w, 0.2, rng)
@@ -435,7 +460,7 @@ def test_env_tick_equals_the_per_step_loop(airframe, vario_rate, turbulence_sigm
     sc = Scenario(thermals=thermals, wind=(1.5, -2.0), turbulence_sigma=turbulence_sigma,
                   vario_sigma=0.2, vario_rate=vario_rate, battery_j=500.0)
     rngs = [NormalBlocks(np.random.default_rng(17)) for _ in range(2)]
-    worlds = [make_world(sc, h0=100.0) for _ in range(2)]
+    worlds = [make_world(sc, h0=100.0, v=AIRSPEED) for _ in range(2)]
     for w in worlds:
         w.motor_on = motor_on
     stages = set()
@@ -455,7 +480,7 @@ def test_env_tick_equals_the_per_step_loop(airframe, vario_rate, turbulence_sigm
 def test_env_tick_stops_at_a_crash_step(airframe):
     sc = Scenario(thermals=LIFECYCLE, turbulence_sigma=0.2, vario_sigma=0.2, vario_rate=25.0, sink_s0=2.0)
     rngs = [np.random.default_rng(3) for _ in range(2)]
-    worlds = [make_world(sc, h0=0.52) for _ in range(2)]
+    worlds = [make_world(sc, h0=0.52, v=AIRSPEED) for _ in range(2)]
     ticks = 0
     while not worlds[0].crashed:
         expected = reference_tick(sc, airframe, worlds[0], 0.3, rngs[0])
@@ -479,7 +504,7 @@ def test_env_tick_calls_env_step_per_step_and_gen_observation_per_reading(airfra
 
         monkeypatch.setattr(environment, name, counted)
     sc = quiet(vario_rate=25.0)
-    w = make_world(sc, 100.0)
+    w = make_world(sc, 100.0, v=AIRSPEED)
     readings = sum(len(env_tick(sc, airframe, w, 0.2, rng)) for _ in range(3))
     assert calls == {"env_step": 3 * STEPS_PER_RECORD, "gen_observation": readings} and readings == 15
 

@@ -6,13 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from soarsim.dynamics import AirframeParams
-from soarsim.baseline import BaselineConfig
-from soarsim.belief import NoiseConfig, default_prior
 from soarsim import experiment
 from soarsim.environment import Scenario, calm_variant, materialize
 from soarsim.experiment import (
-    ConfigBundle,
+    BASELINE_REPS,
     ExperimentPlan,
     FlightSummary,
     exclusion_flag,
@@ -25,9 +22,10 @@ from soarsim.experiment import (
     summaries_to_json,
     write_report,
 )
-from soarsim.mission import BASELINE, POMDSOAR, FlightRecord, MissionConfig, run_flight
+from soarsim.mission import BASELINE, POMDSOAR, FlightRecord, run_flight
 from soarsim.params import ConfigError
-from soarsim.pomdsoar import PlannerConfig
+
+from conftest import config_bundle, mission_config
 
 
 def summary(fid, controller, t, base, airframe="A", excluded=False, enc=1):
@@ -190,42 +188,12 @@ class TestReport:
         assert str(path) in str(err.value)
 
 
-def tiny_bundle(**mission_kw) -> ConfigBundle:
-    mission = MissionConfig(
-        waypoints=((0.0, 200.0), (-190.0, 62.0), (-118.0, -162.0), (118.0, -162.0), (190.0, 62.0)),
-        geofence=((345, 345), (-345, 345), (-345, -345), (345, -345)),
-        alt_min=50.0,
-        alt_cutoff=110.0,
-        alt_max=160.0,
-        **mission_kw,
-    )
-    return ConfigBundle(
-        mission=mission,
-        airframe=AirframeParams(),
-        noise=NoiseConfig(),
-        prior=default_prior(),
-        planner=PlannerConfig(),
-        baseline=BaselineConfig(),
-    )
-
-
 def straight_glide_bundle():
     # far-apart waypoints so no turn happens during a single glide
-    mission = MissionConfig(
+    return config_bundle(mission_config(
         waypoints=((0.0, 4000.0), (-3800.0, 1240.0), (0.0, -4000.0)),
         geofence=((5000, 5000), (-5000, 5000), (-5000, -5000), (5000, -5000)),
-        alt_min=50.0,
-        alt_cutoff=110.0,
-        alt_max=160.0,
-    )
-    return ConfigBundle(
-        mission=mission,
-        airframe=AirframeParams(),
-        noise=NoiseConfig(),
-        prior=default_prior(),
-        planner=PlannerConfig(),
-        baseline=BaselineConfig(),
-    )
+    ))
 
 
 class TestRunBaseline:
@@ -265,7 +233,7 @@ class TestRunBaseline:
 
     def test_deterministic(self):
         sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
-        bundle = tiny_bundle()
+        bundle = config_bundle()
         assert run_baseline(sc, bundle, 2) == run_baseline(sc, bundle, 2)
 
     def test_one_flight_averaged_over_the_repetitions(self, monkeypatch):
@@ -278,14 +246,14 @@ class TestRunBaseline:
 
         monkeypatch.setattr(experiment, "run_flight", fake_run_flight)
         sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
-        assert run_baseline(sc, tiny_bundle(), repetitions=3) == (400.1 + 400.1 + 400.1) / 3 != 400.1
+        assert run_baseline(sc, config_bundle(), repetitions=3) == (400.1 + 400.1 + 400.1) / 3 != 400.1
         assert len(flown) == 1
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_fewer_than_one_repetition_rejected(self, reps):
         sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
         with pytest.raises(ConfigError, match="repetitions must be at least 1"):
-            run_baseline(sc, tiny_bundle(), repetitions=reps)
+            run_baseline(sc, config_bundle(), repetitions=reps)
         with pytest.raises(ConfigError, match="baseline_reps must be at least 1"):
             ExperimentPlan(seeds=(1,), baseline_reps=reps)
 
@@ -345,7 +313,7 @@ def paired_scenario():
 class TestRunPaired:
     def test_world_identity_under_swap(self):
         sc = paired_scenario()
-        bundle = tiny_bundle()
+        bundle = config_bundle()
         a0, b0 = run_paired(sc, bundle, seed=12, flight_id="x", swap=False, baseline_reps=1)
         a1, b1 = run_paired(sc, bundle, seed=12, flight_id="x", swap=True, baseline_reps=1)
         # same world: the materialized scenario is seed-determined either way
@@ -358,13 +326,13 @@ class TestRunPaired:
 
     def test_summaries_reference_matching_baseline(self):
         sc = paired_scenario()
-        bundle = tiny_bundle()
-        a, b = run_paired(sc, bundle, seed=3, flight_id="y", baseline_reps=1)
+        bundle = config_bundle()
+        a, b = run_paired(sc, bundle, seed=3, flight_id="y", swap=False, baseline_reps=1)
         assert {a.controller, b.controller} == {POMDSOAR, BASELINE}
         assert a.rel_gain == a.flight_time / a.baseline_time
         assert not (a.excluded or b.excluded) or (a.excluded and b.excluded)
 
     def test_plan_alternates_slots(self):
-        plan = ExperimentPlan(seeds=(1, 2, 3, 4))
+        plan = ExperimentPlan(seeds=(1, 2, 3, 4), baseline_reps=BASELINE_REPS)
         assignments = [plan.controller_for_slot(i, 0) for i in range(4)]
         assert assignments == [POMDSOAR, BASELINE, POMDSOAR, BASELINE]

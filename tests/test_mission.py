@@ -6,13 +6,12 @@ import pytest
 
 import soarsim.environment as environment
 import soarsim.mission as mission
-from soarsim.dynamics import RECORD_DT, AirframeParams
+from soarsim.dynamics import RECORD_DT
 from soarsim.environment import Scenario, ThermalSpec
 from soarsim.mission import (
     BASELINE,
     POMDSOAR,
     FlightMode,
-    MissionConfig,
     MissionState,
     filter_lift,
     mission_from_dict,
@@ -21,50 +20,37 @@ from soarsim.mission import (
     update_mode,
     waypoint_bank,
 )
-from soarsim.belief import NoiseConfig, default_prior
 from soarsim.params import ConfigError, resolve_params
 from soarsim.thermal import ThermalParams
-from soarsim.pomdsoar import PlannerConfig
-from soarsim.baseline import BaselineConfig
+
+from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, mission_config, prior
 
 
 def square(r):
     return ((r, r), (-r, r), (-r, -r), (r, -r))
 
 
-def mission_cfg(**kw) -> MissionConfig:
-    defaults = dict(
-        waypoints=((0.0, 200.0), (-190.0, 62.0), (-118.0, -162.0), (118.0, -162.0), (190.0, 62.0)),
-        geofence=square(345.0),
-        alt_min=50.0,
-        alt_cutoff=110.0,
-        alt_max=160.0,
-    )
-    defaults.update(kw)
-    return MissionConfig(**defaults)
-
-
 class TestConfigValidation:
     def test_band_ordering(self):
         with pytest.raises(ConfigError):
-            mission_cfg(alt_min=120.0)
+            mission_config(alt_min=120.0)
 
     def test_waypoint_count(self):
         with pytest.raises(ConfigError):
-            mission_cfg(waypoints=((0.0, 0.0), (1.0, 1.0)))
+            mission_config(waypoints=((0.0, 0.0), (1.0, 1.0)))
 
     def test_waypoints_inside_fence(self):
         with pytest.raises(ConfigError):
-            mission_cfg(geofence=square(150.0))
+            mission_config(geofence=square(150.0))
 
     def test_convex_fence_required(self):
         bowtie = ((0, 0), (100, 100), (100, 0), (0, 100))
         with pytest.raises(ConfigError):
-            mission_cfg(geofence=bowtie)
+            mission_config(geofence=bowtie)
 
     def test_unknown_controller(self):
         with pytest.raises(ConfigError):
-            mission_cfg(controller="magic")
+            mission_config(controller="magic")
 
 
 class TestPointInPolygon:
@@ -85,41 +71,41 @@ class TestUpdateMode:
         return update_mode(cfg, state, h, in_fence)
 
     def test_climb_to_glide_at_cutoff(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_CLIMB)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_CLIMB)
         assert self.tick(cfg, st, 109.9, 0.0) is FlightMode.AUTO_CLIMB
         assert self.tick(cfg, st, 110.0, 0.0) is FlightMode.AUTO_GLIDE
 
     def test_glide_to_climb_at_floor(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_GLIDE)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_GLIDE)
         assert self.tick(cfg, st, 50.0, 0.0) is FlightMode.AUTO_CLIMB
 
     def test_detection_enters_thermalling(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_GLIDE)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_GLIDE)
         assert self.tick(cfg, st, 100.0, 0.49) is FlightMode.AUTO_GLIDE
         assert self.tick(cfg, st, 100.0, 0.51) is FlightMode.THERMALLING
 
     def test_no_entry_near_ceiling(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_GLIDE)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_GLIDE)
         assert self.tick(cfg, st, 155.0, 2.0) is FlightMode.AUTO_GLIDE
 
     def test_no_entry_outside_fence(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_GLIDE)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_GLIDE)
         assert self.tick(cfg, st, 100.0, 2.0, in_fence=False) is FlightMode.AUTO_GLIDE
 
     def test_ceiling_exit(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.THERMALLING)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.THERMALLING)
         assert self.tick(cfg, st, 160.0, 2.0) is FlightMode.AUTO_GLIDE
 
     def test_floor_exit(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.THERMALLING)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.THERMALLING)
         assert self.tick(cfg, st, 50.0, 2.0) is FlightMode.AUTO_GLIDE
 
     def test_geofence_breach_aborts_thermalling(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.THERMALLING)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.THERMALLING)
         assert self.tick(cfg, st, 100.0, 2.0, in_fence=False) is FlightMode.AUTO_GLIDE
 
     def test_thermal_lost_hold_and_reset(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.THERMALLING)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.THERMALLING)
         for _ in range(39):  # 7.8 s below the exit threshold: still holding on
             assert self.tick(cfg, st, 100.0, -0.1) is FlightMode.THERMALLING
         # the hold timer resets when lift returns
@@ -130,37 +116,37 @@ class TestUpdateMode:
         assert st2.exit_timer == 0.0
 
     def test_thermal_lost_exit_fires(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.THERMALLING)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.THERMALLING)
         out = FlightMode.THERMALLING
         for _ in range(41):
             out = self.tick(cfg, st, 100.0, -0.1)
         assert out is FlightMode.AUTO_GLIDE
 
     def test_soaring_disabled_never_enters(self):
-        cfg = mission_cfg(soaring_enabled=False)
+        cfg = mission_config(soaring_enabled=False)
         st = MissionState(mode=FlightMode.AUTO_GLIDE)
         for h, lift in [(100, 5.0), (80, 3.0), (150, 2.0), (55, 9.0)]:
             assert self.tick(cfg, st, h, lift) is not FlightMode.THERMALLING
 
     def test_no_thermalling_from_climb(self):
-        cfg, st = mission_cfg(), MissionState(mode=FlightMode.AUTO_CLIMB)
+        cfg, st = mission_config(), MissionState(mode=FlightMode.AUTO_CLIMB)
         assert self.tick(cfg, st, 80.0, 5.0) is FlightMode.AUTO_CLIMB
 
 
 class TestWaypointBank:
     def test_dead_ahead_zero_bank(self):
-        cfg = mission_cfg()
+        cfg = mission_config()
         st = MissionState(wp_index=0)  # waypoint (0, 200), UAV south of it heading north
         assert waypoint_bank(cfg, st, 0.0, 0.0, 0.0) == pytest.approx(0.0)
 
     def test_waypoint_right_gives_positive_clamped_bank(self):
-        cfg = mission_cfg(waypoints=((200.0, 0.0), (0.0, 200.0), (-200.0, 0.0)))
+        cfg = mission_config(waypoints=((200.0, 0.0), (0.0, 200.0), (-200.0, 0.0)))
         st = MissionState(wp_index=0)
         bank = waypoint_bank(cfg, st, 0.0, 0.0, 0.0)
         assert bank == pytest.approx(cfg.nav_bank_limit)
 
     def test_acceptance_radius_advances_cyclically(self):
-        cfg = mission_cfg()
+        cfg = mission_config()
         st = MissionState(wp_index=4)
         waypoint_bank(cfg, st, 190.0, 62.0, 0.0)  # within 20 m of waypoint 4
         assert st.wp_index == 0
@@ -195,8 +181,8 @@ def flight_setup(sc_kw=None, mission_kw=None):
     them: (airframe, noise, prior, planner config, baseline config)."""
     sc = Scenario(**{**dict(thermals=(), wind=(0.0, 0.0), turbulence_sigma=0.0,
                             vario_sigma=0.1, battery_j=2000.0), **(sc_kw or {})})
-    cfg = mission_cfg(**(mission_kw or {}))
-    models = (AirframeParams(), NoiseConfig(), default_prior(), PlannerConfig(sink_s0=sc.sink_s0), BaselineConfig())
+    cfg = mission_config(**(mission_kw or {}))
+    models = (AIRFRAME, NOISE, prior(), replace(PLANNER, sink_s0=sc.sink_s0), BASELINE_CFG)
     return sc, cfg, models
 
 
@@ -204,7 +190,7 @@ def test_no_thermal_flight_matches_soaring_off_exactly():
     sc, cfg, models = flight_setup()
     on = run_flight(sc, cfg, *models, seed=4, slot=0)
     off = run_flight(sc, replace(cfg, controller=BASELINE), *models, seed=4, slot=0)
-    disabled = run_flight(sc, mission_cfg(soaring_enabled=False), *models, seed=4, slot=0)
+    disabled = run_flight(sc, mission_config(soaring_enabled=False), *models, seed=4, slot=0)
     assert on.thermal_encounters == 0
     assert on.flight_time == disabled.flight_time == off.flight_time
 
@@ -220,7 +206,7 @@ def test_mode_seconds_account_for_flight_time():
 def test_pentagon_cross_track_after_first_lap():
     sc, cfg, models = flight_setup(sc_kw=dict(battery_j=2500.0))
     records = []
-    run_flight(sc, mission_cfg(soaring_enabled=False, alt_min=20.0, alt_cutoff=500.0, alt_max=520.0),
+    run_flight(sc, mission_config(soaring_enabled=False, alt_min=20.0, alt_cutoff=500.0, alt_max=520.0),
                *models, seed=1, slot=0, telemetry_sink=records.append)
     # distance from a point to the closest course edge
     wps = np.array(cfg.waypoints)
@@ -251,7 +237,7 @@ def test_thermalling_flight_gains_time():
         )
     )
     calm = Scenario(thermals=(), battery_j=4000.0, turbulence_sigma=0.0)
-    base = run_flight(calm, mission_cfg(soaring_enabled=False), *models, seed=2, slot=0)
+    base = run_flight(calm, mission_config(soaring_enabled=False), *models, seed=2, slot=0)
     for controller in (POMDSOAR, BASELINE):
         rec = run_flight(sc, replace(cfg, controller=controller), *models, seed=2, slot=0)
         assert rec.thermal_encounters >= 1

@@ -1,18 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
-from soarsim.baseline import BaselineConfig
-from soarsim.belief import NoiseConfig, default_prior
-from soarsim.dynamics import AirframeParams
-from soarsim.mission import MissionConfig, mission_from_dict
-from soarsim.pomdsoar import PlannerConfig
 from soarsim.params import (
     ConfigError,
     airframe_from_params,
     baseline_from_params,
-    default_params,
     noise_from_params,
     parse_param_file,
     planner_from_params,
@@ -70,7 +63,7 @@ SOAR_POMDP_BANKS = -30, 0, 30
 
 
 def test_defaults_carry_airframe_constants():
-    p = default_params()
+    p = resolve_params()
     assert p["SOAR_I_MOMENT"] == pytest.approx(0.00257482)
     assert p["SOAR_ROLL_CLP"] == pytest.approx(-1.12808704)
     assert p["SOAR_K_ROLLDAMP"] == pytest.approx(0.41073588)
@@ -113,21 +106,3 @@ class TestBuilders:
         assert b2.max_bank == pytest.approx(math.radians(45.0))
         assert b.circle_radius == 60.0
 
-
-def test_param_defaults_build_the_dataclass_defaults():
-    # PARAM_SPEC and the config dataclasses each hold a copy of every default
-    p = resolve_params()
-    assert airframe_from_params(p) == AirframeParams()
-    assert noise_from_params(p) == NoiseConfig()
-    assert baseline_from_params(p) == BaselineConfig()
-    assert planner_from_params(p, sink_s0=0.7) == PlannerConfig()
-    prior, default = prior_from_params(p), default_prior()
-    assert np.array_equal(prior.mean, default.mean) and np.array_equal(prior.cov, default.cov)
-    site = {"waypoints": [[0.0, 200.0], [-190.0, 62.0], [-118.0, -162.0]],
-            "geofence": [[345, 345], [-345, 345], [-345, -345], [345, -345]],
-            "alt_min": 50.0, "alt_cutoff": 110.0, "alt_max": 160.0, "site": "field"}
-    assert mission_from_dict(site, p) == MissionConfig(
-        waypoints=((0.0, 200.0), (-190.0, 62.0), (-118.0, -162.0)),
-        geofence=((345.0, 345.0), (-345.0, 345.0), (-345.0, -345.0), (345.0, -345.0)),
-        alt_min=50.0, alt_cutoff=110.0, alt_max=160.0, site="field",
-    )

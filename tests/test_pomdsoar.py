@@ -1,16 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import soarsim.pomdsoar as planner
-from soarsim.belief import NoiseConfig, ekf_update, predict_shift, sample_thermal, uncertainty
+from soarsim.belief import ekf_update, predict_shift, sample_thermal, uncertainty
 from soarsim.dynamics import RECORD_DT, RollAction, UavState, predict_trajectory
 from soarsim.environment import sink_rate
 from soarsim.pomdsoar import (
     EXPLOIT,
     EXPLORE,
-    PlannerConfig,
     choose_action,
     draw_samples,
     exploit_score,
@@ -18,7 +18,7 @@ from soarsim.pomdsoar import (
 )
 from soarsim.thermal import ThermalParams, lift_at
 
-from conftest import fine_trajectory, make_belief
+from conftest import NOISE, PLANNER, fine_trajectory, make_belief
 
 
 def north_uav():
@@ -31,13 +31,13 @@ def known_belief(th: ThermalParams, tiny=1e-12):
 
 class TestGate:
     def test_below_threshold_exploits(self, free_airframe, noise, rng):
-        cfg = PlannerConfig(confidence_thres=100.0, n_samples=2)
+        cfg = replace(PLANNER, confidence_thres=100.0, n_samples=2)
         b = make_belief([2.0, 80.0, 10.0, 0.0], [12.5, 12.5, 12.5, 12.5])  # trace 50
         dec = choose_action(cfg, north_uav(), b, free_airframe, noise, rng)
         assert dec.mode == EXPLOIT
 
     def test_above_threshold_explores(self, free_airframe, noise, rng):
-        cfg = PlannerConfig(confidence_thres=100.0, n_samples=2)
+        cfg = replace(PLANNER, confidence_thres=100.0, n_samples=2)
         b = make_belief([2.0, 80.0, 10.0, 0.0], [50, 50, 50, 50])  # trace 200
         dec = choose_action(cfg, north_uav(), b, free_airframe, noise, rng)
         assert dec.mode == EXPLORE
@@ -50,7 +50,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
     for bank in cfg.bank_angles:
         tr = fine_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit))
         gain = 0.0
-        for t in range(1, len(tr)):
+        for t in range(1, len(tr.t)):
             gain += lift_at(th, (tr.x[t], tr.y[t])) * 0.02
             if cfg.sink_correction:
                 gain -= sink_rate(cfg.sink_s0, tr.phi[t]) * 0.02
@@ -62,7 +62,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
 def test_known_thermal_left_turn_matches_oracle(free_airframe, noise):
     # belief collapsed on a thermal 40 m to the left of a north-flying UAV
     th = ThermalParams(2.5, 80.0, -40.0, 0.0)
-    cfg = PlannerConfig(n_samples=1)
+    cfg = replace(PLANNER, n_samples=1)
     dec = choose_action(cfg, north_uav(), known_belief(th), free_airframe, noise, np.random.default_rng(0))
     assert dec.mode == EXPLOIT
     assert dec.chosen_bank < 0.0
@@ -71,7 +71,7 @@ def test_known_thermal_left_turn_matches_oracle(free_airframe, noise):
 
 def test_exploit_argmax_matches_oracle_randomized(free_airframe, noise):
     rng = np.random.default_rng(2024)
-    cfg = PlannerConfig(n_samples=1)
+    cfg = replace(PLANNER, n_samples=1)
     for _ in range(20):
         dist = rng.uniform(15.0, 60.0)
         ang = rng.uniform(0.0, 2 * math.pi)
@@ -111,32 +111,32 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
 
 class TestExploitScore:
     def test_zero_strength_thermal_scores_zero(self, free_airframe):
-        cfg = PlannerConfig(n_samples=1, sink_correction=False)
+        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
         samples = [ThermalParams(0.0, 50.0, 10.0, 10.0)]
         scores = exploit_score(cfg, north_uav(), free_airframe, samples)
         assert np.all(scores == 0.0)
 
     def test_centered_wide_thermal_prefers_tightest_turn(self, free_airframe):
         # no sink correction: hugging the core wins, so max |bank| is best
-        cfg = PlannerConfig(n_samples=1, sink_correction=False)
+        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 200.0, 0.0, 0.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, [th])
         best = cfg.bank_angles[int(np.argmax(scores))]
         assert abs(best) == pytest.approx(math.radians(45.0))
 
     def test_coarse_matches_fine_integration(self, free_airframe):
-        cfg = PlannerConfig(n_samples=1, sink_correction=False)
+        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 80.0, -30.0, 20.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, [th])
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
             tr = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
-            fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr)))
+            fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr.t)))
             assert abs(scores[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
         th = ThermalParams(2.0, 60.0, -35.0, 10.0)
-        scores = exploit_score(PlannerConfig(n_samples=1), north_uav(), free_airframe, [th])
+        scores = exploit_score(replace(PLANNER, n_samples=1), north_uav(), free_airframe, [th])
         scores2 = 3.7 * np.asarray(scores)
         assert int(np.argmax(scores2)) == int(np.argmax(scores))
 
@@ -149,7 +149,7 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
         traces = []
         for s in samples:
             bb = b.copy()
-            for t in range(1, len(tr)):
+            for t in range(1, len(tr.t)):
                 bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, RECORD_DT)
                 bb = ekf_update(bb, lift_at(s, (tr.x[t], tr.y[t])), noise)
             traces.append(uncertainty(bb, cfg.trace_weights))
@@ -159,7 +159,7 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
 
 class TestExploreScore:
     def test_batched_matches_scalar_chain(self, free_airframe, noise):
-        cfg = PlannerConfig(n_samples=3)
+        cfg = replace(PLANNER, n_samples=3)
         uav = UavState(0.0, 0.0, 9.0, 0.3, 0.1, 0.0, 100.0)
         b = make_belief([1.5, 80.0, 10.0, -20.0], [1.0, 400.0, 300.0, 300.0])
         samples = draw_samples(b, 3, np.random.default_rng(5))
@@ -168,7 +168,7 @@ class TestExploreScore:
         np.testing.assert_allclose(batched, reference, rtol=1e-12)
 
     def test_scores_non_negative(self, free_airframe, noise, rng):
-        cfg = PlannerConfig(n_samples=4)
+        cfg = replace(PLANNER, n_samples=4)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
         scores = explore_score(cfg, north_uav(), b, free_airframe, noise, draw_samples(b, cfg.n_samples, rng))
         assert np.all(scores >= 0.0)
@@ -180,7 +180,7 @@ class TestExploreScore:
         # final trace keeps the full prior cross-track variance; the max-bank
         # pirouette rotates the gradient direction and shrinks both axes.
         # The explicit chain oracle therefore ranks max bank ahead of straight.
-        cfg = PlannerConfig(n_samples=1)
+        cfg = replace(PLANNER, n_samples=1)
         b = make_belief([2.5, 80.0, 0.0, 0.0], [1e-6, 1e-6, 400.0, 400.0])
         samples = [b.as_thermal()]
         scores = explore_score(cfg, north_uav(), b, free_airframe, noise, samples)
@@ -192,8 +192,8 @@ class TestExploreScore:
         assert scores[straight] > 400.0  # cross-track prior variance survives
 
     def test_degenerate_belief_ties_break_to_level(self, free_airframe):
-        q0 = NoiseConfig(q_diag=(0, 0, 0, 0), r_obs=0.04)
-        cfg = PlannerConfig(n_samples=2, confidence_thres=0.0)  # force explore
+        q0 = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
+        cfg = replace(PLANNER, n_samples=2, confidence_thres=0.0)  # force explore
         b = make_belief([2.0, 80.0, 5.0, 5.0], [1e-12] * 4)
         dec = choose_action(cfg, north_uav(), b, free_airframe, q0, np.random.default_rng(4))
         assert dec.mode == EXPLORE
@@ -204,8 +204,8 @@ class TestExploreScore:
     def test_monte_carlo_consistency(self, free_airframe, noise):
         uav = north_uav()
         b = make_belief([1.5, 80.0, 10.0, 10.0], [1.0, 400.0, 400.0, 400.0])
-        cfg_n = PlannerConfig(n_samples=8)
-        cfg_2n = PlannerConfig(n_samples=16)
+        cfg_n = replace(PLANNER, n_samples=8)
+        cfg_2n = replace(PLANNER, n_samples=16)
         s_n, s_2n = [], []
         for seed in range(30):
             samples_n = draw_samples(b, cfg_n.n_samples, np.random.default_rng(seed))
@@ -220,7 +220,7 @@ class TestExploreScore:
 
 class TestChooseAction:
     def test_determinism(self, free_airframe, noise):
-        cfg = PlannerConfig()
+        cfg = PLANNER
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
         a = choose_action(cfg, north_uav(), b, free_airframe, noise, np.random.default_rng(9))
         c = choose_action(cfg, north_uav(), b, free_airframe, noise, np.random.default_rng(9))
@@ -236,13 +236,13 @@ class TestChooseAction:
             return real(b, rng)
 
         monkeypatch.setattr(planner, "sample_thermal", counting)
-        cfg = PlannerConfig(n_samples=6)
+        cfg = replace(PLANNER, n_samples=6)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
         choose_action(cfg, north_uav(), b, free_airframe, noise, np.random.default_rng(0))
         assert calls["n"] == 6  # not 6 * len(bank_angles)
 
     def test_reports_all_action_scores(self, free_airframe, noise, rng):
-        cfg = PlannerConfig(n_samples=2)
+        cfg = replace(PLANNER, n_samples=2)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
         dec = choose_action(cfg, north_uav(), b, free_airframe, noise, rng)
         assert [bank for bank, _ in dec.per_action_scores] == list(cfg.bank_angles)
@@ -252,7 +252,7 @@ class TestChooseAction:
 def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     import logging
 
-    cfg = PlannerConfig(n_samples=2)
+    cfg = replace(PLANNER, n_samples=2)
     good = ThermalParams(2.0, 80.0, 5.0, 5.0)
     bad = ThermalParams(float("nan"), 80.0, 5.0, 5.0)
     with caplog.at_level(logging.WARNING):
@@ -265,9 +265,9 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PlannerConfig(bank_angles=())
+        replace(PLANNER, bank_angles=())
     with pytest.raises(ValueError):
-        PlannerConfig(n_samples=0)
+        replace(PLANNER, n_samples=0)
     with pytest.raises(ValueError):
-        PlannerConfig(exploit_extension=0.5)
-    assert PlannerConfig().t_exploit == pytest.approx(12.0)
+        replace(PLANNER, exploit_extension=0.5)
+    assert PLANNER.t_exploit == pytest.approx(12.0)
