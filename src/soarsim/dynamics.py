@@ -151,7 +151,7 @@ def step_kinematics(
     phi_dot: float,
     target_bank: float,
     pid_state: PidState,
-    steps: int = 1,
+    steps: int,
 ) -> tuple[float, float, float, float, float]:
     """steps explicit-Euler SIM_DT steps of the roll PID and the
     roll/turn/position equations toward target_bank; updates pid_state.

@@ -12,6 +12,13 @@ world by env_step, one SIM_DT step at a time, reads the variometer on
 sensor steps and returns that tick's readings, so the mission makes one
 environment call per tick. env_step moves the airframe through
 dynamics.step_kinematics, the kernel trajectory prediction uses too.
+
+Each world keeps a near set: the lift rows that can add a nonzero term
+during the next NEAR_STEPS steps (2 s). env_step rebuilds it every
+NEAR_STEPS steps and sums only those rows, in scenario order. Dropping a
+row is exact, not an approximation: a dropped row would add +-0.0 at
+every step of the window, and adding +-0.0 leaves the sum's bits as they
+are (near_rows states why).
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .thermal import ThermalParams
 
 SCHEMA_VERSION = 1
 DECAY_S = 10.0  # s over which a dying thermal's strength ramps to zero
+NEAR_STEPS = 100  # SIM_DT steps between rebuilds of a world's near set
+NEAR_WINDOW = NEAR_STEPS * SIM_DT  # s
+FAR_SQ = 28.0**2  # (d / r0)^2 beyond which exp(-d^2 / r0^2) is 0.0
 
 
 @dataclass(frozen=True)
@@ -71,20 +81,25 @@ class Scenario:
             raise ConfigError("vario_rate must be positive")
         if self.turbulence_sigma < 0.0 or self.vario_sigma < 0.0:
             raise ConfigError("noise sigmas must be non-negative")
-        for th in self.thermals:
-            if not th.lifetime > 0.0:
-                raise ConfigError("thermal lifetimes must be positive")
         rows = tuple(
             (th.params.w0, th.params.r0 * th.params.r0, th.params.cx, th.params.cy,
              th.birth, th.lifetime, th.drift[0], th.drift[1])
             for th in self.thermals
         )
+        for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in rows:
+            if not lifetime > 0.0:
+                raise ConfigError("thermal lifetimes must be positive")
+            # near_rows drops a far row's w0 * 0.0 term, which is nan for an
+            # infinite w0; an r0 whose square is 0.0 divides by zero
+            if not (all(map(math.isfinite, (w0, cx, cy, birth, drift_x, drift_y))) and r0_sq > 0.0):
+                raise ConfigError("a thermal's w0, center, birth and drift must be finite, and r0 * r0 above 0")
         object.__setattr__(self, "lift_rows", rows)
         object.__setattr__(self, "vario_period", vario_period_steps(self))
 
 
-def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
-    """Total thermal lift at an air-mass-frame position, m/s.
+def true_lift(rows, x: float, y: float, t: float) -> float:
+    """Total lift of the thermal rows (Scenario.lift_rows, or a world's
+    near set) at an air-mass-frame position, m/s.
 
     Lift superposes linearly. A thermal adds w0 * exp(-d^2 / r0^2) about
     its center drifted by drift * age; it adds nothing before its birth,
@@ -99,7 +114,7 @@ def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
     # pow is not correctly rounded, and a * a differs from a ** 2 in the last
     # bit on 862 of 1,000,000 inputs uniform in [-500, 500] (glibc, x86-64).
     total = 0.0
-    for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in sc.lift_rows:
+    for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in rows:
         age = t - birth
         if age < 0.0:
             continue
@@ -113,6 +128,45 @@ def true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
     return total
 
 
+def near_rows(sc: Scenario, w: WorldState) -> tuple:
+    """The lift rows of sc, in scenario order, that can add a nonzero term
+    to true_lift at the next NEAR_STEPS steps of w.
+
+    A row is dropped only if its term is +-0.0 at every step of the window
+    [t, t_end], t = w.t and t_end = (w.step + NEAR_STEPS) * SIM_DT, the
+    time env_step computes at the window's last step:
+    - unborn: birth > t_end, so age = t' - birth < 0 at every step time
+      t' <= t_end (float subtraction of two different values is never 0);
+    - faded: the fade is <= 0 at t. age, age - lifetime, its quotient by
+      DECAY_S and 1 minus that are each monotone in t', so it stays <= 0;
+    - far: the row's center, drifted to t, is farther from the UAV than
+      28 r0 plus a reach of v * NEAR_WINDOW (the UAV moves v * SIM_DT a
+      step), |drift| * NEAR_WINDOW (the center's drift) and 1 m (rounding
+      of the float positions). Then d^2 / r0^2 > 784 at every step, and
+      math.exp underflows to 0.0 below -745.14, so the term is w0 * fade
+      * 0.0 = +-0.0.
+    true_lift's sum starts at 0.0 and is never -0.0, so adding +-0.0
+    leaves it bit for bit the same. That needs w0 finite (inf * 0.0 is
+    nan), which Scenario checks, and a world moved only by env_step: a
+    kept row still runs the per-step age and fade checks.
+    """
+    u, t = w.uav, w.t
+    t_end = (w.step + NEAR_STEPS) * SIM_DT
+    reach = u.v * NEAR_WINDOW + 1.0
+    near = []
+    for row in sc.lift_rows:
+        w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y = row
+        age = t - birth
+        if birth > t_end or (age > lifetime and 1.0 - (age - lifetime) / DECAY_S <= 0.0):
+            continue
+        gap = math.hypot(u.x - (cx + drift_x * age), u.y - (cy + drift_y * age)) - (
+            reach + math.hypot(drift_x, drift_y) * NEAR_WINDOW)
+        if gap > 0.0 and gap * gap > FAR_SQ * r0_sq:
+            continue
+        near.append(row)
+    return tuple(near)
+
+
 def sink_rate(s0: float, phi: float) -> float:
     """Load-factor-corrected sink polar s0 * (1/cos(phi))^1.5, m/s."""
     return s0 * (1.0 / math.cos(phi)) ** 1.5
@@ -120,7 +174,8 @@ def sink_rate(s0: float, phi: float) -> float:
 
 @dataclass(slots=True)
 class WorldState:
-    """Per-mission simulation state; one instance per UAV."""
+    """Per-mission simulation state; one instance per UAV. Only env_step
+    may move it: its near set holds for the pose and time env_step left."""
 
     uav: UavState
     battery_j: float
@@ -131,6 +186,8 @@ class WorldState:
     gy: float = 0.0
     motor_on: bool = False
     crashed: bool = False
+    near: tuple = ()  # the lift rows near_rows keeps, valid until step near_until
+    near_until: int = 0
 
     @property
     def ground_pos(self) -> tuple[float, float]:
@@ -155,17 +212,21 @@ def env_step(
     the altitude rate at the new pose, wind accumulates ground offset,
     and the battery drains (motor power while on, avionics always).
     Turbulence is one rng.standard_normal() draw per step; a calm
-    scenario (turbulence_sigma 0) draws nothing.
+    scenario (turbulence_sigma 0) draws nothing. Lift sums w.near, which
+    is rebuilt every NEAR_STEPS steps.
     """
     dt = SIM_DT
     u = w.uav
+    if w.step >= w.near_until:
+        w.near = near_rows(sc, w)
+        w.near_until = w.step + NEAR_STEPS
     x, y, u.psi, phi, u.phi_dot = step_kinematics(
         airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, w.pid, 1
     )
     u.x, u.y, u.phi = x, y, phi
     w.step = step = w.step + 1
     w.t = t = step * dt
-    lift = true_lift(sc, x, y, t)
+    lift = true_lift(w.near, x, y, t)
     if sc.turbulence_sigma > 0.0:
         lift += sc.turbulence_sigma * rng.standard_normal()
     climb = sc.motor_climb_rate if w.motor_on else 0.0
@@ -322,6 +383,8 @@ SCENARIO_KEYS = tuple(f.name for f in fields(Scenario) if f.init and f.name != "
 # what a site file may hold beside them; load_bundle reads the mission section
 FILE_KEYS = SCENARIO_KEYS + ("thermals", "mission", "schema_version", "site")
 THERMAL_KEYS = ("w0", "r0", "center", "birth", "lifetime", "drift")
+# the Scenario fields that hold one float each
+NUMBER_KEYS = tuple(f.name for f in fields(Scenario) if isinstance(f.default, float))
 
 
 def reject_unknown_keys(data: dict, known, where: str) -> None:
@@ -334,10 +397,21 @@ def reject_unknown_keys(data: dict, known, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _is_number(value) -> bool:
+    """value is a finite int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number(value, where: str):
+    """value, checked to be a finite number."""
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
 def _pair(value, where: str, ordered: bool = True):
     """value, checked to be two finite numbers, low <= high when ordered."""
-    numbers = isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
+    numbers = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
     if not numbers or (ordered and value[0] > value[1]):
         shape = "a [low, high] range" if ordered else "two finite numbers"
         raise ConfigError(f"{where} must be {shape}, got {value!r}")
@@ -349,6 +423,8 @@ def _check_random_block(name: str, block: dict) -> None:
     for key in ("w0", "r0", "birth", "lifetime", "drift", "speed", "bells"):
         if key in block:
             _pair(block[key], f"{name}.{key}")
+    if "offset_sigma" in block:
+        _number(block["offset_sigma"], f"{name}.offset_sigma")
     if "r0" in block and not block["r0"][0] > 0.0:
         raise ConfigError(f"{name}.r0 must start above 0, got {block['r0']!r}")
     for n in [block.get("count", 0), block.get("clusters", 0), *block.get("bells", ())]:
@@ -363,6 +439,25 @@ def _check_random_block(name: str, block: dict) -> None:
             raise ConfigError(f"{name}.box must hold two points, got {box!r}")
         for low_high in zip(*(_pair(point, f"{name}.box", ordered=False) for point in box)):
             _pair(low_high, f"{name}.box (low corner first)")
+
+
+def _thermal_spec(th: dict, where: str) -> ThermalSpec:
+    """One entry of a site file's thermals. A key the entry leaves out, or
+    a null lifetime, keeps ThermalSpec's default."""
+    reject_unknown_keys(th, THERMAL_KEYS, where)
+    w0, r0 = (_number(th.get(key), f"{where}.{key}") for key in ("w0", "r0"))
+    given = {}
+    if "birth" in th:
+        given["birth"] = _number(th["birth"], f"{where}.birth")
+    if th.get("lifetime") is not None:
+        lifetime = th["lifetime"]
+        if not (_is_number(lifetime) or lifetime == math.inf):  # JSON reads 1e400 as inf
+            raise ConfigError(f"{where}.lifetime must be a number or null, got {lifetime!r}")
+        given["lifetime"] = lifetime
+    if "drift" in th:
+        given["drift"] = tuple(_pair(th["drift"], f"{where}.drift", ordered=False))
+    center = _pair(th.get("center"), f"{where}.center", ordered=False)
+    return ThermalSpec(ThermalParams(w0, r0, *center), **given)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -380,23 +475,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not any(k in block for k in keys):
                 raise ConfigError(f"{name} is missing {' or '.join(repr(k) for k in keys)}")
         _check_random_block(name, block)
+    given = {k: data[k] for k in SCENARIO_KEYS if k in data}
+    for key in NUMBER_KEYS:
+        if key in given:
+            _number(given[key], key)
+    seed = given.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    if "wind" in given:
+        given["wind"] = tuple(_pair(given["wind"], "wind", ordered=False))
     try:
-        for i, th in enumerate(data.get("thermals", [])):
-            reject_unknown_keys(th, THERMAL_KEYS, f"thermals[{i}]")
-        thermals = tuple(
-            ThermalSpec(
-                ThermalParams(th["w0"], th["r0"], *_pair(th.get("center"), f"thermals[{i}].center", ordered=False)),
-                birth=th.get("birth", 0.0),
-                lifetime=math.inf if th.get("lifetime") is None else th["lifetime"],
-                drift=tuple(_pair(th.get("drift", (0.0, 0.0)), f"thermals[{i}].drift", ordered=False)),
-            )
-            for i, th in enumerate(data.get("thermals", []))
-        )
-        given = {k: data[k] for k in SCENARIO_KEYS if k in data}
-        if "wind" in given:
-            given["wind"] = tuple(_pair(given["wind"], "wind", ordered=False))
+        thermals = tuple(_thermal_spec(th, f"thermals[{i}]") for i, th in enumerate(data.get("thermals", [])))
         return Scenario(thermals=thermals, **given)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
 
 

@@ -24,8 +24,8 @@ class ThermalParams:
 
     w0: float  # vertical air velocity at the center, m/s (negative = sink)
     r0: float  # thermal radius, m
-    cx: float = 0.0  # center x, m
-    cy: float = 0.0  # center y, m
+    cx: float  # center x, m
+    cy: float  # center y, m
 
     def __post_init__(self):
         if not self.r0 > 0.0:

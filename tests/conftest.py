@@ -134,6 +134,6 @@ def fine_trajectory(airframe, s0, action) -> ActionTrajectory:
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
     poses = [(0.0, x, y, phi, psi)]
     for i in range(1, round(action.duration / SIM_DT) + 1):
-        x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid)
+        x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1)
         poses.append((i * SIM_DT, x, y, phi, psi))
     return ActionTrajectory(*np.array(poses, dtype=float).T)

@@ -67,7 +67,7 @@ def test_converges_to_commanded_circle(start, direction):
             b = belief_for_center(uav, 0.0, 0.0)
             target = baseline_choose_bank(cfg, uav, b, direction)
         uav.x, uav.y, uav.psi, uav.phi, uav.phi_dot = step_kinematics(
-            af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, target, pid
+            af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, target, pid, 1
         )
         t += 0.02
         if t > 2 * period:

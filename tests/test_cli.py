@@ -198,6 +198,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(site) in err and named in err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ('"w0": 2.5', '"w0": "2.5"', "thermals[0].w0 must be a finite number, got '2.5'"),
+        ('"w0": 2.5', '"w0": 1e400', "thermals[0].w0 must be a finite number, got inf"),
+        ('"r0": 60.0', '"r0": null', "thermals[0].r0 must be a finite number, got None"),
+        ('"birth": 0.0', '"birth": "soon"', "thermals[0].birth must be a finite number, got 'soon'"),
+        ('"lifetime": 600.0', '"lifetime": "long"', "thermals[0].lifetime must be a number or null, got 'long'"),
+        ('"battery_j": 2500.0', '"battery_j": "full"', "battery_j must be a finite number, got 'full'"),
+        ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a finite number, got nan"),
+        ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
+        ('"mission"', '"random_thermals": {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], '
+                      '"ring": {"radius": [140.0, 215.0]}, "offset_sigma": "wide"}, "mission"',
+         "random_thermals.offset_sigma must be a finite number, got 'wide'"),
+    ], ids=["w0-string", "w0-inf", "r0-null", "birth-string", "lifetime-string", "battery-string", "vario-rate-nan",
+            "seed-float", "offset-sigma-string"])
+    def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
+        site = tiny_site(tmp_path)
+        text = site.read_text()
+        assert text.count(old) == 1
+        site.write_text(text.replace(old, new))
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(site) in err and named in err
+
     def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
         site = tiny_site(tmp_path, random_wind={})
         assert cli.main(["run", "--scenario", str(site)]) == 2

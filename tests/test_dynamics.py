@@ -28,7 +28,7 @@ def kp_only(kp):
 def aileron(af, bank_error):
     """The roll PID's aileron deflection for a bank error, read back from one
     kernel step out of wings-level rest, where phi_ddot = k_a * aileron / i_x."""
-    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, PidState())
+    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, PidState(), 1)
     return phi_dot * af.i_x / (af.k_a * SIM_DT)
 
 
@@ -63,7 +63,7 @@ def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
     x, y, v, psi, phi, phi_dot = state
     for _ in range(137):
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), pid_one
+            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), pid_one, 1
         )
     assert many == (x, y, psi, phi, phi_dot)
     assert pid_many == pid_one
@@ -71,7 +71,7 @@ def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
 
 class TestDynamicsStep:
     def test_straight_flight(self, airframe):
-        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, PidState())
+        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, PidState(), 1)
         assert (x, y) == (0.0, pytest.approx(0.18))
         assert psi == 0.0
         assert phi == 0.0
@@ -79,7 +79,7 @@ class TestDynamicsStep:
 
     def test_turn_rate_at_45_degrees(self, free_airframe):
         bank = math.radians(45.0)
-        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, PidState())
+        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, PidState(), 1)
         psi_dot = psi / SIM_DT
         assert psi_dot == pytest.approx(9.80665 / 9.0, rel=1e-12)
         assert psi_dot == pytest.approx(1.08963, abs=1e-5)
@@ -91,7 +91,7 @@ class TestDynamicsStep:
         needed = lp / free_airframe.k_a
         af = replace(free_airframe, pid=replace(AIRFRAME.pid, kp=1.0, ki=0.0, kd_gain=0.0))
         # error = needed, kp=1 -> aileron = needed
-        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState())
+        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState(), 1)
         assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
 
     def test_never_non_finite_at_bank_stop(self, airframe):
@@ -99,14 +99,14 @@ class TestDynamicsStep:
         x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, math.radians(39.9), 5.0
         for _ in range(200):
             x, y, psi, phi, phi_dot = step_kinematics(
-                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid
+                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid, 1
             )
             assert abs(phi) <= airframe.bank_limit + 1e-12
         assert math.isfinite(psi) and math.isfinite(x)
 
     def test_kinematics_energy_free(self, free_airframe):
         # constant airspeed: one step moves the UAV exactly v * dt
-        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, PidState())
+        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, PidState(), 1)
         assert math.hypot(x - 3.0, y + 2.0) == pytest.approx(9.0 * SIM_DT, rel=1e-12)
 
     def test_invalid_state_rejected(self):
@@ -130,7 +130,7 @@ def test_heading_stays_wrapped(free_airframe):
     x, y, psi, phi, phi_dot = 0.0, 0.0, 3.0, math.radians(40.0), 0.0
     for _ in range(600):
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), pid
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), pid, 1
         )
         assert -math.pi <= psi < math.pi
 
@@ -179,7 +179,7 @@ class TestPredictTrajectory:
         x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
         for k in range(1, 201):
             x, y, psi, phi, phi_dot = step_kinematics(
-                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid
+                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1
             )
             if k % 10 == 0:
                 i = k // 10
@@ -222,7 +222,7 @@ def test_bank_rise_time(free_airframe):
     t, reached, overshoot = 0.0, None, 0.0
     while t < 4.0:
         x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid, 1
         )
         t += 0.02
         if reached is None and phi >= 0.98 * math.radians(45.0):

@@ -4,6 +4,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soarsim.environment as environment
 from soarsim.dynamics import (
@@ -17,6 +19,9 @@ from soarsim.dynamics import (
 )
 from soarsim.environment import (
     DECAY_S,
+    FAR_SQ,
+    NEAR_STEPS,
+    NEAR_WINDOW,
     NormalBlocks,
     Scenario,
     ThermalSpec,
@@ -24,6 +29,7 @@ from soarsim.environment import (
     env_tick,
     make_world,
     materialize,
+    near_rows,
     scenario_from_dict,
     sink_rate,
     true_lift,
@@ -139,7 +145,7 @@ class TestGenObservation:
         for _ in range(4):
             for reading, x, y in env_tick(sc, airframe, w, 0.0, rng):
                 assert (x, y) == (w.uav.x, w.uav.y)
-                assert reading == true_lift(sc, x, y, w.t)
+                assert reading == true_lift(sc.lift_rows, x, y, w.t)
                 seen += 1
         assert seen == 4
 
@@ -158,7 +164,7 @@ class TestGenObservation:
         errs = []
         for _ in range(5000):
             for reading, x, y in env_tick(sc, airframe, w, 0.0, rng):
-                errs.append(reading - true_lift(sc, x, y, w.t))
+                errs.append(reading - true_lift(sc.lift_rows, x, y, w.t))
         assert len(errs) == 5000
         assert np.std(errs) == pytest.approx(0.25, rel=0.05)
 
@@ -166,14 +172,14 @@ class TestGenObservation:
 class TestThermalLifecycle:
     def test_before_birth_and_decay(self):
         sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), birth=10.0, lifetime=100.0),))
-        assert true_lift(sc, 0.0, 0.0, 5.0) == 0.0
-        assert true_lift(sc, 0.0, 0.0, 50.0) == pytest.approx(2.0)
-        assert true_lift(sc, 0.0, 0.0, 10.0 + 100.0 + DECAY_S / 2) == pytest.approx(1.0)
-        assert true_lift(sc, 0.0, 0.0, 10.0 + 100.0 + DECAY_S + 1.0) == 0.0
+        assert true_lift(sc.lift_rows, 0.0, 0.0, 5.0) == 0.0
+        assert true_lift(sc.lift_rows, 0.0, 0.0, 50.0) == pytest.approx(2.0)
+        assert true_lift(sc.lift_rows, 0.0, 0.0, 10.0 + 100.0 + DECAY_S / 2) == pytest.approx(1.0)
+        assert true_lift(sc.lift_rows, 0.0, 0.0, 10.0 + 100.0 + DECAY_S + 1.0) == 0.0
 
     def test_drift_moves_center(self):
         sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), drift=(1.0, 0.0)),))
-        assert true_lift(sc, 20.0, 0.0, 20.0) == pytest.approx(2.0)
+        assert true_lift(sc.lift_rows, 20.0, 0.0, 20.0) == pytest.approx(2.0)
 
     def test_superposition(self):
         sc = quiet(
@@ -182,7 +188,7 @@ class TestThermalLifecycle:
                 ThermalSpec(ThermalParams(0.5, 5000.0, 0.0, 0.0)),
             )
         )
-        assert true_lift(sc, 0.0, 0.0, 0.0) == pytest.approx(1.5, abs=1e-6)
+        assert true_lift(sc.lift_rows, 0.0, 0.0, 0.0) == pytest.approx(1.5, abs=1e-6)
 
 
 class TestScenarioFiles:
@@ -243,6 +249,45 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "random_thermals": block})
 
+    def test_a_thermal_entry_keeps_the_defaults_of_what_it_leaves_out(self):
+        bare = {"w0": 2.0, "r0": 60.0, "center": [1.0, 2.0]}
+        for entry in (bare, {**bare, "lifetime": None}, {**bare, "lifetime": math.inf}):
+            sc = scenario_from_dict({"schema_version": 1, "thermals": [entry]})
+            assert sc.thermals == (ThermalSpec(ThermalParams(2.0, 60.0, 1.0, 2.0)),)
+            assert sc.thermals[0].lifetime == math.inf
+
+    @pytest.mark.parametrize("change, message", [
+        ({"w0": math.inf}, "thermals[0].w0 must be a finite number, got inf"),
+        ({"r0": math.nan}, "thermals[0].r0 must be a finite number, got nan"),
+        ({"birth": -math.inf}, "thermals[0].birth must be a finite number, got -inf"),
+        ({"lifetime": math.nan}, "thermals[0].lifetime must be a number or null, got nan"),
+        ({"lifetime": False}, "thermals[0].lifetime must be a number or null, got False"),
+        ({"w0": None}, "thermals[0].w0 must be a finite number, got None"),
+    ], ids=["w0-inf", "r0-nan", "birth-inf", "lifetime-nan", "lifetime-bool", "w0-missing"])
+    def test_non_finite_thermal_values_rejected(self, change, message):
+        entry = {k: v for k, v in {"w0": 2.0, "r0": 60.0, "center": [0.0, 0.0], **change}.items() if v is not None}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict({"schema_version": 1, "thermals": [entry]})
+
+    @pytest.mark.parametrize("key, value", [("battery_j", "full"), ("sink_s0", math.inf), ("turbulence_sigma", True),
+                                            ("seed", -1), ("seed", 1.0), ("seed", True)])
+    def test_non_number_scenario_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a"):
+            scenario_from_dict({"schema_version": 1, key: value})
+
+    @pytest.mark.parametrize("params, spec", [
+        ((math.inf, 50.0, 0.0, 0.0), {}),
+        ((2.0, 50.0, math.nan, 0.0), {}),
+        ((2.0, 50.0, 0.0, -math.inf), {}),
+        ((2.0, 50.0, 0.0, 0.0), {"birth": math.nan}),
+        ((2.0, 50.0, 0.0, 0.0), {"drift": (0.0, math.inf)}),
+        ((2.0, 1e-170, 0.0, 0.0), {}),
+    ], ids=["w0-inf", "cx-nan", "cy-inf", "birth-nan", "drift-inf", "r0-squares-to-zero"])
+    def test_scenario_rejects_a_thermal_that_is_not_finite(self, params, spec):
+        # near_rows drops far rows; inf * 0.0 would be nan, and 1e-170 ** 2 is 0.0
+        with pytest.raises(ConfigError, match="must be finite, and r0 \\* r0 above 0"):
+            Scenario(thermals=(ThermalSpec(ThermalParams(*params), **spec),))
+
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
             scenario_from_dict({"schema_version": 99})
@@ -253,7 +298,7 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             Scenario(turbulence_sigma=-0.1)
         with pytest.raises(ConfigError):
-            Scenario(thermals=(ThermalSpec(ThermalParams(1, 50), lifetime=0.0),))
+            Scenario(thermals=(ThermalSpec(ThermalParams(1, 50, 0.0, 0.0), lifetime=0.0),))
 
 
 class TestMaterialize:
@@ -348,7 +393,7 @@ def test_true_lift_is_bit_identical_to_the_per_thermal_sum():
     assert any(th.params.w0 < 0.0 for th in thermals)
     seen = {"unborn": 0, "full": 0, "decaying": 0, "faded": 0}
     for x, y, t in zip(rng.uniform(-400, 400, 3000), rng.uniform(-400, 400, 3000), rng.uniform(0.0, 550.0, 3000)):
-        assert true_lift(sc, x, y, t) == reference_true_lift(sc, x, y, t)
+        assert true_lift(sc.lift_rows, x, y, t) == reference_true_lift(sc, x, y, t)
         for th in thermals:
             age = t - th.birth
             stage = ("unborn" if age < 0 else "full" if age <= th.lifetime
@@ -430,6 +475,12 @@ def reference_observation(sc, w, lift, rng):
     return lift
 
 
+def world_state(w) -> tuple:
+    """astuple of the world without its near set, a cache of env_step that
+    the per-step reference loop, which sums every row, does not keep."""
+    return astuple(replace(w, near=(), near_until=0))
+
+
 def reference_tick(sc, airframe, w, target_bank, rng):
     """One control tick of the per-step loop, stopping after a crash step."""
     readings = []
@@ -468,7 +519,7 @@ def test_env_tick_equals_the_per_step_loop(airframe, vario_rate, turbulence_sigm
         bank = 0.9 * math.sin(k / 7.0)  # beyond the bank limit at its peaks
         expected = reference_tick(sc, airframe, worlds[0], bank, rngs[0])
         assert env_tick(sc, airframe, worlds[1], bank, rngs[1]) == expected
-        assert astuple(worlds[1]) == astuple(worlds[0])
+        assert world_state(worlds[1]) == world_state(worlds[0])
         for th in thermals:
             age = worlds[0].t - th.birth
             stages.add("unborn" if age < 0 else "full" if age <= th.lifetime
@@ -485,7 +536,7 @@ def test_env_tick_stops_at_a_crash_step(airframe):
     while not worlds[0].crashed:
         expected = reference_tick(sc, airframe, worlds[0], 0.3, rngs[0])
         assert env_tick(sc, airframe, worlds[1], 0.3, rngs[1]) == expected
-        assert astuple(worlds[1]) == astuple(worlds[0])
+        assert world_state(worlds[1]) == world_state(worlds[0])
         ticks += 1
     assert worlds[1].crashed and worlds[1].uav.h == 0.0
     assert ticks == 2 and worlds[1].step % STEPS_PER_RECORD != 0  # the crash fell inside a tick
@@ -507,6 +558,102 @@ def test_env_tick_calls_env_step_per_step_and_gen_observation_per_reading(airfra
     w = make_world(sc, 100.0, v=AIRSPEED)
     readings = sum(len(env_tick(sc, airframe, w, 0.2, rng)) for _ in range(3))
     assert calls == {"env_step": 3 * STEPS_PER_RECORD, "gen_observation": readings} and readings == 15
+
+
+# -- the near set: dropping a row leaves the lift sum bit for bit the same ------
+
+ANGLE = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def near_cases(draw):
+    """A scenario, a world at a step of the flight, and a walk of up to
+    NEAR_STEPS steps at airspeed v along an arc or a line. Thermals sit
+    anywhere from the UAV out to past the cut, many of them near the cut and
+    dead ahead, and many are born or fade out inside the window."""
+    v = draw(st.floats(5.0, 30.0))
+    step = draw(st.integers(0, 50_000))
+    t = step * SIM_DT
+    x, y, psi = draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0)), draw(ANGLE)
+    thermals = []
+    for _ in range(draw(st.integers(1, 6))):
+        r0 = math.exp(draw(st.floats(math.log(5.0), math.log(200.0))))
+        speed, drift_angle = draw(st.floats(0.0, 1.0)), draw(ANGLE)
+        drift = (speed * math.sin(drift_angle), speed * math.cos(drift_angle))
+        birth = t + draw(st.one_of(st.floats(-1.0, 2.5), st.floats(-45.0, 4.0)))
+        # the cut: 28 r0 beyond the reach of the UAV, the drift and 1 m
+        cut = math.sqrt(FAR_SQ) * r0 + (v + speed) * NEAR_WINDOW + 1.0
+        beyond = draw(st.one_of(st.floats(-1.5, 0.5), st.floats(-28.0, 4.0)))  # radii past the cut
+        distance = max(0.0, cut + r0 * beyond)
+        bearing = psi + draw(st.one_of(st.floats(-0.02, 0.02), ANGLE))
+        # the center at time t, moved back to the thermal's birth
+        cx = x + distance * math.sin(bearing) - drift[0] * (t - birth)
+        cy = y + distance * math.cos(bearing) - drift[1] * (t - birth)
+        thermals.append(ThermalSpec(
+            ThermalParams(draw(st.floats(-3.0, 4.0)), r0, cx, cy),
+            birth=birth,
+            lifetime=draw(st.one_of(st.just(math.inf), st.floats(0.01, 40.0))),
+            drift=drift,
+        ))
+    sc = quiet(thermals=tuple(thermals))
+    w = make_world(sc, h0=100.0, v=v)
+    w.uav.x, w.uav.y, w.uav.psi = x, y, psi
+    w.step, w.t = step, t
+    turn = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))  # rad per step; 45 deg at 9 m/s: 0.022
+    steps = draw(st.one_of(st.just(NEAR_STEPS), st.integers(1, NEAR_STEPS)))
+    return sc, w, [psi + turn * k for k in range(1, steps + 1)]
+
+
+def walk(w, headings):
+    """(x, y, t) after each step of the walk, moved as step_kinematics moves
+    the UAV: v * SIM_DT along the heading."""
+    x, y, v = w.uav.x, w.uav.y, w.uav.v
+    for k, psi in enumerate(headings, start=1):
+        x += v * math.sin(psi) * SIM_DT
+        y += v * math.cos(psi) * SIM_DT
+        yield x, y, (w.step + k) * SIM_DT
+
+
+@given(case=near_cases())
+@settings(max_examples=400, deadline=None)
+def test_near_set_lift_equals_the_full_sum(case):
+    sc, w, headings = case
+    near = near_rows(sc, w)
+    assert set(near) <= set(sc.lift_rows)
+    for x, y, t in walk(w, headings):
+        assert true_lift(near, x, y, t) == true_lift(sc.lift_rows, x, y, t)
+
+
+@pytest.mark.parametrize("w0", [2.5, -1.0])
+def test_a_row_just_past_the_cut_adds_exactly_zero(w0):
+    # the UAV flies straight at a thermal that starts just past the cut, for
+    # the whole window, and the thermal drifts toward it; a twin just inside
+    # the cut is kept
+    v, r0, speed = AIRSPEED, 10.0, 1.0
+    cut = math.sqrt(FAR_SQ) * r0 + (v + speed) * NEAR_WINDOW + 1.0
+    sc = quiet(thermals=(
+        ThermalSpec(ThermalParams(w0, r0, 0.0, cut + 1e-6), drift=(0.0, -speed)),
+        ThermalSpec(ThermalParams(w0, r0, 0.0, cut - 1e-6), drift=(0.0, -speed)),
+    ))
+    w = make_world(sc, h0=100.0, v=v)
+    assert near_rows(sc, w) == sc.lift_rows[1:]
+    for x, y, t in walk(w, [0.0] * NEAR_STEPS):
+        assert true_lift(sc.lift_rows[:1], x, y, t) == 0.0
+
+
+def test_env_step_rebuilds_the_near_set_every_near_steps(airframe, rng):
+    # a thermal born 3 s in joins at the rebuild whose window reaches its birth
+    sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 80.0, 0.0, 50.0), birth=3.0),
+                         ThermalSpec(ThermalParams(2.0, 80.0, 0.0, 5000.0))))
+    w = make_world(sc, h0=100.0, v=AIRSPEED)
+    seen = []
+    for _ in range(3 * NEAR_STEPS // STEPS_PER_RECORD):
+        env_tick(sc, airframe, w, 0.0, rng)
+        seen.append((w.step, w.near_until, len(w.near)))
+    assert seen[0] == (STEPS_PER_RECORD, NEAR_STEPS, 0)
+    assert seen[-1] == (3 * NEAR_STEPS, 3 * NEAR_STEPS, 1)
+    assert {n for step, until, n in seen if step <= NEAR_STEPS} == {0}
+    assert {n for step, until, n in seen if step > NEAR_STEPS} == {1}
 
 
 def test_vario_period_steps():
