@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .environment import Scenario, materialize
@@ -67,15 +67,7 @@ def cmd_run(args) -> int:
     finally:
         if sink is not None:
             sink.close()
-    out = {
-        "controller": args.controller,
-        "seed": sc.seed,
-        "flight_time": rec.flight_time,
-        "energy_used": rec.energy_used,
-        "thermal_encounters": rec.thermal_encounters,
-        "crashed": rec.crashed,
-        "mode_seconds": rec.mode_seconds,
-    }
+    out = {"controller": args.controller, "seed": sc.seed, **asdict(rec)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, PidState, UavState, step_kinematics
-from .params import ConfigError
+from .params import ConfigError, Section, check
 from .thermal import ThermalParams
 
 SCHEMA_VERSION = 1
@@ -369,95 +369,36 @@ def calm_variant(sc: Scenario) -> Scenario:
     return replace(sc, thermals=(), random_thermals=None, turbulence_sigma=0.0)
 
 
-# what materialize reads from each random block: (one key out of each
-# group, the optional keys)
-RANDOM_BLOCK_KEYS = {
-    "random_thermals": ((("w0",), ("r0",), ("count", "clusters"), ("box", "ring")),
-                        ("r0_log", "bells", "offset_sigma", "birth", "lifetime", "drift")),
-    "random_wind": ((("speed",),), ()),
-}
+# the schema of a site file, checked before anything is built from it;
+# materialize reads the random blocks, _thermal_spec a thermal entry
+RING = Section({"radius": "range"}, required=("radius",))
+RANDOM_THERMALS = Section(
+    {"w0": "range", "r0": "radius range", "r0_log": "bool", "count": "count", "clusters": "count",
+     "bells": "count range", "offset_sigma": "number", "box": "box", "ring": RING,
+     "birth": "range", "lifetime": "range", "drift": "range"},
+    required=("w0", "r0", ("count", "clusters"), ("box", "ring")),
+)
+RANDOM_WIND = Section({"speed": "range"}, required=("speed",))
+THERMAL = Section(
+    {"w0": "number", "r0": "number", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
+    required=("w0", "r0", "center"),
+)
+SITE = Section({
+    "schema_version": "count", "site": "string", "mission": "object",  # mission_from_dict checks the mission
+    "thermals": [THERMAL], "wind": "pair", "turbulence_sigma": "number", "vario_sigma": "number",
+    "vario_rate": "number", "sink_s0": "number", "seed": "count", "battery_j": "number",
+    "motor_power_w": "number", "motor_climb_rate": "number", "avionics_power_w": "number",
+    "random_thermals": RANDOM_THERMALS, "random_wind": RANDOM_WIND,
+})
 
 
-# the Scenario fields a file may set; the rest keep Scenario's defaults
-SCENARIO_KEYS = tuple(f.name for f in fields(Scenario) if f.init and f.name != "thermals")
-# what a site file may hold beside them; load_bundle reads the mission section
-FILE_KEYS = SCENARIO_KEYS + ("thermals", "mission", "schema_version", "site")
-THERMAL_KEYS = ("w0", "r0", "center", "birth", "lifetime", "drift")
-# the Scenario fields that hold one float each
-NUMBER_KEYS = tuple(f.name for f in fields(Scenario) if isinstance(f.default, float))
-
-
-def reject_unknown_keys(data: dict, known, where: str) -> None:
-    """A ConfigError naming the first key of data outside known: a misspelt
-    key would otherwise leave its setting at the default."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _is_number(value) -> bool:
-    """value is a finite int or float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _number(value, where: str):
-    """value, checked to be a finite number."""
-    if not _is_number(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return value
-
-
-def _pair(value, where: str, ordered: bool = True):
-    """value, checked to be two finite numbers, low <= high when ordered."""
-    numbers = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-    if not numbers or (ordered and value[0] > value[1]):
-        shape = "a [low, high] range" if ordered else "two finite numbers"
-        raise ConfigError(f"{where} must be {shape}, got {value!r}")
-    return value
-
-
-def _check_random_block(name: str, block: dict) -> None:
-    """The shapes materialize relies on, checked without drawing anything."""
-    for key in ("w0", "r0", "birth", "lifetime", "drift", "speed", "bells"):
-        if key in block:
-            _pair(block[key], f"{name}.{key}")
-    if "offset_sigma" in block:
-        _number(block["offset_sigma"], f"{name}.offset_sigma")
-    if "r0" in block and not block["r0"][0] > 0.0:
-        raise ConfigError(f"{name}.r0 must start above 0, got {block['r0']!r}")
-    for n in [block.get("count", 0), block.get("clusters", 0), *block.get("bells", ())]:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ConfigError(f"{name}: count, clusters and bells must be non-negative ints, got {n!r}")
-    if "ring" in block:
-        reject_unknown_keys(block["ring"], ("radius",), f"{name}.ring")
-        _pair(block["ring"].get("radius"), f"{name}.ring.radius")
-    if "box" in block:
-        box = block["box"]
-        if not (isinstance(box, list) and len(box) == 2):
-            raise ConfigError(f"{name}.box must hold two points, got {box!r}")
-        for low_high in zip(*(_pair(point, f"{name}.box", ordered=False) for point in box)):
-            _pair(low_high, f"{name}.box (low corner first)")
-
-
-def _thermal_spec(th: dict, where: str) -> ThermalSpec:
-    """One entry of a site file's thermals. A key the entry leaves out, or
-    a null lifetime, keeps ThermalSpec's default."""
-    reject_unknown_keys(th, THERMAL_KEYS, where)
-    w0, r0 = (_number(th.get(key), f"{where}.{key}") for key in ("w0", "r0"))
-    given = {}
-    if "birth" in th:
-        given["birth"] = _number(th["birth"], f"{where}.birth")
-    if th.get("lifetime") is not None:
-        lifetime = th["lifetime"]
-        if not (_is_number(lifetime) or lifetime == math.inf):  # JSON reads 1e400 as inf
-            raise ConfigError(f"{where}.lifetime must be a number or null, got {lifetime!r}")
-        given["lifetime"] = lifetime
+def _thermal_spec(th: dict) -> ThermalSpec:
+    """One checked entry of a site file's thermals. A key the entry leaves
+    out, or a null lifetime, keeps ThermalSpec's default."""
+    given = {key: th[key] for key in ("birth", "lifetime") if th.get(key) is not None}
     if "drift" in th:
-        given["drift"] = tuple(_pair(th["drift"], f"{where}.drift", ordered=False))
-    center = _pair(th.get("center"), f"{where}.center", ordered=False)
-    return ThermalSpec(ThermalParams(w0, r0, *center), **given)
+        given["drift"] = tuple(th["drift"])
+    return ThermalSpec(ThermalParams(th["w0"], th["r0"], *th["center"]), **given)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -465,30 +406,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(
             f"unsupported scenario schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
-    reject_unknown_keys(data, FILE_KEYS, "the scenario")
-    for name, (required, optional) in RANDOM_BLOCK_KEYS.items():
-        block = data.get(name)
-        if block is None:
-            continue
-        reject_unknown_keys(block, set(chain(*required, optional)), name)
-        for keys in required:
-            if not any(k in block for k in keys):
-                raise ConfigError(f"{name} is missing {' or '.join(repr(k) for k in keys)}")
-        _check_random_block(name, block)
-    given = {k: data[k] for k in SCENARIO_KEYS if k in data}
-    for key in NUMBER_KEYS:
-        if key in given:
-            _number(given[key], key)
-    seed = given.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    check(data, SITE, "")
+    given = {f.name: data[f.name] for f in fields(Scenario) if f.init and f.name in data}
     if "wind" in given:
-        given["wind"] = tuple(_pair(given["wind"], "wind", ordered=False))
-    try:
-        thermals = tuple(_thermal_spec(th, f"thermals[{i}]") for i, th in enumerate(data.get("thermals", [])))
-        return Scenario(thermals=thermals, **given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario: {exc}") from exc
+        given["wind"] = tuple(given["wind"])
+    given["thermals"] = tuple(map(_thermal_spec, given.get("thermals", ())))
+    return Scenario(**given)
 
 
 def load_scenario_file(path: str | Path) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,8 +26,10 @@ from .environment import Scenario, calm_variant, load_scenario_file, materialize
 from .mission import BASELINE, POMDSOAR, MissionConfig, mission_from_dict, run_flight
 from .params import (
     ConfigError,
+    Section,
     airframe_from_params,
     baseline_from_params,
+    check,
     noise_from_params,
     parse_param_file,
     planner_from_params,
@@ -60,6 +62,14 @@ class FlightSummary:
     @property
     def gain_pct(self) -> float:
         return (self.rel_gain - 1.0) * 100.0
+
+
+# the schema of one entry of a summaries file
+SUMMARY = Section(
+    {"flight_id": "string", "site": "string", "controller": "controller", "airframe": "string",
+     "flight_time": "positive", "baseline_time": "positive", "thermal_encounters": "count", "excluded": "bool"},
+    required=tuple(f.name for f in fields(FlightSummary) if f.default is MISSING),
+)
 
 
 @dataclass(frozen=True)
@@ -255,18 +265,7 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
     if not summaries:
         raise ValueError("report needs at least one flight summary")
     rows = [
-        {
-            "flight_id": s.flight_id,
-            "site": s.site,
-            "controller": s.controller,
-            "airframe": s.airframe,
-            "flight_time": s.flight_time,
-            "baseline_time": s.baseline_time,
-            "rel_gain": s.rel_gain,
-            "gain_pct": s.gain_pct,
-            "thermal_encounters": s.thermal_encounters,
-            "excluded": s.excluded,
-        }
+        {c: getattr(s, c) for c in CSV_COLUMNS}
         for s in sorted(summaries, key=lambda s: (s.flight_id, s.controller))
     ]
 
@@ -378,25 +377,5 @@ def summaries_from_json(path: str | Path) -> list[FlightSummary]:
         raise ConfigError(
             f"{path}: unsupported schema_version {data.get('schema_version')!r}, expected {REPORT_SCHEMA_VERSION}"
         )
-    try:
-        summaries = [FlightSummary(**entry) for entry in data["summaries"]]
-    except TypeError as exc:
-        raise ConfigError(f"{path}: malformed summary: {exc}") from exc
-    for i, s in enumerate(summaries):
-        where = f"{path}: summary {i}"
-        if s.controller not in (POMDSOAR, BASELINE):
-            raise ConfigError(f"{where}: controller must be {POMDSOAR!r} or {BASELINE!r}, got {s.controller!r}")
-        for name in ("flight_id", "site", "airframe"):
-            v = getattr(s, name)
-            if not isinstance(v, str):
-                raise ConfigError(f"{where}: {name} must be a string, got {v!r}")
-        for name in ("flight_time", "baseline_time"):
-            v = getattr(s, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
-                raise ConfigError(f"{where}: {name} must be a finite positive number, got {v!r}")
-        n = s.thermal_encounters
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ConfigError(f"{where}: thermal_encounters must be a non-negative int, got {n!r}")
-        if not isinstance(s.excluded, bool):
-            raise ConfigError(f"{where}: excluded must be a bool, got {s.excluded!r}")
-    return summaries
+    entries = check(data["summaries"], [SUMMARY], f"{path}: summaries")
+    return [FlightSummary(**entry) for entry in entries]

@@ -22,11 +22,8 @@ from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
 from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
-from .environment import NormalBlocks, Scenario, env_tick, make_world, reject_unknown_keys
-from .params import ConfigError
-
-POMDSOAR = "pomdsoar"
-BASELINE = "baseline"
+from .environment import NormalBlocks, Scenario, env_tick, make_world
+from .params import BASELINE, POMDSOAR, ConfigError, Section, check
 
 
 class FlightMode(enum.Enum):
@@ -79,18 +76,22 @@ class MissionConfig:
 
 
 def _is_convex(poly) -> bool:
+    """The edges turn one way only and wind once around: a pentagram's
+    turn one way too, but wind twice."""
     n = len(poly)
     sign = 0.0
+    turning = 0.0
     for i in range(n):
         ox, oy = poly[i]
         ax, ay = poly[(i + 1) % n]
         bx, by = poly[(i + 2) % n]
         cross = (ax - ox) * (by - ay) - (ay - oy) * (bx - ax)
+        turning += math.atan2(cross, (ax - ox) * (bx - ax) + (ay - oy) * (by - ay))
         if cross != 0.0:
             if sign != 0.0 and (cross > 0) != (sign > 0):
                 return False
             sign = cross
-    return True
+    return abs(turning) < 3.0 * math.pi  # a closed polygon turns 2 pi per winding
 
 
 def point_in_convex_polygon(pt, poly) -> bool:
@@ -321,32 +322,29 @@ def run_flight(
     )
 
 
-MISSION_KEYS = ("waypoints", "geofence", "alt_min", "alt_cutoff", "alt_max", "site")
+# the schema of a site file's mission section
+MISSION = Section(
+    {"waypoints": ["pair"], "geofence": ["pair"], "alt_min": "number", "alt_cutoff": "number",
+     "alt_max": "number", "site": "string"},
+    required=("waypoints", "geofence", "alt_min", "alt_cutoff", "alt_max"),
+)
 
 
 def mission_from_dict(data: dict, p: dict) -> MissionConfig:
     """Build a MissionConfig from the mission section of a site file and
     the resolved params p. An altitude band set in p overrides the file's.
     """
-    reject_unknown_keys(data, MISSION_KEYS, "the mission section")
-    try:
-        waypoints = tuple((float(x), float(y)) for x, y in data["waypoints"])
-        geofence = tuple((float(x), float(y)) for x, y in data["geofence"])
-        alt_min = data["alt_min"]
-        alt_cutoff = data["alt_cutoff"]
-        alt_max = data["alt_max"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed mission section: {exc}") from exc
+    check(data, MISSION, "mission")
 
     def over(key, value):
         return value if p[key] is None else p[key]
 
     return MissionConfig(
-        waypoints=waypoints,
-        geofence=geofence,
-        alt_min=over("SOAR_ALT_MIN", alt_min),
-        alt_cutoff=over("SOAR_ALT_CUTOFF", alt_cutoff),
-        alt_max=over("SOAR_ALT_MAX", alt_max),
+        waypoints=tuple((float(x), float(y)) for x, y in data["waypoints"]),
+        geofence=tuple((float(x), float(y)) for x, y in data["geofence"]),
+        alt_min=over("SOAR_ALT_MIN", data["alt_min"]),
+        alt_cutoff=over("SOAR_ALT_CUTOFF", data["alt_cutoff"]),
+        alt_max=over("SOAR_ALT_MAX", data["alt_max"]),
         detect_threshold=p["SOAR_VSPEED"],
         detect_filter_tau=p["SOAR_FILT_TAU"],
         exit_threshold=p["SOAR_EXIT_VSPEED"],

@@ -1,21 +1,109 @@
-"""Autopilot-style parameter file: KEY=VALUE lines, '#' comments.
+"""Autopilot-style parameter file: KEY=VALUE lines, '#' comments, and
+the one checker of every input file.
 
 Unknown keys are rejected with the offending line number. Values
 override the defaults in PARAM_SPEC, the one source of every config
 default; angle-valued keys are in degrees in the file and converted to
 radians when configs are built.
+
+check() holds every JSON input (the site file, its mission section, a
+summaries file) to a schema declared beside the code that builds from
+it, and a param file's floats to the same finite-number kind.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+POMDSOAR = "pomdsoar"
+BASELINE = "baseline"
 
 
 class ConfigError(Exception):
     """Bad configuration input (param file, scenario/mission JSON, CLI)."""
+
+
+def _number(v) -> bool:
+    # a bool is not a number here, though Python counts it as an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _two(test):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(test, v))
+
+
+def _ordered(test):
+    """Two values that pass test, [low, high] with low <= high."""
+    return lambda v: _two(test)(v) and v[0] <= v[1]
+
+
+# kind -> (test, what a value of the kind is, for the message)
+KINDS = {
+    "number": (_number, "a finite number"),
+    "positive": (lambda v: _number(v) and v > 0.0, "a finite positive number"),
+    "count": (_count, "a non-negative int"),
+    "pair": (_two(_number), "two finite numbers"),
+    "range": (_ordered(_number), "a [low, high] range"),
+    "radius range": (lambda v: _ordered(_number)(v) and v[0] > 0.0, "a [low, high] range with low above 0"),
+    "count range": (_ordered(_count), "a [low, high] range of non-negative ints"),
+    "box": (lambda v: _two(_two(_number))(v) and all(map(_ordered(_number), zip(*v))),
+            "two points [x, y], low corner first"),
+    # null, or 1e400 (which JSON reads as inf), is a thermal that never fades
+    "lifetime": (lambda v: v is None or _number(v) or v == math.inf, "a number or null"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "controller": (lambda v: v in (POMDSOAR, BASELINE), f"{POMDSOAR!r} or {BASELINE!r}"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "list": (lambda v: isinstance(v, list), "a JSON list"),
+}
+
+
+class Section(NamedTuple):
+    """The schema of a JSON object: key -> kind, and the keys it must
+    hold; a tuple in required is a group of keys, one of which it must hold."""
+
+    keys: dict
+    required: tuple = ()
+
+
+def check(value, kind, where: str):
+    """value, checked to be of kind: a KINDS name, a Section, or [kind]
+    for a JSON list of that kind. where names value in its file, e.g.
+    thermals[0]; an empty where is the top level of a site file.
+
+    A ConfigError names the first bad value by its path: an unknown key
+    (a misspelt key would leave its setting at the default), a missing
+    required key, or a value that is not of its kind.
+    """
+    if isinstance(kind, Section):
+        check(value, "object", where)
+        name = where or "the scenario"
+        for key in value:
+            if key not in kind.keys:
+                raise ConfigError(f"unknown key {key!r} in {name}")
+        for group in kind.required:
+            group = group if isinstance(group, tuple) else (group,)
+            if not any(key in value for key in group):
+                raise ConfigError(f"{name} is missing {' or '.join(map(repr, group))}")
+        for key, item in value.items():
+            check(item, kind.keys[key], f"{where}.{key}" if where else key)
+    elif isinstance(kind, list):
+        check(value, "list", where)
+        for i, item in enumerate(value):
+            check(item, kind[0], f"{where}[{i}]")
+    else:
+        test, what = KINDS[kind]
+        if not test(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
 
 
 def _banks(text: str) -> tuple[float, ...]:
@@ -99,6 +187,8 @@ def parse_param_file(path: str | Path) -> dict:
             overrides[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if parser is float:  # float() reads nan and inf, which would fly silently wrong
+            check(overrides[key], "number", f"{path}:{lineno}: {key}")
     return overrides
 
 

@@ -15,6 +15,11 @@ def ring(n, radius, phase=90.0):
     ]
 
 
+def pentagram(radius):
+    """A pentagon's vertices visited in the order 0, 2, 4, 1, 3: a star."""
+    return [ring(5, radius)[k] for k in (0, 2, 4, 1, 3)]
+
+
 # a complete random_thermals block: three bells anywhere in a 200 m box
 RANDOM_BOX = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
 
@@ -166,7 +171,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, where", [
         (None, "turbulance_sigma", "the scenario"),
         ("thermals", "lifetim", "thermals[0]"),
-        ("mission", "alt_maxx", "the mission section"),
+        ("mission", "alt_maxx", "mission"),
         ("random_wind", "sped", "random_wind"),
     ], ids=["top-level", "thermal", "mission", "random-wind"])
     def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, section, key, where):
@@ -190,8 +195,13 @@ class TestExitCodes:
          "thermals[0].drift must be two finite numbers"),
         (dict(wind=[1.0]), "wind must be two finite numbers"),
         (dict(wind=[1.0, 0.0, 0.0]), "wind must be two finite numbers"),
+        (dict(random_thermals={**RANDOM_BOX, "r0_log": "false"}), "random_thermals.r0_log must be a bool, got 'false'"),
+        (dict(thermals={}), "thermals must be a JSON list, got {}"),
+        (dict(thermals=""), "thermals must be a JSON list, got ''"),
+        (dict(thermals=None), "thermals must be a JSON list, got None"),
     ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
-            "wind-one-number", "wind-three-numbers"])
+            "wind-one-number", "wind-three-numbers", "r0-log-string", "thermals-object", "thermals-string",
+            "thermals-null"])
     def test_malformed_site_value_is_config_error(self, tmp_path, capsys, overrides, named):
         site = tiny_site(tmp_path, **overrides)
         assert cli.main(["run", "--scenario", str(site)]) == 2
@@ -220,6 +230,38 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(site) in err and named in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("alt_min", "30", "mission.alt_min must be a finite number, got '30'"),
+        ("alt_max", None, "mission.alt_max must be a finite number, got None"),
+        ("waypoints", [["0", "210"], [-181.9, -105.0], [181.9, -105.0]],
+         "mission.waypoints[0] must be two finite numbers, got ['0', '210']"),
+        ("waypoints", [[0, True], [-181.9, -105.0], [181.9, -105.0]],
+         "mission.waypoints[0] must be two finite numbers, got [0, True]"),
+        ("site", 5, "mission.site must be a string, got 5"),
+        ("geofence", pentagram(300.0), "geofence polygon must be convex"),
+    ], ids=["alt-min-string", "alt-max-null", "waypoint-strings", "waypoint-bool", "site-int", "pentagram-fence"])
+    def test_bad_mission_value_is_config_error(self, tmp_path, capsys, key, value, named):
+        doc = json.loads(tiny_site(tmp_path).read_text())
+        doc["mission"][key] = value
+        if key == "geofence":
+            doc["mission"]["waypoints"] = [[0.0, 50.0], [-40.0, -30.0], [40.0, -30.0]]
+        site = tmp_path / "bad_mission.json"
+        site.write_text(json.dumps(doc))
+        # sweep wrote a summaries file with "site": 5 that report then rejected
+        assert cli.main(["sweep", "--scenario", str(site), "--count", "1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(site) in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["SOAR_VSPEED=nan", "SOAR_THML_W0=nan", "NAV_GAIN=inf"])
+    def test_non_finite_param_value_is_config_error(self, tmp_path, capsys, line):
+        site = tiny_site(tmp_path)
+        params = tmp_path / "bad_value.param"
+        params.write_text(line + "\n")
+        assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
+        key, value = line.split("=")
+        assert f"bad_value.param:1: {key} must be a finite number, got {value}" in capsys.readouterr().err
 
     def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
         site = tiny_site(tmp_path, random_wind={})

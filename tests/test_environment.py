@@ -226,23 +226,25 @@ class TestScenarioFiles:
             scenario_from_dict({"schema_version": 1, "site": "s", "mission": {}, **change})
 
     @pytest.mark.parametrize("change, message", [
-        ({"r0": [0.0, 80.0]}, "random_thermals.r0 must start above 0"),
+        ({"r0": [0.0, 80.0]}, "random_thermals.r0 must be a [low, high] range with low above 0, got [0.0, 80.0]"),
         ({"lifetime": [900.0, 400.0]}, "random_thermals.lifetime must be a [low, high] range"),
         ({"birth": [0.0, math.nan]}, "random_thermals.birth must be a [low, high] range"),
         ({"drift": [0.0, True]}, "random_thermals.drift must be a [low, high] range"),
-        ({"count": -1}, "count, clusters and bells must be non-negative ints, got -1"),
-        ({"count": 2.5}, "count, clusters and bells must be non-negative ints, got 2.5"),
-        ({"count": None, "clusters": True}, "count, clusters and bells must be non-negative ints, got True"),
-        ({"bells": [1.5, 3]}, "count, clusters and bells must be non-negative ints, got 1.5"),
+        ({"count": -1}, "random_thermals.count must be a non-negative int, got -1"),
+        ({"count": 2.5}, "random_thermals.count must be a non-negative int, got 2.5"),
+        ({"count": None, "clusters": True}, "random_thermals.clusters must be a non-negative int, got True"),
+        ({"bells": [1.5, 3]}, "random_thermals.bells must be a [low, high] range of non-negative ints, got [1.5, 3]"),
         ({"bells": [3, 1]}, "random_thermals.bells must be a [low, high] range"),
-        ({"box": [[0.0, 0.0]]}, "random_thermals.box must hold two points"),
-        ({"box": [[0.0, 0.0], [1.0]]}, "random_thermals.box must be two finite numbers"),
-        ({"box": [[100.0, -100.0], [-100.0, 100.0]]}, "random_thermals.box (low corner first) must be a [low, high]"),
-        ({"box": None, "ring": {}}, "random_thermals.ring.radius must be a [low, high] range, got None"),
+        ({"box": [[0.0, 0.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0]]"),
+        ({"box": [[0.0, 0.0], [1.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0], [1.0]]"),
+        ({"box": [[100.0, -100.0], [-100.0, 100.0]]}, "random_thermals.box must be two points [x, y], low corner first"),
+        ({"box": None, "ring": {}}, "random_thermals.ring is missing 'radius'"),
         ({"box": None, "ring": {"radius": [215.0, 140.0]}}, "random_thermals.ring.radius must be a [low, high]"),
+        ({"r0_log": "false"}, "random_thermals.r0_log must be a bool, got 'false'"),
+        ({"r0_log": 0.0}, "random_thermals.r0_log must be a bool, got 0.0"),
     ], ids=["r0-at-zero", "lifetime-reversed", "birth-nan", "drift-bool", "count-negative", "count-float",
             "clusters-bool", "bells-float", "bells-reversed", "box-one-point", "box-short-point",
-            "box-reversed", "ring-without-radius", "ring-reversed"])
+            "box-reversed", "ring-without-radius", "ring-reversed", "r0-log-string", "r0-log-float"])
     def test_malformed_random_thermals_rejected(self, change, message):
         block = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
         block = {k: v for k, v in {**block, **change}.items() if v is not None}
@@ -262,7 +264,7 @@ class TestScenarioFiles:
         ({"birth": -math.inf}, "thermals[0].birth must be a finite number, got -inf"),
         ({"lifetime": math.nan}, "thermals[0].lifetime must be a number or null, got nan"),
         ({"lifetime": False}, "thermals[0].lifetime must be a number or null, got False"),
-        ({"w0": None}, "thermals[0].w0 must be a finite number, got None"),
+        ({"w0": None}, "thermals[0] is missing 'w0'"),
     ], ids=["w0-inf", "r0-nan", "birth-inf", "lifetime-nan", "lifetime-bool", "w0-missing"])
     def test_non_finite_thermal_values_rejected(self, change, message):
         entry = {k: v for k, v in {"w0": 2.0, "r0": 60.0, "center": [0.0, 0.0], **change}.items() if v is not None}

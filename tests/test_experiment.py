@@ -157,27 +157,28 @@ class TestReport:
         ('["not", "an", "object"]', "has no 'summaries' list"),
         ('{"schema_version": 1}', "has no 'summaries' list"),
         ('{"schema_version": 0, "summaries": []}', "unsupported schema_version 0"),
-        ('{"schema_version": 1, "summaries": [{"flight_id": "001", "colour": "red"}]}', "malformed summary"),
-        ('{"schema_version": 1, "summaries": [["001"]]}', "malformed summary"),
-        pytest.param(summaries_text(flight_time="900"), "summary 1: flight_time must be", id="string-time"),
-        pytest.param(summaries_text(flight_time=True), "summary 1: flight_time must be", id="bool-time"),
-        pytest.param(summaries_text(flight_time=math.nan), "summary 1: flight_time must be", id="nan-time"),
-        pytest.param(summaries_text(baseline_time=0.0), "summary 1: baseline_time must be", id="zero-baseline"),
-        pytest.param(summaries_text(baseline_time=-600), "summary 1: baseline_time must be", id="negative-baseline"),
-        pytest.param(summaries_text(baseline_time=math.inf), "summary 1: baseline_time must be", id="inf-baseline"),
-        pytest.param(summaries_text(thermal_encounters=-1), "summary 1: thermal_encounters must be",
+        ('{"schema_version": 1, "summaries": [{"flight_id": "001", "colour": "red"}]}',
+         r"unknown key 'colour' in .*summaries\[0\]"),
+        ('{"schema_version": 1, "summaries": [["001"]]}', r"summaries\[0\] must be a JSON object, got \['001'\]"),
+        pytest.param(summaries_text(flight_time="900"), r"summaries\[1\]\.flight_time must be", id="string-time"),
+        pytest.param(summaries_text(flight_time=True), r"summaries\[1\]\.flight_time must be", id="bool-time"),
+        pytest.param(summaries_text(flight_time=math.nan), r"summaries\[1\]\.flight_time must be", id="nan-time"),
+        pytest.param(summaries_text(baseline_time=0.0), r"summaries\[1\]\.baseline_time must be", id="zero-baseline"),
+        pytest.param(summaries_text(baseline_time=-600), r"summaries\[1\]\.baseline_time must be", id="negative-baseline"),
+        pytest.param(summaries_text(baseline_time=math.inf), r"summaries\[1\]\.baseline_time must be", id="inf-baseline"),
+        pytest.param(summaries_text(thermal_encounters=-1), r"summaries\[1\]\.thermal_encounters must be",
                      id="negative-encounters"),
-        pytest.param(summaries_text(thermal_encounters=1.0), "summary 1: thermal_encounters must be",
+        pytest.param(summaries_text(thermal_encounters=1.0), r"summaries\[1\]\.thermal_encounters must be",
                      id="float-encounters"),
-        pytest.param(summaries_text(thermal_encounters=False), "summary 1: thermal_encounters must be",
+        pytest.param(summaries_text(thermal_encounters=False), r"summaries\[1\]\.thermal_encounters must be",
                      id="bool-encounters"),
-        pytest.param(summaries_text(excluded=0), "summary 1: excluded must be a bool", id="int-excluded"),
-        pytest.param(summaries_text(excluded="false"), "summary 1: excluded must be a bool", id="string-excluded"),
-        pytest.param(summaries_text(controller="pid"), "summary 1: controller must be 'pomdsoar' or 'baseline'",
+        pytest.param(summaries_text(excluded=0), r"summaries\[1\]\.excluded must be a bool", id="int-excluded"),
+        pytest.param(summaries_text(excluded="false"), r"summaries\[1\]\.excluded must be a bool", id="string-excluded"),
+        pytest.param(summaries_text(controller="pid"), r"summaries\[1\]\.controller must be 'pomdsoar' or 'baseline'",
                      id="unknown-controller"),
-        pytest.param(summaries_text(flight_id=1), "summary 1: flight_id must be a string", id="int-flight-id"),
-        pytest.param(summaries_text(site=5), "summary 1: site must be a string", id="int-site"),
-        pytest.param(summaries_text(airframe=None), "summary 1: airframe must be a string", id="null-airframe"),
+        pytest.param(summaries_text(flight_id=1), r"summaries\[1\]\.flight_id must be a string", id="int-flight-id"),
+        pytest.param(summaries_text(site=5), r"summaries\[1\]\.site must be a string", id="int-site"),
+        pytest.param(summaries_text(airframe=None), r"summaries\[1\]\.airframe must be a string", id="null-airframe"),
     ])
     def test_bad_summaries_file_rejected(self, tmp_path, text, named):
         path = tmp_path / "s.json"

@@ -8,6 +8,7 @@ import soarsim.environment as environment
 import soarsim.mission as mission
 from soarsim.dynamics import RECORD_DT
 from soarsim.environment import Scenario, ThermalSpec
+from soarsim.experiment import load_bundle
 from soarsim.mission import (
     BASELINE,
     POMDSOAR,
@@ -23,11 +24,18 @@ from soarsim.mission import (
 from soarsim.params import ConfigError, resolve_params
 from soarsim.thermal import ThermalParams
 
-from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, mission_config, prior
+from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, prior
 
 
 def square(r):
     return ((r, r), (-r, r), (-r, -r), (r, -r))
+
+
+def pentagram(r):
+    """The vertices of a pentagon of radius r visited in the order 0, 2, 4,
+    1, 3: every turn is the same way, but the edges wind twice around."""
+    pentagon = [(r * math.cos(math.radians(90 + 72 * k)), r * math.sin(math.radians(90 + 72 * k))) for k in range(5)]
+    return tuple(pentagon[k] for k in (0, 2, 4, 1, 3))
 
 
 class TestConfigValidation:
@@ -47,6 +55,18 @@ class TestConfigValidation:
         bowtie = ((0, 0), (100, 100), (100, 0), (0, 100))
         with pytest.raises(ConfigError):
             mission_config(geofence=bowtie)
+
+    @pytest.mark.parametrize("fence", [pentagram(300.0), tuple(reversed(pentagram(300.0)))], ids=["ccw", "cw"])
+    def test_self_intersecting_fence_rejected(self, fence):
+        # the inner pentagon holds the waypoints, so only the winding count can reject it
+        waypoints = ((0.0, 50.0), (-40.0, -30.0), (40.0, -30.0))
+        with pytest.raises(ConfigError, match="geofence polygon must be convex"):
+            mission_config(waypoints=waypoints, geofence=fence)
+
+    @pytest.mark.parametrize("site", ["field", "valley"])
+    def test_shipped_octagons_and_a_square_are_convex(self, site):
+        assert len(load_bundle(REPO / "scenarios" / f"{site}.json")[1].mission.geofence) == 8
+        assert mission_config(geofence=square(345.0)).geofence == square(345.0)
 
     def test_unknown_controller(self):
         with pytest.raises(ConfigError):
@@ -311,5 +331,5 @@ def test_mission_from_dict_param_overrides():
     assert not cfg.soaring_enabled
     with pytest.raises(ConfigError):
         mission_from_dict({"waypoints": [[0, 1]]}, p)
-    with pytest.raises(ConfigError, match="unknown key 'alt_maxx' in the mission section"):
+    with pytest.raises(ConfigError, match="unknown key 'alt_maxx' in mission"):
         mission_from_dict({**data, "alt_maxx": 170.0}, p)

@@ -52,6 +52,17 @@ SOAR_POMDP_BANKS = -30, 0, 30
             parse_param_file(path)
         assert ":3:" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["SOAR_VSPEED=nan", "SOAR_THML_W0=NaN", "NAV_GAIN=inf", "SOAR_ALT_MIN=-inf"])
+    def test_non_finite_value_reports_line_and_key(self, tmp_path, line):
+        path = write(tmp_path, "SOAR_POMDP_N=12\n" + line + "\n")
+        key, value = line.split("=")
+        with pytest.raises(ConfigError, match=f":2: {key} must be a finite number, got {float(value)!r}$"):
+            parse_param_file(path)
+
+    def test_altitude_bands_default_to_the_mission_file(self, tmp_path):
+        p = resolve_params(parse_param_file(write(tmp_path, "SOAR_ALT_MAX=170\n")))
+        assert (p["SOAR_ALT_MIN"], p["SOAR_ALT_CUTOFF"], p["SOAR_ALT_MAX"]) == (None, None, 170.0)
+
     def test_missing_equals(self, tmp_path):
         path = write(tmp_path, "SOAR_POMDP_HORI 4\n")
         with pytest.raises(ConfigError):
