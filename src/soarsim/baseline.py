@@ -21,7 +21,6 @@ class BaselineConfig:
     circle_radius: float  # m
     kp: float  # rad of bank per m of radial error
     kd: float  # rad of bank per m/s of radial rate
-    max_bank: float  # rad; the loiter flies under the dynamics' bank clamp
 
     def __post_init__(self):
         if not self.circle_radius > 0.0:
@@ -38,11 +37,12 @@ def baseline_choose_bank(
     uav: UavState,
     b: GaussianBelief,
     direction: int,
+    bank_limit: float,
 ) -> float:
     """Target bank, rad, tracking the fixed circle about the belief mean.
 
     direction is +1 for a right-hand (clockwise) orbit, -1 for left.
-    Output saturates at +/- max_bank.
+    Output saturates at +/- bank_limit, the airframe's bank clamp.
     """
     # belief center is relative to the UAV; radial vector points UAV-ward
     dx, dy = -b.mean[2], -b.mean[3]
@@ -56,4 +56,4 @@ def baseline_choose_bank(
         r_rate = 0.0
     nominal = math.atan(uav.v * uav.v / (G * cfg.circle_radius))
     cmd = direction * (nominal + cfg.kp * err + cfg.kd * r_rate)
-    return max(-cfg.max_bank, min(cfg.max_bank, cmd))
+    return max(-bank_limit, min(bank_limit, cmd))

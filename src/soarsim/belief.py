@@ -103,22 +103,21 @@ def ekf_update(
     return GaussianBelief(mean, cov)
 
 
-def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; one jitter retry, then the belief is corrupt."""
+def sample_thermal(b: GaussianBelief, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n thermal hypotheses of one planning cycle (relative frame): an
+    (n, 4) array of rows (w0, r0, cx, cy), r0 floored at R0_FLOOR. Each row
+    is mean + chol @ z, one product per row: one (n, 4) matmul sums in
+    another order and moves last bits."""
     try:
-        return np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(b.cov)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.cholesky(cov + JITTER * np.eye(cov.shape[0]))
+            chol = np.linalg.cholesky(b.cov + JITTER * np.eye(4))
         except np.linalg.LinAlgError as exc:
             raise ValueError("belief covariance is not positive definite") from exc
-
-
-def sample_thermal(b: GaussianBelief, rng: np.random.Generator) -> ThermalParams:
-    """One thermal hypothesis drawn from the belief (relative frame)."""
-    chol = cholesky_with_jitter(b.cov)
-    draw = b.mean + chol @ rng.standard_normal(4)
-    return ThermalParams(float(draw[0]), max(float(draw[1]), R0_FLOOR), float(draw[2]), float(draw[3]))
+    draws = np.array([b.mean + chol @ z for z in rng.standard_normal((n, 4))])
+    draws[:, IDX_R0] = np.maximum(draws[:, IDX_R0], R0_FLOOR)
+    return draws
 
 
 def uncertainty(b: GaussianBelief, weights) -> float:

@@ -99,13 +99,13 @@ class AirframeParams:
 class UavState:
     """Kinematic state of the sailplane in the air-mass frame."""
 
-    x: float = 0.0  # m
-    y: float = 0.0  # m
-    v: float = 9.0  # airspeed, m/s (constant in flight)
-    psi: float = 0.0  # heading, rad, 0 = north (+y), positive clockwise
-    phi: float = 0.0  # bank angle, rad
-    phi_dot: float = 0.0  # roll rate, rad/s
-    h: float = 100.0  # altitude MSL, m
+    x: float  # m
+    y: float  # m
+    v: float  # airspeed, m/s (constant in flight)
+    psi: float  # heading, rad, 0 = north (+y), positive clockwise
+    phi: float  # bank angle, rad
+    phi_dot: float  # roll rate, rad/s
+    h: float  # altitude MSL, m
 
     def __post_init__(self):
         if not self.v > 0.0:

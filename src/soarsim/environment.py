@@ -77,8 +77,10 @@ class Scenario:
     vario_period: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vario_rate > 0.0:
-            raise ConfigError("vario_rate must be positive")
+        # readings per step; a rate whose inverse overflows has no sensor period
+        per_step = self.vario_rate * SIM_DT
+        if not (per_step > 0.0 and math.isfinite(1.0 / per_step)):
+            raise ConfigError(f"vario_rate must be positive, with a finite sensor period, got {self.vario_rate}")
         if self.turbulence_sigma < 0.0 or self.vario_sigma < 0.0:
             raise ConfigError("noise sigmas must be non-negative")
         rows = tuple(
@@ -380,7 +382,7 @@ RANDOM_THERMALS = Section(
 )
 RANDOM_WIND = Section({"speed": "range"}, required=("speed",))
 THERMAL = Section(
-    {"w0": "number", "r0": "number", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
+    {"w0": "number", "r0": "positive", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
     required=("w0", "r0", "center"),
 )
 SITE = Section({

@@ -279,7 +279,7 @@ def run_flight(
                     ms.last_plan_t = world.t
             else:
                 ms.target_bank = baseline_mod.baseline_choose_bank(
-                    baseline_cfg, uav, ms.belief, ms.thermal_dir
+                    baseline_cfg, uav, ms.belief, ms.thermal_dir, airframe.bank_limit
                 )
         else:
             ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)

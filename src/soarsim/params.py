@@ -14,6 +14,7 @@ it, and a param file's floats to the same finite-number kind.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,8 +29,9 @@ class ConfigError(Exception):
 
 
 def _number(v) -> bool:
-    # a bool is not a number here, though Python counts it as an int
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # a bool is not a number here, though Python counts it as an int; the bound
+    # fails nan, inf and an int beyond float range (math.isfinite raises on it)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _count(v) -> bool:
@@ -187,8 +189,11 @@ def parse_param_file(path: str | Path) -> dict:
             overrides[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if parser is float:  # float() reads nan and inf, which would fly silently wrong
+        # float() reads nan and inf, which would fly silently wrong
+        if parser is float:
             check(overrides[key], "number", f"{path}:{lineno}: {key}")
+        elif parser is _banks:
+            check(list(overrides[key]), ["number"], f"{path}:{lineno}: {key}")
     return overrides
 
 
@@ -229,10 +234,10 @@ def prior_from_params(p: dict):
     """Initial thermal belief: a typical local thermal centered at the UAV."""
     from .belief import GaussianBelief
 
-    return GaussianBelief(
-        np.array([p["SOAR_THML_W0"], p["SOAR_THML_R0"], 0.0, 0.0]),
-        np.diag([p["SOAR_THML_VAR_W0"], p["SOAR_THML_VAR_R0"], p["SOAR_THML_VAR_POS"], p["SOAR_THML_VAR_POS"]]),
-    )
+    variances = [p["SOAR_THML_VAR_W0"], p["SOAR_THML_VAR_R0"], p["SOAR_THML_VAR_POS"], p["SOAR_THML_VAR_POS"]]
+    if not all(var > 0.0 for var in variances):  # the planner factors the covariance
+        raise ValueError("prior variances must be positive")
+    return GaussianBelief(np.array([p["SOAR_THML_W0"], p["SOAR_THML_R0"], 0.0, 0.0]), np.diag(variances))
 
 
 def planner_from_params(p: dict, sink_s0: float):
@@ -256,5 +261,4 @@ def baseline_from_params(p: dict):
         circle_radius=p["SOAR_THML_RADIUS"],
         kp=math.radians(p["SOAR_LOITER_KP"]),
         kd=math.radians(p["SOAR_LOITER_KD"]),
-        max_bank=airframe_from_params(p).bank_limit,  # the loiter flies under the dynamics' clamp
     )

@@ -61,11 +61,6 @@ class PlannerDecision:
     per_action_scores: list = field(default_factory=list)  # [(bank, score)]
 
 
-def draw_samples(b: GaussianBelief, n: int, rng: np.random.Generator):
-    """Sample n thermal hypotheses once per cycle; reused across actions."""
-    return [sample_thermal(b, rng) for _ in range(n)]
-
-
 def _pick(banks, scores, maximize: bool) -> int:
     """Index of the winning action; near-ties (1e-9 relative) break toward
     the smallest commanded |bank|, then toward the front of the list."""
@@ -82,13 +77,10 @@ def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, h
     return [predict_trajectory(airframe, s0, RollAction(bank, horizon)) for bank in cfg.bank_angles]
 
 
-def _sampled_lift(samples, pos: np.ndarray) -> np.ndarray:
+def _sampled_lift(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Lift of each sampled thermal at each waypoint: (A, N, T) for
-    pos of shape (A, T, 2)."""
-    w = np.array([s.w0 for s in samples])[None, :, None]
-    r = np.array([s.r0 for s in samples])[None, :, None]
-    cx = np.array([s.cx for s in samples])[None, :, None]
-    cy = np.array([s.cy for s in samples])[None, :, None]
+    samples of shape (N, 4) and pos of shape (A, T, 2)."""
+    w, r, cx, cy = samples.T[:, None, :, None]
     return field_lift(w, r, cx, cy, pos[:, None, :, 0], pos[:, None, :, 1])
 
 
@@ -98,7 +90,7 @@ def explore_score(
     b: GaussianBelief,
     airframe: AirframeParams,
     noise: NoiseConfig,
-    samples,
+    samples: np.ndarray,
 ) -> np.ndarray:
     """Mean posterior uncertainty per action after imaginary EKF chains.
 
@@ -159,7 +151,7 @@ def exploit_score(
     cfg: PlannerConfig,
     uav: UavState,
     airframe: AirframeParams,
-    samples,
+    samples: np.ndarray,
 ) -> np.ndarray:
     """Expected altitude gain per action, m, integrating hypothesis lift
     along each trajectory (minus bank-dependent sink when enabled)."""
@@ -190,7 +182,7 @@ def choose_action(
 ) -> PlannerDecision:
     """One planning cycle: gate on belief confidence, score all candidate
     actions against a common set of sampled thermals, return the winner."""
-    samples = draw_samples(b, cfg.n_samples, rng)
+    samples = sample_thermal(b, cfg.n_samples, rng)
     if uncertainty(b, cfg.trace_weights) < cfg.confidence_thres:
         scores = exploit_score(cfg, uav, airframe, samples)
         idx = _pick(cfg.bank_angles, scores, maximize=True)

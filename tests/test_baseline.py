@@ -8,6 +8,8 @@ from soarsim.dynamics import PidState, UavState, step_kinematics
 
 from conftest import AIRFRAME, BASELINE_CFG, make_belief
 
+LIMIT = AIRFRAME.bank_limit
+
 
 def belief_for_center(uav, cx, cy):
     return make_belief([2.5, 80.0, cx - uav.x, cy - uav.y], [1e-9] * 4)
@@ -16,7 +18,7 @@ def belief_for_center(uav, cx, cy):
 def test_on_circle_nominal_bank():
     cfg = BASELINE_CFG
     uav = UavState(-60.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)  # tangent, center east
-    cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction=1)
+    cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), 1, LIMIT)
     expected = math.atan(81.0 / (9.80665 * 60.0))
     assert cmd == pytest.approx(expected, abs=1e-12)
     assert math.degrees(cmd) == pytest.approx(7.84, abs=0.1)
@@ -25,16 +27,16 @@ def test_on_circle_nominal_bank():
 def test_at_center_commands_max_bank():
     cfg = BASELINE_CFG
     uav = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
-    cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction=1)
-    assert abs(cmd) == pytest.approx(cfg.max_bank)
+    cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), 1, LIMIT)
+    assert abs(cmd) == pytest.approx(LIMIT)
 
 
 def test_output_always_clamped():
     cfg = BASELINE_CFG
     uav = UavState(500.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
     for direction in (1, -1):
-        cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction)
-        assert abs(cmd) <= cfg.max_bank + 1e-12
+        cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), direction, LIMIT)
+        assert abs(cmd) <= LIMIT + 1e-12
 
 
 def test_commit_direction():
@@ -65,7 +67,7 @@ def test_converges_to_commanded_circle(start, direction):
     while t < 3 * period:
         if round(t / 0.02) % 10 == 0:
             b = belief_for_center(uav, 0.0, 0.0)
-            target = baseline_choose_bank(cfg, uav, b, direction)
+            target = baseline_choose_bank(cfg, uav, b, direction, af.bank_limit)
         uav.x, uav.y, uav.psi, uav.phi, uav.phi_dot = step_kinematics(
             af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, target, pid, 1
         )

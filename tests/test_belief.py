@@ -119,34 +119,45 @@ def test_convergence_on_circling_observer(noise):
 class TestSampleThermal:
     def test_degenerate_covariance_returns_mean(self, rng):
         b = make_belief([2.0, 60.0, 5.0, -5.0], [1e-18, 1e-18, 1e-18, 1e-18])
-        s = sample_thermal(b, rng)
-        assert s.w0 == pytest.approx(2.0, abs=1e-6)
-        assert s.r0 == pytest.approx(60.0, abs=1e-6)
+        (w0, r0, _, _), = sample_thermal(b, 1, rng)
+        assert w0 == pytest.approx(2.0, abs=1e-6)
+        assert r0 == pytest.approx(60.0, abs=1e-6)
 
     def test_seed_determinism(self):
         b = prior()
-        a = sample_thermal(b, np.random.default_rng(77))
-        c = sample_thermal(b, np.random.default_rng(77))
-        assert (a.w0, a.r0, a.cx, a.cy) == (c.w0, c.r0, c.cx, c.cy)
+        a = sample_thermal(b, 3, np.random.default_rng(77))
+        c = sample_thermal(b, 3, np.random.default_rng(77))
+        assert a.shape == (3, 4) and np.array_equal(a, c)
+
+    def test_rows_are_the_draws_of_one_row_at_a_time(self):
+        # one (n, 4) block reads the stream that n one-row draws read
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            root = rng.standard_normal((4, 4)) * rng.uniform(0.1, 40.0, 4)
+            b = GaussianBelief(rng.uniform(-50.0, 150.0, 4), root @ root.T + np.eye(4))
+            n, seed = int(rng.integers(1, 17)), int(rng.integers(1 << 30))
+            block = sample_thermal(b, n, np.random.default_rng(seed))
+            one_at_a_time = np.random.default_rng(seed)
+            rows = np.concatenate([sample_thermal(b, 1, one_at_a_time) for _ in range(n)])
+            assert block.tobytes() == rows.tobytes()
 
     def test_monte_carlo_mean(self):
         b = make_belief([2.0, 60.0, 5.0, -5.0], [0.25, 25.0, 16.0, 16.0])
         rng = np.random.default_rng(3)
         n = 100_000
-        draws = np.array([(s.w0, s.cx, s.cy) for s in (sample_thermal(b, rng) for _ in range(n))])
+        draws = sample_thermal(b, n, rng)[:, [0, 2, 3]]
         for i, (mu, var) in enumerate([(2.0, 0.25), (5.0, 16.0), (-5.0, 16.0)]):
             assert abs(draws[:, i].mean() - mu) < 3 * math.sqrt(var / n)
 
     def test_r0_clamped(self, rng):
         b = make_belief([2.0, 1.0, 0.0, 0.0], [1e-12, 25.0, 1e-12, 1e-12])
-        for _ in range(50):
-            assert sample_thermal(b, rng).r0 >= R0_FLOOR
+        assert (sample_thermal(b, 50, rng)[:, 1] >= R0_FLOOR).all()
 
     def test_corrupt_covariance_raises(self, rng):
         b = prior()
         b.cov[0, 0] = -5.0
         with pytest.raises(ValueError):
-            sample_thermal(b, rng)
+            sample_thermal(b, 1, rng)
 
 
 class TestUncertainty:

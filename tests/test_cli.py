@@ -211,17 +211,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("old, new, named", [
         ('"w0": 2.5', '"w0": "2.5"', "thermals[0].w0 must be a finite number, got '2.5'"),
         ('"w0": 2.5', '"w0": 1e400', "thermals[0].w0 must be a finite number, got inf"),
-        ('"r0": 60.0', '"r0": null', "thermals[0].r0 must be a finite number, got None"),
+        ('"r0": 60.0', '"r0": null', "thermals[0].r0 must be a finite positive number, got None"),
+        ('"r0": 60.0', '"r0": -50', "thermals[0].r0 must be a finite positive number, got -50"),
+        ('"r0": 60.0', '"r0": 0', "thermals[0].r0 must be a finite positive number, got 0"),
         ('"birth": 0.0', '"birth": "soon"', "thermals[0].birth must be a finite number, got 'soon'"),
         ('"lifetime": 600.0', '"lifetime": "long"', "thermals[0].lifetime must be a number or null, got 'long'"),
         ('"battery_j": 2500.0', '"battery_j": "full"', "battery_j must be a finite number, got 'full'"),
+        ('"battery_j": 2500.0', '"battery_j": ' + "9" * 401, "battery_j must be a finite number, got 999"),
         ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a finite number, got nan"),
+        ('"vario_rate": 5.0', '"vario_rate": 1e-320', "vario_rate must be positive, with a finite sensor period"),
         ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
         ('"mission"', '"random_thermals": {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], '
                       '"ring": {"radius": [140.0, 215.0]}, "offset_sigma": "wide"}, "mission"',
          "random_thermals.offset_sigma must be a finite number, got 'wide'"),
-    ], ids=["w0-string", "w0-inf", "r0-null", "birth-string", "lifetime-string", "battery-string", "vario-rate-nan",
-            "seed-float", "offset-sigma-string"])
+    ], ids=["w0-string", "w0-inf", "r0-null", "r0-negative", "r0-zero", "birth-string", "lifetime-string",
+            "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "seed-float",
+            "offset-sigma-string"])
     def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
         site = tiny_site(tmp_path)
         text = site.read_text()
@@ -282,7 +287,10 @@ class TestExitCodes:
         ("SOAR_MAX_BANK=95\n", "mission.param: airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
         ("SOAR_POMDP_N=12\nSOAR_MAX_BANK=95\n", "airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
         ("SOAR_FILT_TAU=0\n", "mission_from_dict rejected SOAR_FILT_TAU=0.0: detect_filter_tau"),
-    ], ids=["max-bank", "max-bank-among-others", "filter-tau"])
+        ("SOAR_THML_VAR_W0=-1\n", "prior_from_params rejected SOAR_THML_VAR_W0=-1.0: prior variances"),
+        ("SOAR_POMDP_N=12\nSOAR_POMDP_BANKS=nan, 0, 30\n",
+         "mission.param:2: SOAR_POMDP_BANKS[0] must be a finite number, got nan"),
+    ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan"])
     def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
         site = tiny_site(tmp_path)
         params = tmp_path / "mission.param"

@@ -260,7 +260,7 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize("change, message", [
         ({"w0": math.inf}, "thermals[0].w0 must be a finite number, got inf"),
-        ({"r0": math.nan}, "thermals[0].r0 must be a finite number, got nan"),
+        ({"r0": math.nan}, "thermals[0].r0 must be a finite positive number, got nan"),
         ({"birth": -math.inf}, "thermals[0].birth must be a finite number, got -inf"),
         ({"lifetime": math.nan}, "thermals[0].lifetime must be a number or null, got nan"),
         ({"lifetime": False}, "thermals[0].lifetime must be a number or null, got False"),

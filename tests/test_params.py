@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from soarsim.baseline import baseline_choose_bank
+from soarsim.dynamics import UavState
 from soarsim.params import (
     ConfigError,
     airframe_from_params,
@@ -59,6 +61,12 @@ SOAR_POMDP_BANKS = -30, 0, 30
         with pytest.raises(ConfigError, match=f":2: {key} must be a finite number, got {float(value)!r}$"):
             parse_param_file(path)
 
+    @pytest.mark.parametrize("banks, where, value", [("nan, 0, 30", 0, "nan"), ("-30 0 inf", 2, "inf")])
+    def test_non_finite_bank_reports_line_and_key(self, tmp_path, banks, where, value):
+        path = write(tmp_path, f"SOAR_POMDP_N=12\nSOAR_POMDP_BANKS={banks}\n")
+        with pytest.raises(ConfigError, match=rf":2: SOAR_POMDP_BANKS\[{where}\] must be a finite number, got {value}$"):
+            parse_param_file(path)
+
     def test_altitude_bands_default_to_the_mission_file(self, tmp_path):
         p = resolve_params(parse_param_file(write(tmp_path, "SOAR_ALT_MAX=170\n")))
         assert (p["SOAR_ALT_MIN"], p["SOAR_ALT_CUTOFF"], p["SOAR_ALT_MAX"]) == (None, None, 170.0)
@@ -102,6 +110,12 @@ class TestBuilders:
         assert prior.mean[0] == 2.0
         assert prior.cov[1, 1] == 400.0
 
+    @pytest.mark.parametrize("key, value", [("SOAR_THML_VAR_W0", -1.0), ("SOAR_THML_VAR_R0", 0.0),
+                                            ("SOAR_THML_VAR_POS", -400.0)])
+    def test_prior_rejects_a_variance_that_is_not_positive(self, key, value):
+        with pytest.raises(ValueError, match="prior variances must be positive"):
+            prior_from_params(resolve_params({key: value}))
+
     def test_planner(self):
         p = resolve_params({"SOAR_POMDP_BANKS": (-20.0, 0.0, 20.0), "SOAR_CONF_THRES": 99.0})
         cfg = planner_from_params(p, sink_s0=0.6)
@@ -111,9 +125,13 @@ class TestBuilders:
         assert cfg.t_exploit == pytest.approx(12.0)
 
     def test_baseline_respects_stall_prevention(self):
-        b = baseline_from_params(resolve_params())
-        assert b.max_bank == pytest.approx(math.radians(40.0))
-        b2 = baseline_from_params(resolve_params({"SOAR_NO_STALLPRV": 1}))
-        assert b2.max_bank == pytest.approx(math.radians(45.0))
+        # 440 m outside its circle the loiter saturates at the airframe's clamp
+        uav = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
+        for overrides, limit in (({}, 40.0), ({"SOAR_NO_STALLPRV": 1}, 45.0)):
+            p = resolve_params(overrides)
+            b, far = baseline_from_params(p), prior_from_params(p)
+            far.mean[2] = 500.0
+            cmd = baseline_choose_bank(b, uav, far, 1, airframe_from_params(p).bank_limit)
+            assert abs(cmd) == pytest.approx(math.radians(limit))
         assert b.circle_radius == 60.0
 

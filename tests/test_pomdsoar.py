@@ -12,7 +12,6 @@ from soarsim.pomdsoar import (
     EXPLOIT,
     EXPLORE,
     choose_action,
-    draw_samples,
     exploit_score,
     explore_score,
 )
@@ -27,6 +26,11 @@ def north_uav():
 
 def known_belief(th: ThermalParams, tiny=1e-12):
     return make_belief([th.w0, th.r0, th.cx, th.cy], [tiny] * 4)
+
+
+def hypotheses(*ths: ThermalParams) -> np.ndarray:
+    """The planner's (N, 4) hypothesis array of the given thermals."""
+    return np.array([[th.w0, th.r0, th.cx, th.cy] for th in ths])
 
 
 class TestGate:
@@ -84,10 +88,7 @@ def test_exploit_argmax_matches_oracle_randomized(free_airframe, noise):
 def reference_sampled_lift(samples, pos):
     """The planner's own bell, as it was written before it called
     thermal.field_lift: the reference that call must match bit for bit."""
-    w = np.array([s.w0 for s in samples])
-    r = np.array([s.r0 for s in samples])
-    cx = np.array([s.cx for s in samples])
-    cy = np.array([s.cy for s in samples])
+    w, r, cx, cy = (samples[:, i].copy() for i in range(4))
     dx = pos[:, None, :, 0] - cx[None, :, None]
     dy = pos[:, None, :, 1] - cy[None, :, None]
     return w[None, :, None] * np.exp(-(dx * dx + dy * dy) / (r * r)[None, :, None])
@@ -100,7 +101,7 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
         n, a, t = rng.integers(1, 17), rng.integers(1, 10), rng.integers(1, 70)
         b = make_belief([rng.uniform(-1.0, 4.0), rng.uniform(20.0, 200.0), rng.uniform(-150.0, 150.0),
                          rng.uniform(-150.0, 150.0)], [1.0, 900.0, 2500.0, 2500.0])
-        samples = draw_samples(b, n, rng)
+        samples = sample_thermal(b, n, rng)
         pos = rng.uniform(-400.0, 400.0, size=(a, t, 2))
         out = planner._sampled_lift(samples, pos)
         assert out.shape == (a, n, t)
@@ -112,7 +113,7 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
 class TestExploitScore:
     def test_zero_strength_thermal_scores_zero(self, free_airframe):
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
-        samples = [ThermalParams(0.0, 50.0, 10.0, 10.0)]
+        samples = hypotheses(ThermalParams(0.0, 50.0, 10.0, 10.0))
         scores = exploit_score(cfg, north_uav(), free_airframe, samples)
         assert np.all(scores == 0.0)
 
@@ -120,14 +121,14 @@ class TestExploitScore:
         # no sink correction: hugging the core wins, so max |bank| is best
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 200.0, 0.0, 0.0)
-        scores = exploit_score(cfg, north_uav(), free_airframe, [th])
+        scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
         best = cfg.bank_angles[int(np.argmax(scores))]
         assert abs(best) == pytest.approx(math.radians(45.0))
 
     def test_coarse_matches_fine_integration(self, free_airframe):
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
         th = ThermalParams(2.5, 80.0, -30.0, 20.0)
-        scores = exploit_score(cfg, north_uav(), free_airframe, [th])
+        scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
             tr = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
@@ -136,7 +137,7 @@ class TestExploitScore:
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
         th = ThermalParams(2.0, 60.0, -35.0, 10.0)
-        scores = exploit_score(replace(PLANNER, n_samples=1), north_uav(), free_airframe, [th])
+        scores = exploit_score(replace(PLANNER, n_samples=1), north_uav(), free_airframe, hypotheses(th))
         scores2 = 3.7 * np.asarray(scores)
         assert int(np.argmax(scores2)) == int(np.argmax(scores))
 
@@ -148,10 +149,10 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
         tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))
         traces = []
         for s in samples:
-            bb = b.copy()
+            th, bb = ThermalParams(*s), b.copy()
             for t in range(1, len(tr.t)):
                 bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, RECORD_DT)
-                bb = ekf_update(bb, lift_at(s, (tr.x[t], tr.y[t])), noise)
+                bb = ekf_update(bb, lift_at(th, (tr.x[t], tr.y[t])), noise)
             traces.append(uncertainty(bb, cfg.trace_weights))
         out.append(float(np.mean(traces)))
     return np.array(out)
@@ -162,7 +163,7 @@ class TestExploreScore:
         cfg = replace(PLANNER, n_samples=3)
         uav = UavState(0.0, 0.0, 9.0, 0.3, 0.1, 0.0, 100.0)
         b = make_belief([1.5, 80.0, 10.0, -20.0], [1.0, 400.0, 300.0, 300.0])
-        samples = draw_samples(b, 3, np.random.default_rng(5))
+        samples = sample_thermal(b, 3, np.random.default_rng(5))
         batched = explore_score(cfg, uav, b, free_airframe, noise, samples)
         reference = scalar_explore_reference(cfg, uav, b, free_airframe, noise, samples)
         np.testing.assert_allclose(batched, reference, rtol=1e-12)
@@ -170,7 +171,7 @@ class TestExploreScore:
     def test_scores_non_negative(self, free_airframe, noise, rng):
         cfg = replace(PLANNER, n_samples=4)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
-        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, draw_samples(b, cfg.n_samples, rng))
+        scores = explore_score(cfg, north_uav(), b, free_airframe, noise, sample_thermal(b, cfg.n_samples, rng))
         assert np.all(scores >= 0.0)
 
     def test_position_uncertainty_chain_order(self, free_airframe, noise):
@@ -182,7 +183,7 @@ class TestExploreScore:
         # The explicit chain oracle therefore ranks max bank ahead of straight.
         cfg = replace(PLANNER, n_samples=1)
         b = make_belief([2.5, 80.0, 0.0, 0.0], [1e-6, 1e-6, 400.0, 400.0])
-        samples = [b.as_thermal()]
+        samples = hypotheses(b.as_thermal())
         scores = explore_score(cfg, north_uav(), b, free_airframe, noise, samples)
         oracle = scalar_explore_reference(cfg, north_uav(), b, free_airframe, noise, samples)
         banks = [math.degrees(a) for a in cfg.bank_angles]
@@ -208,8 +209,8 @@ class TestExploreScore:
         cfg_2n = replace(PLANNER, n_samples=16)
         s_n, s_2n = [], []
         for seed in range(30):
-            samples_n = draw_samples(b, cfg_n.n_samples, np.random.default_rng(seed))
-            samples_2n = draw_samples(b, cfg_2n.n_samples, np.random.default_rng(seed + 500))
+            samples_n = sample_thermal(b, cfg_n.n_samples, np.random.default_rng(seed))
+            samples_2n = sample_thermal(b, cfg_2n.n_samples, np.random.default_rng(seed + 500))
             s_n.append(explore_score(cfg_n, uav, b, free_airframe, noise, samples_n)[0])
             s_2n.append(explore_score(cfg_2n, uav, b, free_airframe, noise, samples_2n)[0])
         s_n, s_2n = np.array(s_n), np.array(s_2n)
@@ -228,18 +229,19 @@ class TestChooseAction:
         assert a.per_action_scores == c.per_action_scores
 
     def test_samples_drawn_once_per_cycle(self, free_airframe, noise, monkeypatch):
-        calls = {"n": 0}
+        calls = []
         real = sample_thermal
 
-        def counting(b, rng):
-            calls["n"] += 1
-            return real(b, rng)
+        def counting(b, n, rng):
+            calls.append(real(b, n, rng))
+            return calls[-1]
 
         monkeypatch.setattr(planner, "sample_thermal", counting)
         cfg = replace(PLANNER, n_samples=6)
         b = make_belief([1.5, 80.0, 5.0, 5.0], [1.0, 400.0, 400.0, 400.0])
         choose_action(cfg, north_uav(), b, free_airframe, noise, np.random.default_rng(0))
-        assert calls["n"] == 6  # not 6 * len(bank_angles)
+        # one block of 6 hypotheses, shared by every bank
+        assert len(calls) == 1 and calls[0].shape == (6, 4)
 
     def test_reports_all_action_scores(self, free_airframe, noise, rng):
         cfg = replace(PLANNER, n_samples=2)
@@ -256,11 +258,11 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     good = ThermalParams(2.0, 80.0, 5.0, 5.0)
     bad = ThermalParams(float("nan"), 80.0, 5.0, 5.0)
     with caplog.at_level(logging.WARNING):
-        scores = exploit_score(cfg, north_uav(), free_airframe, [good, bad])
+        scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(good, bad))
     assert np.isfinite(scores).all()
     assert any("dropped" in rec.message for rec in caplog.records)
     with pytest.raises(ValueError):
-        exploit_score(cfg, north_uav(), free_airframe, [bad, bad])
+        exploit_score(cfg, north_uav(), free_airframe, hypotheses(bad, bad))
 
 
 def test_config_validation():
