@@ -14,6 +14,5 @@ from .experiment import ExperimentPlan, FlightSummary, report, run_baseline, run
 from .mission import FlightMode, MissionConfig, filter_lift, run_flight, update_mode, waypoint_bank
 from .params import ConfigError, parse_param_file, resolve_params
 from .pomdsoar import PlannerConfig, PlannerDecision, choose_action, exploit_score, explore_score
-from .thermal import ThermalParams, lift_at, lift_jacobian
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 The center components (cx, cy) are the thermal center relative to the
 UAV, so the transition under UAV motion is a pure shift of the mean and
-the observation is the lift at the origin. The observation map is
-linearized at the current mean (scalar-measurement EKF); covariance
+the observation is the lift at the origin, thermal.observe with r0
+floored at R0_FLOOR. The observation map is linearized at the current
+mean (scalar-measurement EKF); covariance
 hygiene is re-symmetrization after every update plus a one-shot jitter
 retry when a Cholesky factor is needed.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import ThermalParams, lift_at, lift_jacobian
+from .thermal import observe
 
 R0_FLOOR = 1.0  # m; the observation model is singular at r0 = 0
 JITTER = 1e-9
@@ -40,10 +41,6 @@ class GaussianBelief:
 
     def copy(self) -> "GaussianBelief":
         return GaussianBelief(self.mean.copy(), self.cov.copy())
-
-    def as_thermal(self) -> ThermalParams:
-        w0, r0, cx, cy = self.mean
-        return ThermalParams(w0, max(r0, R0_FLOOR), cx, cy)
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,8 @@ def ekf_update(
     """
     if not np.isfinite(observed_lift):
         raise ValueError(f"non-finite variometer reading: {observed_lift}")
-    th = b.as_thermal()
-    h = lift_jacobian(th)
-    predicted = lift_at(th, (0.0, 0.0))
+    w0, r0, cx, cy = b.mean
+    predicted, h = observe(w0, max(r0, R0_FLOOR), cx, cy)
     cov_h = b.cov @ h
     s = float(h @ cov_h) + noise.r_obs
     k = cov_h / s

@@ -128,9 +128,8 @@ class RollAction:
 
 @dataclass
 class ActionTrajectory:
-    """Predicted poses sampled along one candidate action."""
+    """Predicted poses sampled along one candidate action, from its start."""
 
-    t: np.ndarray  # (n,) s, starting at 0
     x: np.ndarray  # (n,) m
     y: np.ndarray  # (n,) m
     phi: np.ndarray  # (n,) rad
@@ -207,24 +206,23 @@ def step_kinematics(
 def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction) -> ActionTrajectory:
     """Simulate the closed-loop response to action and record poses.
 
-    Integrates at SIM_DT from a fresh PID and records (t, position, phi,
-    psi) every RECORD_DT, from t = 0 through t = action.duration.
+    Integrates at SIM_DT from a fresh PID and records (position, phi, psi)
+    every RECORD_DT, from t = 0 through t = action.duration.
     """
     n_rec = round(action.duration / RECORD_DT)
     pid = PidState()
 
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
-    ts, xs, ys, phis, psis = [0.0], [x], [y], [phi], [psi]
-    for i in range(1, n_rec + 1):
+    xs, ys, phis, psis = [x], [y], [phi], [psi]
+    for _ in range(n_rec):
         x, y, psi, phi, phi_dot = step_kinematics(
             params, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, STEPS_PER_RECORD
         )
-        ts.append(i * STEPS_PER_RECORD * SIM_DT)
         xs.append(x)
         ys.append(y)
         phis.append(phi)
         psis.append(psi)
-    return ActionTrajectory(*np.array([ts, xs, ys, phis, psis], dtype=float))
+    return ActionTrajectory(*np.array([xs, ys, phis, psis], dtype=float))
 
 
 def turn_radius(v: float, phi: float) -> float:

@@ -7,6 +7,11 @@ trajectories and variometer readings. The variometer is netto: it
 reports vertical airmass velocity at the UAV with sailplane sink already
 removed, which is exactly the quantity the thermal belief models.
 
+A thermal is a ThermalSpec, a site file's thermal entry as a record.
+true_lift sums their bells in its own scalar loop, not with thermal.py's
+kernels of the belief and the planner: a numpy lift costs more per 50 Hz
+step, and np.exp moves last bits (see true_lift).
+
 env_tick is the 50 Hz loop of one 0.2 s control tick: it advances the
 world by env_step, one SIM_DT step at a time, reads the variometer on
 sensor steps and returns that tick's readings, so the mission makes one
@@ -34,7 +39,6 @@ import numpy as np
 
 from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, PidState, UavState, step_kinematics
 from .params import ConfigError, Section, check
-from .thermal import ThermalParams
 
 SCHEMA_VERSION = 1
 DECAY_S = 10.0  # s over which a dying thermal's strength ramps to zero
@@ -45,9 +49,12 @@ FAR_SQ = 28.0**2  # (d / r0)^2 beyond which exp(-d^2 / r0^2) is 0.0
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """A thermal's parameters plus its lifecycle in the scenario."""
+    """A site file's thermal entry, key for key: the bell w0 * exp(-d^2 /
+    r0^2) about center, in the air-mass frame at birth, and its lifecycle."""
 
-    params: ThermalParams  # air-mass frame at birth
+    w0: float  # vertical air velocity at the center, m/s (negative = sink)
+    r0: float  # radius, m
+    center: tuple[float, float]  # m
     birth: float = 0.0  # s
     lifetime: float = math.inf  # s at full strength, then linear decay
     drift: tuple[float, float] = (0.0, 0.0)  # m/s relative to the air mass
@@ -83,18 +90,16 @@ class Scenario:
             raise ConfigError(f"vario_rate must be positive, with a finite sensor period, got {self.vario_rate}")
         if self.turbulence_sigma < 0.0 or self.vario_sigma < 0.0:
             raise ConfigError("noise sigmas must be non-negative")
-        rows = tuple(
-            (th.params.w0, th.params.r0 * th.params.r0, th.params.cx, th.params.cy,
-             th.birth, th.lifetime, th.drift[0], th.drift[1])
-            for th in self.thermals
-        )
-        for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in rows:
-            if not lifetime > 0.0:
+        for th in self.thermals:
+            if not th.lifetime > 0.0:
                 raise ConfigError("thermal lifetimes must be positive")
             # near_rows drops a far row's w0 * 0.0 term, which is nan for an
             # infinite w0; an r0 whose square is 0.0 divides by zero
-            if not (all(map(math.isfinite, (w0, cx, cy, birth, drift_x, drift_y))) and r0_sq > 0.0):
-                raise ConfigError("a thermal's w0, center, birth and drift must be finite, and r0 * r0 above 0")
+            if not (all(map(math.isfinite, (th.w0, *th.center, th.birth, *th.drift)))
+                    and th.r0 > 0.0 and th.r0 * th.r0 > 0.0):
+                raise ConfigError("a thermal's w0, center, birth and drift must be finite, "
+                                  "and r0 * r0 above 0 with r0 positive")
+        rows = tuple((th.w0, th.r0 * th.r0, *th.center, th.birth, th.lifetime, *th.drift) for th in self.thermals)
         object.__setattr__(self, "lift_rows", rows)
         object.__setattr__(self, "vario_period", vario_period_steps(self))
 
@@ -348,7 +353,7 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
             speed = rng.uniform(*drift_speed)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             drift = (speed * math.cos(angle), speed * math.sin(angle))
-            return ThermalSpec(ThermalParams(w0, r0, cx, cy), birth, life, drift)
+            return ThermalSpec(w0, r0, (cx, cy), birth, life, drift)
 
         drawn = []
         if "clusters" in spec:
@@ -400,7 +405,7 @@ def _thermal_spec(th: dict) -> ThermalSpec:
     given = {key: th[key] for key in ("birth", "lifetime") if th.get(key) is not None}
     if "drift" in th:
         given["drift"] = tuple(th["drift"])
-    return ThermalSpec(ThermalParams(th["w0"], th["r0"], *th["center"]), **given)
+    return ThermalSpec(th["w0"], th["r0"], tuple(th["center"]), **given)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

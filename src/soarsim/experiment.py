@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import statistics
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig
-from .dynamics import AirframeParams
+from .dynamics import SIM_DT, AirframeParams
 from .environment import Scenario, calm_variant, load_scenario_file, materialize, scenario_from_dict
 from .mission import BASELINE, POMDSOAR, MissionConfig, mission_from_dict, run_flight
 from .params import (
@@ -148,6 +149,11 @@ def load_bundle(
             builder = getattr(build, "func", build).__name__
             keys = ", ".join(f"{k}={overrides[k]}" for k in dict.fromkeys(log.read) if k in overrides)
             raise ConfigError(f"{source}: {builder} rejected {keys or 'its input'}: {exc}") from exc
+    # a sensor period beyond the flight cap would fly the whole mission blind
+    period, cap = sc.vario_period * SIM_DT, configs["mission"].max_duration
+    if period > cap:
+        raise ConfigError(f"{scenario_path}: vario_rate {sc.vario_rate} gives one variometer reading every "
+                          f"{period:g} s, longer than the {cap:g} s flight cap")
     return sc, ConfigBundle(**configs)
 
 
@@ -315,19 +321,10 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
         "draws": draws,
         "raw_time_wins": raw_wins,
         "raw_time_draws": raw_draws,
-        "median_rel_gain": {
-            c: (_median(g) if g else None) for c, g in gains.items()
-        },
+        "median_rel_gain": {c: statistics.median(g) if g else None for c, g in gains.items()},
         "sign_test_p": sign_test_p(wins[POMDSOAR], decisive) if decisive else None,
     }
     return rows, aggregate
-
-
-def _median(values: list[float]) -> float:
-    v = sorted(values)
-    n = len(v)
-    mid = n // 2
-    return v[mid] if n % 2 else 0.5 * (v[mid - 1] + v[mid])
 
 
 CSV_COLUMNS = [

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -132,8 +133,44 @@ def fine_trajectory(airframe, s0, action) -> ActionTrajectory:
     integration oracles that check the planner's 0.2 s scoring run on it."""
     pid = PidState()
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
-    poses = [(0.0, x, y, phi, psi)]
-    for i in range(1, round(action.duration / SIM_DT) + 1):
+    poses = [(x, y, phi, psi)]
+    for _ in range(round(action.duration / SIM_DT)):
         x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1)
-        poses.append((i * SIM_DT, x, y, phi, psi))
+        poses.append((x, y, phi, psi))
     return ActionTrajectory(*np.array(poses, dtype=float).T)
+
+
+# The reference bell: the lift w0 * exp(-d^2 / r0^2) at any point and its
+# partials at the origin, written apart from thermal.observe. The planner's
+# integration oracles sum it along fine trajectories, and observe must equal
+# it bit for bit at the origin (test_thermal.py).
+class Bell(NamedTuple):
+    """One thermal (w0, r0, cx, cy), in the frame of the points it is read at."""
+
+    w0: float
+    r0: float
+    cx: float
+    cy: float
+
+
+def lift_at(th: Bell, p) -> float:
+    """Vertical air velocity at the 2-vector position p, m/s."""
+    px, py = float(p[0]), float(p[1])
+    d2 = (px - th.cx) ** 2 + (py - th.cy) ** 2
+    return th.w0 * math.exp(-d2 / (th.r0 * th.r0))
+
+
+def lift_jacobian(th: Bell) -> np.ndarray:
+    """Partials of the lift observed at the origin w.r.t. (w0, r0, cx, cy)."""
+    r2 = th.cx * th.cx + th.cy * th.cy
+    e = math.exp(-r2 / (th.r0 * th.r0))
+    w = th.w0 * e
+    inv_r02 = 1.0 / (th.r0 * th.r0)
+    return np.array(
+        [
+            e,
+            2.0 * r2 * w / th.r0**3,
+            -2.0 * th.cx * w * inv_r02,
+            -2.0 * th.cy * w * inv_r02,
+        ]
+    )

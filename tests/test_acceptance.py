@@ -20,9 +20,9 @@ from soarsim.environment import Scenario, env_tick, make_world, sink_rate
 from soarsim.experiment import ExperimentPlan, FlightSummary, load_bundle, report, run_sweep
 from soarsim.mission import BASELINE, POMDSOAR
 from soarsim.pomdsoar import EXPLOIT, EXPLORE, choose_action
-from soarsim.thermal import ThermalParams, lift_at, lift_jacobian
+from soarsim.thermal import observe
 
-from conftest import AIRFRAME, NOISE, PLANNER, fine_trajectory
+from conftest import AIRFRAME, NOISE, PLANNER, Bell, fine_trajectory, lift_at
 from test_cli import tiny_site
 
 REPO = Path(__file__).resolve().parents[1]
@@ -35,8 +35,7 @@ def test_c01_ekf_linear_map_equivalence(monkeypatch):
     h = np.array([1.0, 0.5, -0.2, 0.1])
     # the update's linearized observation map, replaced by the fixed linear
     # map o = h @ (w0, r0, cx, cy)
-    monkeypatch.setattr(belief_mod, "lift_jacobian", lambda th: h)
-    monkeypatch.setattr(belief_mod, "lift_at", lambda th, p: float(h @ np.array([th.w0, th.r0, th.cx, th.cy])))
+    monkeypatch.setattr(belief_mod, "observe", lambda *th: (float(h @ np.array(th)), h))
     for _ in range(1000):
         a = rng.normal(size=(4, 4))
         cov = a @ a.T + 0.5 * np.eye(4)
@@ -62,19 +61,15 @@ def test_c02_jacobian_finite_differences():
     rng = np.random.default_rng(42)
     step = 1e-5
     for _ in range(100):
-        th = ThermalParams(
-            rng.uniform(-10, 10), rng.uniform(5, 500), rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)
-        )
+        th = [rng.uniform(-10, 10), rng.uniform(5, 500), rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)]
         ref = []
         for i in range(4):
-            hi = [th.w0, th.r0, th.cx, th.cy]
-            lo = hi.copy()
+            hi = th.copy()
+            lo = th.copy()
             hi[i] += step
             lo[i] -= step
-            ref.append(
-                (lift_at(ThermalParams(*hi), (0.0, 0.0)) - lift_at(ThermalParams(*lo), (0.0, 0.0))) / (2 * step)
-            )
-        np.testing.assert_allclose(lift_jacobian(th), np.array(ref), rtol=1e-5, atol=1e-12)
+            ref.append((observe(*hi)[0] - observe(*lo)[0]) / (2 * step))
+        np.testing.assert_allclose(observe(*th)[1], np.array(ref), rtol=1e-5, atol=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
@@ -102,7 +97,7 @@ def grid_posterior(obs_points, obs_values, grids, prior_mean, prior_var, r_obs):
 
 def test_c03_estimation_convergence_and_grid_oracle():
     start = time.perf_counter()
-    truth = ThermalParams(2.5, 80.0, 0.0, 0.0)
+    truth = Bell(2.5, 80.0, 0.0, 0.0)
     v, dt, n_obs = 9.0, 0.2, 200
     noise = NOISE  # the filter's own configured noise
     prior_abs = np.array([1.0, 80.0, 20.0, 20.0])  # center offset (20, 20) from truth
@@ -196,7 +191,7 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
     for _ in range(20):
         dist = case_rng.uniform(15.0, 60.0)
         ang = case_rng.uniform(0.0, 2 * math.pi)
-        th = ThermalParams(
+        th = Bell(
             case_rng.uniform(1.0, 3.0),
             case_rng.uniform(40.0, 120.0),
             dist * math.cos(ang),
@@ -212,7 +207,7 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
             tr = fine_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
                                  RollAction(bank, cfg.t_exploit))
             gain = 0.0
-            for t in range(1, len(tr.t)):
+            for t in range(1, len(tr.x)):
                 gain += (lift_at(th, (tr.x[t], tr.y[t])) - sink_rate(cfg.sink_s0, tr.phi[t])) * 0.02
             if gain > best:
                 best, best_bank = gain, bank

@@ -6,7 +6,10 @@ somewhere in src/ or scripts/ outside its own definition. The package
 __init__.py only re-exports names, so a mention there does not count.
 Every field of a dataclass in src/soarsim must be read, as an attribute
 or through asdict of a whole record, somewhere in src/ or scripts/: a
-field that is only ever written is dead.
+field that is only ever written is dead. The check matches names, not
+owners: a field passes when any attribute of its name is read anywhere,
+so a dead field that shares its name with a live one (a trajectory's
+t beside world.t) slips through.
 No field that a param builder always sets may have a default of its own:
 params.PARAM_SPEC is the one copy of those defaults. Each input schema
 has one entry for each key its builder reads, and no other.

@@ -15,9 +15,9 @@ from soarsim.belief import (
     sample_thermal,
     uncertainty,
 )
-from soarsim.thermal import ThermalParams, lift_at
+from soarsim.thermal import observe
 
-from conftest import NOISE, PLANNER, make_belief, prior
+from conftest import NOISE, PLANNER, Bell, lift_at, make_belief, prior
 
 
 class TestPredictShift:
@@ -44,7 +44,7 @@ class TestPredictShift:
 class TestEkfUpdate:
     def test_zero_innovation_keeps_mean(self, noise):
         b = make_belief([2.0, 80.0, 15.0, -5.0], [1, 100, 100, 100])
-        predicted = lift_at(b.as_thermal(), (0.0, 0.0))
+        predicted, _ = observe(*b.mean)
         out = ekf_update(b, predicted, noise)
         np.testing.assert_allclose(out.mean, b.mean, atol=1e-12)
         assert np.trace(out.cov) < np.trace(b.cov)
@@ -54,8 +54,7 @@ class TestEkfUpdate:
         noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=1.0)
         h = np.array([1.0, 0.0, 0.0, 0.0])
         # the linearized observation map, replaced by the fixed linear map h
-        monkeypatch.setattr(belief_mod, "lift_jacobian", lambda th: h)
-        monkeypatch.setattr(belief_mod, "lift_at", lambda th, p: float(h @ np.array([th.w0, th.r0, th.cx, th.cy])))
+        monkeypatch.setattr(belief_mod, "observe", lambda *th: (float(h @ np.array(th)), h))
         out = ekf_update(b, float(h @ b.mean) + 1.0, noise)
         assert out.mean[0] == pytest.approx(1.5 + 0.5)
         assert out.cov[0, 0] == pytest.approx(0.5)
@@ -108,7 +107,7 @@ def run_ekf_on_path(pts, start, truth, noise, prior_abs=(1.0, 80.0, 20.0, 20.0),
 
 
 def test_convergence_on_circling_observer(noise):
-    truth = ThermalParams(2.5, 80.0, 0.0, 0.0)
+    truth = Bell(2.5, 80.0, 0.0, 0.0)
     pts, start = spiral_path()
     b = run_ekf_on_path(pts, start, truth, noise)
     center_abs = pts[-1] + b.mean[2:]
@@ -195,7 +194,7 @@ def test_single_viewpoint_radial_ambiguity():
     # cannot touch the tangential direction
     noise = replace(NOISE, q_diag=(0, 0, 0, 0), r_obs=0.04)
     b = make_belief([2.0, 80.0, 30.0, 0.0], [1e-9, 1e-9, 400.0, 400.0])
-    predicted = lift_at(b.as_thermal(), (0.0, 0.0))
+    predicted, _ = observe(*b.mean)
     for _ in range(50):
         b = ekf_update(b, predicted, noise)
     pos_cov = b.cov[2:, 2:]

@@ -220,13 +220,15 @@ class TestExitCodes:
         ('"battery_j": 2500.0', '"battery_j": ' + "9" * 401, "battery_j must be a finite number, got 999"),
         ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a finite number, got nan"),
         ('"vario_rate": 5.0', '"vario_rate": 1e-320', "vario_rate must be positive, with a finite sensor period"),
+        ('"vario_rate": 5.0', '"vario_rate": 1e-300',
+         "vario_rate 1e-300 gives one variometer reading every 1e+300 s, longer than the 14400 s flight cap"),
         ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
         ('"mission"', '"random_thermals": {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], '
                       '"ring": {"radius": [140.0, 215.0]}, "offset_sigma": "wide"}, "mission"',
          "random_thermals.offset_sigma must be a finite number, got 'wide'"),
     ], ids=["w0-string", "w0-inf", "r0-null", "r0-negative", "r0-zero", "birth-string", "lifetime-string",
-            "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "seed-float",
-            "offset-sigma-string"])
+            "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "vario-rate-blind",
+            "seed-float", "offset-sigma-string"])
     def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
         site = tiny_site(tmp_path)
         text = site.read_text()

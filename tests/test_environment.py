@@ -36,7 +36,6 @@ from soarsim.environment import (
     vario_period_steps,
 )
 from soarsim.params import ConfigError
-from soarsim.thermal import ThermalParams
 
 from conftest import AIRSPEED, PLANNER
 
@@ -71,7 +70,7 @@ class TestEnvStep:
         assert 100.0 - w.uav.h == pytest.approx(0.7, rel=1e-9)
 
     def test_thermal_superposition_climb(self, airframe, rng):
-        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.5, 5000.0, 0.0, 0.0)),), sink_s0=0.7)
+        sc = quiet(thermals=(ThermalSpec(2.5, 5000.0, (0.0, 0.0)),), sink_s0=0.7)
         w = make_world(sc, h0=100.0, v=AIRSPEED)
         env_tick(sc, airframe, w, 0.0, rng)
         climb = (w.uav.h - 100.0) / 0.2
@@ -116,7 +115,7 @@ class TestEnvStep:
 
 def test_frame_consistency_with_wind(airframe):
     base = dict(
-        thermals=(ThermalSpec(ThermalParams(2.0, 80.0, 30.0, 40.0)),),
+        thermals=(ThermalSpec(2.0, 80.0, (30.0, 40.0)),),
         turbulence_sigma=0.15,
         vario_sigma=0.2,
         seed=5,
@@ -139,7 +138,7 @@ def test_frame_consistency_with_wind(airframe):
 class TestGenObservation:
     # at 5 Hz the reading is taken on a tick's last step, so at the tick's end time
     def test_exact_when_noiseless(self, airframe, rng):
-        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 100.0, 0.0, 0.0)),))
+        sc = quiet(thermals=(ThermalSpec(2.0, 100.0, (0.0, 0.0)),))
         w = make_world(sc, 100.0, v=AIRSPEED)
         seen = 0
         for _ in range(4):
@@ -158,7 +157,7 @@ class TestGenObservation:
         assert count == 20
 
     def test_noise_statistics(self, airframe):
-        sc = quiet(vario_sigma=0.25, thermals=(ThermalSpec(ThermalParams(2.0, 5000.0, 0.0, 0.0)),))
+        sc = quiet(vario_sigma=0.25, thermals=(ThermalSpec(2.0, 5000.0, (0.0, 0.0)),))
         rng = np.random.default_rng(7)
         w = make_world(sc, 100.0, v=AIRSPEED)
         errs = []
@@ -171,21 +170,21 @@ class TestGenObservation:
 
 class TestThermalLifecycle:
     def test_before_birth_and_decay(self):
-        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), birth=10.0, lifetime=100.0),))
+        sc = quiet(thermals=(ThermalSpec(2.0, 50.0, (0.0, 0.0), birth=10.0, lifetime=100.0),))
         assert true_lift(sc.lift_rows, 0.0, 0.0, 5.0) == 0.0
         assert true_lift(sc.lift_rows, 0.0, 0.0, 50.0) == pytest.approx(2.0)
         assert true_lift(sc.lift_rows, 0.0, 0.0, 10.0 + 100.0 + DECAY_S / 2) == pytest.approx(1.0)
         assert true_lift(sc.lift_rows, 0.0, 0.0, 10.0 + 100.0 + DECAY_S + 1.0) == 0.0
 
     def test_drift_moves_center(self):
-        sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 50.0, 0.0, 0.0), drift=(1.0, 0.0)),))
+        sc = quiet(thermals=(ThermalSpec(2.0, 50.0, (0.0, 0.0), drift=(1.0, 0.0)),))
         assert true_lift(sc.lift_rows, 20.0, 0.0, 20.0) == pytest.approx(2.0)
 
     def test_superposition(self):
         sc = quiet(
             thermals=(
-                ThermalSpec(ThermalParams(1.0, 5000.0, 0.0, 0.0)),
-                ThermalSpec(ThermalParams(0.5, 5000.0, 0.0, 0.0)),
+                ThermalSpec(1.0, 5000.0, (0.0, 0.0)),
+                ThermalSpec(0.5, 5000.0, (0.0, 0.0)),
             )
         )
         assert true_lift(sc.lift_rows, 0.0, 0.0, 0.0) == pytest.approx(1.5, abs=1e-6)
@@ -204,8 +203,8 @@ class TestScenarioFiles:
         }
         assert scenario_from_dict(data) == Scenario(
             thermals=(
-                ThermalSpec(ThermalParams(2.0, 60.0, 1.0, 2.0), birth=5.0, lifetime=300.0, drift=(0.1, 0.0)),
-                ThermalSpec(ThermalParams(1.0, 40.0, -3.0, 4.0)),
+                ThermalSpec(2.0, 60.0, (1.0, 2.0), birth=5.0, lifetime=300.0, drift=(0.1, 0.0)),
+                ThermalSpec(1.0, 40.0, (-3.0, 4.0)),
             ),
             wind=(3.0, 1.0),
             seed=9,
@@ -255,7 +254,7 @@ class TestScenarioFiles:
         bare = {"w0": 2.0, "r0": 60.0, "center": [1.0, 2.0]}
         for entry in (bare, {**bare, "lifetime": None}, {**bare, "lifetime": math.inf}):
             sc = scenario_from_dict({"schema_version": 1, "thermals": [entry]})
-            assert sc.thermals == (ThermalSpec(ThermalParams(2.0, 60.0, 1.0, 2.0)),)
+            assert sc.thermals == (ThermalSpec(2.0, 60.0, (1.0, 2.0)),)
             assert sc.thermals[0].lifetime == math.inf
 
     @pytest.mark.parametrize("change, message", [
@@ -278,17 +277,23 @@ class TestScenarioFiles:
             scenario_from_dict({"schema_version": 1, key: value})
 
     @pytest.mark.parametrize("params, spec", [
-        ((math.inf, 50.0, 0.0, 0.0), {}),
-        ((2.0, 50.0, math.nan, 0.0), {}),
-        ((2.0, 50.0, 0.0, -math.inf), {}),
-        ((2.0, 50.0, 0.0, 0.0), {"birth": math.nan}),
-        ((2.0, 50.0, 0.0, 0.0), {"drift": (0.0, math.inf)}),
-        ((2.0, 1e-170, 0.0, 0.0), {}),
+        ((math.inf, 50.0, (0.0, 0.0)), {}),
+        ((2.0, 50.0, (math.nan, 0.0)), {}),
+        ((2.0, 50.0, (0.0, -math.inf)), {}),
+        ((2.0, 50.0, (0.0, 0.0)), {"birth": math.nan}),
+        ((2.0, 50.0, (0.0, 0.0)), {"drift": (0.0, math.inf)}),
+        ((2.0, 1e-170, (0.0, 0.0)), {}),
     ], ids=["w0-inf", "cx-nan", "cy-inf", "birth-nan", "drift-inf", "r0-squares-to-zero"])
     def test_scenario_rejects_a_thermal_that_is_not_finite(self, params, spec):
         # near_rows drops far rows; inf * 0.0 would be nan, and 1e-170 ** 2 is 0.0
         with pytest.raises(ConfigError, match="must be finite, and r0 \\* r0 above 0"):
-            Scenario(thermals=(ThermalSpec(ThermalParams(*params), **spec),))
+            Scenario(thermals=(ThermalSpec(*params, **spec),))
+
+    def test_invalid_radius_rejected(self):
+        # a negative r0 squares to a positive r0 * r0, so that test alone would pass it
+        for r0 in (0.0, -5.0, -80.0, math.nan):
+            with pytest.raises(ConfigError, match="r0 \\* r0 above 0 with r0 positive"):
+                Scenario(thermals=(ThermalSpec(1.0, r0, (0.0, 0.0)),))
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
@@ -300,7 +305,7 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             Scenario(turbulence_sigma=-0.1)
         with pytest.raises(ConfigError):
-            Scenario(thermals=(ThermalSpec(ThermalParams(1, 50, 0.0, 0.0), lifetime=0.0),))
+            Scenario(thermals=(ThermalSpec(1, 50, (0.0, 0.0), lifetime=0.0),))
 
 
 class TestMaterialize:
@@ -332,8 +337,8 @@ class TestMaterialize:
             m = materialize(self.spec(), seed)
             assert math.hypot(*m.wind) <= 7.0 + 1e-9
             for th in m.thermals:
-                assert 1.0 <= th.params.w0 <= 3.0
-                assert 40.0 <= th.params.r0 <= 120.0
+                assert 1.0 <= th.w0 <= 3.0
+                assert 40.0 <= th.r0 <= 120.0
                 assert math.hypot(*th.drift) <= 0.5 + 1e-9
 
     def test_without_random_blocks_is_identity(self):
@@ -343,7 +348,7 @@ class TestMaterialize:
 
 def test_calm_variant_strips_lift():
     sc = Scenario(
-        thermals=(ThermalSpec(ThermalParams(2.0, 60.0, 0.0, 0.0)),),
+        thermals=(ThermalSpec(2.0, 60.0, (0.0, 0.0)),),
         turbulence_sigma=0.3,
         random_thermals={"count": 3},
     )
@@ -360,16 +365,16 @@ def reference_lift(th: ThermalSpec, x: float, y: float, t: float) -> float:
     if age < 0.0:
         return 0.0
     if age <= th.lifetime:
-        w0 = th.params.w0
+        w0 = th.w0
     else:
         fade = 1.0 - (age - th.lifetime) / DECAY_S
         if fade <= 0.0:
             return 0.0
-        w0 = th.params.w0 * fade
-    cx = th.params.cx + th.drift[0] * age
-    cy = th.params.cy + th.drift[1] * age
+        w0 = th.w0 * fade
+    cx = th.center[0] + th.drift[0] * age
+    cy = th.center[1] + th.drift[1] * age
     d2 = (x - cx) ** 2 + (y - cy) ** 2
-    return w0 * math.exp(-d2 / (th.params.r0 * th.params.r0))
+    return w0 * math.exp(-d2 / (th.r0 * th.r0))
 
 
 def reference_true_lift(sc: Scenario, x: float, y: float, t: float) -> float:
@@ -384,7 +389,7 @@ def test_true_lift_is_bit_identical_to_the_per_thermal_sum():
     rng = np.random.default_rng(2)
     thermals = tuple(
         ThermalSpec(
-            ThermalParams(rng.uniform(-1.5, 3.0), rng.uniform(20.0, 150.0), *rng.uniform(-300.0, 300.0, 2)),
+            rng.uniform(-1.5, 3.0), rng.uniform(20.0, 150.0), tuple(rng.uniform(-300.0, 300.0, 2)),
             birth=rng.uniform(0.0, 200.0),
             lifetime=rng.uniform(50.0, 300.0),
             drift=tuple(rng.uniform(-1.0, 1.0, 2)),
@@ -392,7 +397,7 @@ def test_true_lift_is_bit_identical_to_the_per_thermal_sum():
         for _ in range(14)
     )
     sc = quiet(thermals=thermals)
-    assert any(th.params.w0 < 0.0 for th in thermals)
+    assert any(th.w0 < 0.0 for th in thermals)
     seen = {"unborn": 0, "full": 0, "decaying": 0, "faded": 0}
     for x, y, t in zip(rng.uniform(-400, 400, 3000), rng.uniform(-400, 400, 3000), rng.uniform(0.0, 550.0, 3000)):
         assert true_lift(sc.lift_rows, x, y, t) == reference_true_lift(sc, x, y, t)
@@ -426,7 +431,7 @@ def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe, rng):
 def test_block_drawn_normals_equal_scalar_draws(airframe):
     # 80 ticks draw 800 turbulence and 400 interleaved vario normals, so the
     # stream crosses a block boundary mid-flight
-    sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 80.0, 30.0, 40.0)),),
+    sc = quiet(thermals=(ThermalSpec(2.0, 80.0, (30.0, 40.0)),),
                turbulence_sigma=0.15, vario_sigma=0.2, vario_rate=25.0)
     out = []
     for rng in (np.random.default_rng(5), NormalBlocks(np.random.default_rng(5))):
@@ -498,10 +503,10 @@ def reference_tick(sc, airframe, w, target_bank, rng):
 
 # thermals born mid-flight, fading, faded and drifting over a 24 s flight
 LIFECYCLE = (
-    ThermalSpec(ThermalParams(2.5, 60.0, 20.0, 90.0), birth=6.0, lifetime=300.0, drift=(0.4, -0.2)),
-    ThermalSpec(ThermalParams(1.8, 45.0, -30.0, 60.0), birth=0.0, lifetime=3.0),
-    ThermalSpec(ThermalParams(3.0, 80.0, 10.0, 140.0), birth=2.0, lifetime=9.0, drift=(-0.3, 0.5)),
-    ThermalSpec(ThermalParams(-0.8, 120.0, 0.0, 40.0)),
+    ThermalSpec(2.5, 60.0, (20.0, 90.0), birth=6.0, lifetime=300.0, drift=(0.4, -0.2)),
+    ThermalSpec(1.8, 45.0, (-30.0, 60.0), birth=0.0, lifetime=3.0),
+    ThermalSpec(3.0, 80.0, (10.0, 140.0), birth=2.0, lifetime=9.0, drift=(-0.3, 0.5)),
+    ThermalSpec(-0.8, 120.0, (0.0, 40.0)),
 )
 
 
@@ -592,7 +597,7 @@ def near_cases(draw):
         cx = x + distance * math.sin(bearing) - drift[0] * (t - birth)
         cy = y + distance * math.cos(bearing) - drift[1] * (t - birth)
         thermals.append(ThermalSpec(
-            ThermalParams(draw(st.floats(-3.0, 4.0)), r0, cx, cy),
+            draw(st.floats(-3.0, 4.0)), r0, (cx, cy),
             birth=birth,
             lifetime=draw(st.one_of(st.just(math.inf), st.floats(0.01, 40.0))),
             drift=drift,
@@ -634,8 +639,8 @@ def test_a_row_just_past_the_cut_adds_exactly_zero(w0):
     v, r0, speed = AIRSPEED, 10.0, 1.0
     cut = math.sqrt(FAR_SQ) * r0 + (v + speed) * NEAR_WINDOW + 1.0
     sc = quiet(thermals=(
-        ThermalSpec(ThermalParams(w0, r0, 0.0, cut + 1e-6), drift=(0.0, -speed)),
-        ThermalSpec(ThermalParams(w0, r0, 0.0, cut - 1e-6), drift=(0.0, -speed)),
+        ThermalSpec(w0, r0, (0.0, cut + 1e-6), drift=(0.0, -speed)),
+        ThermalSpec(w0, r0, (0.0, cut - 1e-6), drift=(0.0, -speed)),
     ))
     w = make_world(sc, h0=100.0, v=v)
     assert near_rows(sc, w) == sc.lift_rows[1:]
@@ -645,8 +650,8 @@ def test_a_row_just_past_the_cut_adds_exactly_zero(w0):
 
 def test_env_step_rebuilds_the_near_set_every_near_steps(airframe, rng):
     # a thermal born 3 s in joins at the rebuild whose window reaches its birth
-    sc = quiet(thermals=(ThermalSpec(ThermalParams(2.0, 80.0, 0.0, 50.0), birth=3.0),
-                         ThermalSpec(ThermalParams(2.0, 80.0, 0.0, 5000.0))))
+    sc = quiet(thermals=(ThermalSpec(2.0, 80.0, (0.0, 50.0), birth=3.0),
+                         ThermalSpec(2.0, 80.0, (0.0, 5000.0))))
     w = make_world(sc, h0=100.0, v=AIRSPEED)
     seen = []
     for _ in range(3 * NEAR_STEPS // STEPS_PER_RECORD):

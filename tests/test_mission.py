@@ -22,7 +22,6 @@ from soarsim.mission import (
     waypoint_bank,
 )
 from soarsim.params import ConfigError, resolve_params
-from soarsim.thermal import ThermalParams
 
 from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, prior
 
@@ -250,7 +249,7 @@ def test_pentagon_cross_track_after_first_lap():
 def test_thermalling_flight_gains_time():
     sc, cfg, models = flight_setup(
         sc_kw=dict(
-            thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),),
+            thermals=(ThermalSpec(2.5, 80.0, (0.0, 200.0)),),
             battery_j=4000.0,
             vario_sigma=0.2,
             turbulence_sigma=0.1,
@@ -267,7 +266,7 @@ def test_thermalling_flight_gains_time():
 @pytest.mark.parametrize("rate", [2.0, 5.0, 10.0, 25.0])
 def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypatch, rate):
     sc, cfg, models = flight_setup(
-        sc_kw=dict(thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),), vario_rate=rate),
+        sc_kw=dict(thermals=(ThermalSpec(2.5, 80.0, (0.0, 200.0)),), vario_rate=rate),
         mission_kw=dict(controller=BASELINE, max_duration=120.0),
     )
     seen = {"mode": FlightMode.AUTO_GLIDE, "readings": 0, "due": 0, "updates": 0}
@@ -299,7 +298,7 @@ def test_every_vario_reading_taken_while_thermalling_updates_the_belief(monkeypa
 
 def test_one_environment_call_per_control_tick(monkeypatch):
     sc, cfg, models = flight_setup(
-        sc_kw=dict(thermals=(ThermalSpec(ThermalParams(2.5, 80.0, 0.0, 200.0)),), turbulence_sigma=0.1),
+        sc_kw=dict(thermals=(ThermalSpec(2.5, 80.0, (0.0, 200.0)),), turbulence_sigma=0.1),
         mission_kw=dict(controller=BASELINE, max_duration=60.0),
     )
     calls = []

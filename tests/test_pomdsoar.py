@@ -15,22 +15,20 @@ from soarsim.pomdsoar import (
     exploit_score,
     explore_score,
 )
-from soarsim.thermal import ThermalParams, lift_at
-
-from conftest import NOISE, PLANNER, fine_trajectory, make_belief
+from conftest import NOISE, PLANNER, Bell, fine_trajectory, lift_at, make_belief
 
 
 def north_uav():
     return UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
 
 
-def known_belief(th: ThermalParams, tiny=1e-12):
-    return make_belief([th.w0, th.r0, th.cx, th.cy], [tiny] * 4)
+def known_belief(th: Bell, tiny=1e-12):
+    return make_belief(th, [tiny] * 4)
 
 
-def hypotheses(*ths: ThermalParams) -> np.ndarray:
+def hypotheses(*ths: Bell) -> np.ndarray:
     """The planner's (N, 4) hypothesis array of the given thermals."""
-    return np.array([[th.w0, th.r0, th.cx, th.cy] for th in ths])
+    return np.array(ths, dtype=float)
 
 
 class TestGate:
@@ -54,7 +52,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
     for bank in cfg.bank_angles:
         tr = fine_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit))
         gain = 0.0
-        for t in range(1, len(tr.t)):
+        for t in range(1, len(tr.x)):
             gain += lift_at(th, (tr.x[t], tr.y[t])) * 0.02
             if cfg.sink_correction:
                 gain -= sink_rate(cfg.sink_s0, tr.phi[t]) * 0.02
@@ -65,7 +63,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
 
 def test_known_thermal_left_turn_matches_oracle(free_airframe, noise):
     # belief collapsed on a thermal 40 m to the left of a north-flying UAV
-    th = ThermalParams(2.5, 80.0, -40.0, 0.0)
+    th = Bell(2.5, 80.0, -40.0, 0.0)
     cfg = replace(PLANNER, n_samples=1)
     dec = choose_action(cfg, north_uav(), known_belief(th), free_airframe, noise, np.random.default_rng(0))
     assert dec.mode == EXPLOIT
@@ -79,7 +77,7 @@ def test_exploit_argmax_matches_oracle_randomized(free_airframe, noise):
     for _ in range(20):
         dist = rng.uniform(15.0, 60.0)
         ang = rng.uniform(0.0, 2 * math.pi)
-        th = ThermalParams(rng.uniform(1.0, 3.0), rng.uniform(40.0, 120.0), dist * math.cos(ang), dist * math.sin(ang))
+        th = Bell(rng.uniform(1.0, 3.0), rng.uniform(40.0, 120.0), dist * math.cos(ang), dist * math.sin(ang))
         uav = UavState(0.0, 0.0, 9.0, rng.uniform(-math.pi, math.pi), 0.0, 0.0, 100.0)
         dec = choose_action(cfg, uav, known_belief(th), free_airframe, noise, np.random.default_rng(1))
         assert dec.chosen_bank == exploit_oracle_bank(cfg, uav, th, free_airframe)
@@ -113,30 +111,30 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
 class TestExploitScore:
     def test_zero_strength_thermal_scores_zero(self, free_airframe):
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
-        samples = hypotheses(ThermalParams(0.0, 50.0, 10.0, 10.0))
+        samples = hypotheses(Bell(0.0, 50.0, 10.0, 10.0))
         scores = exploit_score(cfg, north_uav(), free_airframe, samples)
         assert np.all(scores == 0.0)
 
     def test_centered_wide_thermal_prefers_tightest_turn(self, free_airframe):
         # no sink correction: hugging the core wins, so max |bank| is best
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
-        th = ThermalParams(2.5, 200.0, 0.0, 0.0)
+        th = Bell(2.5, 200.0, 0.0, 0.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
         best = cfg.bank_angles[int(np.argmax(scores))]
         assert abs(best) == pytest.approx(math.radians(45.0))
 
     def test_coarse_matches_fine_integration(self, free_airframe):
         cfg = replace(PLANNER, n_samples=1, sink_correction=False)
-        th = ThermalParams(2.5, 80.0, -30.0, 20.0)
+        th = Bell(2.5, 80.0, -30.0, 20.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
             tr = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
-            fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr.t)))
+            fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr.x)))
             assert abs(scores[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
-        th = ThermalParams(2.0, 60.0, -35.0, 10.0)
+        th = Bell(2.0, 60.0, -35.0, 10.0)
         scores = exploit_score(replace(PLANNER, n_samples=1), north_uav(), free_airframe, hypotheses(th))
         scores2 = 3.7 * np.asarray(scores)
         assert int(np.argmax(scores2)) == int(np.argmax(scores))
@@ -149,8 +147,8 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
         tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))
         traces = []
         for s in samples:
-            th, bb = ThermalParams(*s), b.copy()
-            for t in range(1, len(tr.t)):
+            th, bb = Bell(*s), b.copy()
+            for t in range(1, len(tr.x)):
                 bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, RECORD_DT)
                 bb = ekf_update(bb, lift_at(th, (tr.x[t], tr.y[t])), noise)
             traces.append(uncertainty(bb, cfg.trace_weights))
@@ -183,7 +181,7 @@ class TestExploreScore:
         # The explicit chain oracle therefore ranks max bank ahead of straight.
         cfg = replace(PLANNER, n_samples=1)
         b = make_belief([2.5, 80.0, 0.0, 0.0], [1e-6, 1e-6, 400.0, 400.0])
-        samples = hypotheses(b.as_thermal())
+        samples = hypotheses(Bell(*b.mean))
         scores = explore_score(cfg, north_uav(), b, free_airframe, noise, samples)
         oracle = scalar_explore_reference(cfg, north_uav(), b, free_airframe, noise, samples)
         banks = [math.degrees(a) for a in cfg.bank_angles]
@@ -255,8 +253,8 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     import logging
 
     cfg = replace(PLANNER, n_samples=2)
-    good = ThermalParams(2.0, 80.0, 5.0, 5.0)
-    bad = ThermalParams(float("nan"), 80.0, 5.0, 5.0)
+    good = Bell(2.0, 80.0, 5.0, 5.0)
+    bad = Bell(float("nan"), 80.0, 5.0, 5.0)
     with caplog.at_level(logging.WARNING):
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(good, bad))
     assert np.isfinite(scores).all()
