@@ -22,10 +22,6 @@ class BaselineConfig:
     kp: float  # rad of bank per m of radial error
     kd: float  # rad of bank per m/s of radial rate
 
-    def __post_init__(self):
-        if not self.circle_radius > 0.0:
-            raise ValueError("circle radius must be positive")
-
 
 def commit_direction(phi: float) -> int:
     """Turn direction at thermal entry: the current bank's sign, ties left."""

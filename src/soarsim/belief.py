@@ -50,12 +50,6 @@ class NoiseConfig:
     q_diag: tuple[float, float, float, float]
     r_obs: float  # (m/s)^2
 
-    def __post_init__(self):
-        if any(q < 0.0 for q in self.q_diag):
-            raise ValueError("process noise entries must be non-negative")
-        if not self.r_obs > 0.0:
-            raise ValueError("observation noise variance must be positive")
-
 
 def predict_shift(
     b: GaussianBelief,

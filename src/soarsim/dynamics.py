@@ -68,16 +68,6 @@ class AirframeParams:
     stall_prevention: bool
     pid: PidGains
 
-    def __post_init__(self):
-        if not self.i_x > 0.0:
-            raise ValueError("i_x must be positive")
-        if not self.k_a > 0.0:
-            raise ValueError("k_a must be positive")
-        if not self.c_lp < 0.0:
-            raise ValueError("c_lp must be negative (damping opposes roll rate)")
-        if not 0.0 < self.max_bank < math.pi / 2:
-            raise ValueError("max_bank must lie in (0, pi/2)")
-
     @property
     def bank_limit(self) -> float:
         """Effective bank clamp applied by the dynamics."""

@@ -17,7 +17,6 @@ import json
 import math
 import statistics
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 from .baseline import BaselineConfig
@@ -75,7 +74,7 @@ SUMMARY = Section(
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A seed manifest plus the swap schedule for a paired sweep."""
+    """A paired sweep's seed manifest and calm-flight repetitions."""
 
     seeds: tuple[int, ...]
     baseline_reps: int
@@ -83,12 +82,6 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.baseline_reps < 1:
             raise ConfigError(f"baseline_reps must be at least 1, got {self.baseline_reps}")
-
-    def controller_for_slot(self, flight_index: int, slot: int) -> str:
-        # alternate the assignment so each controller flies each slot equally
-        if (flight_index + slot) % 2 == 0:
-            return POMDSOAR
-        return BASELINE
 
 
 @dataclass
@@ -103,25 +96,13 @@ class ConfigBundle:
     baseline: BaselineConfig
 
 
-class _ReadLog(dict):
-    """A params dict that records each key read from it."""
-
-    def __init__(self, params: dict):
-        super().__init__(params)
-        self.read: list[str] = []
-
-    def __getitem__(self, key):
-        self.read.append(key)
-        return super().__getitem__(key)
-
-
 def load_bundle(
     scenario_path: str | Path, params_path: str | Path | None = None
 ) -> tuple[Scenario, ConfigBundle]:
     """The scenario of a site file and the configs its mission flies with,
     built from the param file's values or, without one, the defaults. A
-    value a config rejects is a config error naming both files, the
-    builder, and the param-file keys that builder read."""
+    mission that the two files reject together (say, altitude bands out
+    of order) is a config error naming both files."""
     data = load_scenario_file(scenario_path)
     try:
         sc = scenario_from_dict(data)
@@ -129,32 +110,20 @@ def load_bundle(
         raise ConfigError(f"{scenario_path}: {exc}") from exc
     if "mission" not in data:
         raise ConfigError(f"{scenario_path} has no 'mission' section")
-    overrides = parse_param_file(params_path) if params_path else {}
-    params = resolve_params(overrides)
-    builders = {
-        "mission": partial(mission_from_dict, data["mission"]),
-        "airframe": airframe_from_params,
-        "noise": noise_from_params,
-        "prior": prior_from_params,
-        "planner": partial(planner_from_params, sink_s0=sc.sink_s0),
-        "baseline": baseline_from_params,
-    }
-    configs = {}
-    for name, build in builders.items():
-        log = _ReadLog(params)
-        try:
-            configs[name] = build(log)
-        except (ConfigError, ValueError) as exc:
-            source = f"{scenario_path} with {params_path}" if params_path else scenario_path
-            builder = getattr(build, "func", build).__name__
-            keys = ", ".join(f"{k}={overrides[k]}" for k in dict.fromkeys(log.read) if k in overrides)
-            raise ConfigError(f"{source}: {builder} rejected {keys or 'its input'}: {exc}") from exc
+    params = resolve_params(parse_param_file(params_path) if params_path else {})
+    try:
+        mission = mission_from_dict(data["mission"], params)
+    except ConfigError as exc:
+        source = f"{scenario_path} with {params_path}" if params_path else scenario_path
+        raise ConfigError(f"{source}: {exc}") from exc
     # a sensor period beyond the flight cap would fly the whole mission blind
-    period, cap = sc.vario_period * SIM_DT, configs["mission"].max_duration
+    period, cap = sc.vario_period * SIM_DT, mission.max_duration
     if period > cap:
         raise ConfigError(f"{scenario_path}: vario_rate {sc.vario_rate} gives one variometer reading every "
                           f"{period:g} s, longer than the {cap:g} s flight cap")
-    return sc, ConfigBundle(**configs)
+    return sc, ConfigBundle(mission, airframe_from_params(params), noise_from_params(params),
+                            prior_from_params(params), planner_from_params(params, sink_s0=sc.sink_s0),
+                            baseline_from_params(params))
 
 
 def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:
@@ -246,7 +215,7 @@ def run_sweep(sc: Scenario, bundle: ConfigBundle, plan: ExperimentPlan) -> list[
             bundle,
             seed=seed,
             flight_id=f"{i + 1:03d}",
-            swap=plan.controller_for_slot(i, 0) != POMDSOAR,
+            swap=i % 2 == 1,  # each controller flies each slot equally often
             baseline_reps=plan.baseline_reps,
         )
         out.extend([a, b])

@@ -61,10 +61,6 @@ class MissionConfig:
             raise ConfigError("mission needs at least 3 waypoints")
         if self.controller not in (POMDSOAR, BASELINE):
             raise ConfigError(f"unknown controller {self.controller!r}")
-        if not self.detect_filter_tau > 0.0:
-            raise ConfigError(f"detect_filter_tau must be positive, got {self.detect_filter_tau}")
-        if not self.airspeed > 0.0:
-            raise ConfigError(f"airspeed must be positive, got {self.airspeed}")
         if len(self.geofence) >= 3:
             if not _is_convex(self.geofence):
                 raise ConfigError("geofence polygon must be convex")
@@ -113,8 +109,6 @@ def point_in_convex_polygon(pt, poly) -> bool:
 
 def filter_lift(prev: float, raw: float, dt: float, tau: float) -> float:
     """First-order low pass standing in for the autopilot's detection filter."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
     return prev + (raw - prev) * dt / tau
 
 

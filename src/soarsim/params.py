@@ -3,12 +3,12 @@ the one checker of every input file.
 
 Unknown keys are rejected with the offending line number. Values
 override the defaults in PARAM_SPEC, the one source of every config
-default; angle-valued keys are in degrees in the file and converted to
-radians when configs are built.
+default and of each key's kind; angle-valued keys are in degrees in the
+file and converted to radians when configs are built.
 
 check() holds every JSON input (the site file, its mission section, a
 summaries file) to a schema declared beside the code that builds from
-it, and a param file's floats to the same finite-number kind.
+it, and each param-file value to its key's kind, where it is read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .dynamics import RECORD_DT
 
 POMDSOAR = "pomdsoar"
 BASELINE = "baseline"
@@ -51,7 +53,16 @@ def _ordered(test):
 KINDS = {
     "number": (_number, "a finite number"),
     "positive": (lambda v: _number(v) and v > 0.0, "a finite positive number"),
+    "negative": (lambda v: _number(v) and v < 0.0, "a finite negative number"),
+    "non-negative": (lambda v: _number(v) and v >= 0.0, "a finite non-negative number"),
+    "at least 1": (lambda v: _number(v) and v >= 1.0, "a finite number of at least 1"),
+    # a horizon under one control tick rolls out no waypoint, so every action scores the same
+    "horizon": (lambda v: _number(v) and v >= RECORD_DT, f"a finite number of at least {RECORD_DT} s"),
+    "bank angle": (lambda v: _number(v) and 0.0 < math.radians(v) < math.pi / 2, "an angle above 0 and below 90 deg"),
+    # None, a param's default, takes the altitude band from the mission file
+    "altitude": (lambda v: v is None or _number(v), "a finite number"),
     "count": (_count, "a non-negative int"),
+    "positive int": (lambda v: _count(v) and v > 0, "a positive int"),
     "pair": (_two(_number), "two finite numbers"),
     "range": (_ordered(_number), "a [low, high] range"),
     "radius range": (lambda v: _ordered(_number)(v) and v[0] > 0.0, "a [low, high] range with low above 0"),
@@ -64,7 +75,7 @@ KINDS = {
     "string": (lambda v: isinstance(v, str), "a string"),
     "controller": (lambda v: v in (POMDSOAR, BASELINE), f"{POMDSOAR!r} or {BASELINE!r}"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
-    "list": (lambda v: isinstance(v, list), "a JSON list"),
+    "list": (lambda v: isinstance(v, (list, tuple)), "a JSON list"),
 }
 
 
@@ -115,56 +126,58 @@ def _banks(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# key -> (parser, default). Ints double as flags (0/1), autopilot style.
+# key -> (kind, default); the kind picks the parser: int for the int kinds,
+# _banks for the bank list, float for the rest. Ints double as flags (0/1),
+# autopilot style.
 PARAM_SPEC: dict = {
     # airframe (roll-axis constants of the Radian Pro 2 m sailplane) and roll PID
-    "SOAR_I_MOMENT": (float, 0.00257482),
-    "SOAR_ROLL_CLP": (float, -1.12808704),
-    "SOAR_K_ROLLDAMP": (float, 0.41073588),
-    "SOAR_K_AILERON": (float, 1.448331),
-    "SOAR_NO_STALLPRV": (int, 0),  # 1 disables the 40 deg stall-prevention clamp
-    "SOAR_MAX_BANK": (float, 45.0),  # deg
-    "RLL2SRV_P": (float, 0.04),
-    "RLL2SRV_I": (float, 0.006),
-    "RLL2SRV_D": (float, 0.01),
-    "RLL2SRV_IMAX": (float, 0.3),
-    "ARSPD_TRIM": (float, 9.0),  # m/s target airspeed
+    "SOAR_I_MOMENT": ("positive", 0.00257482),
+    "SOAR_ROLL_CLP": ("negative", -1.12808704),
+    "SOAR_K_ROLLDAMP": ("number", 0.41073588),
+    "SOAR_K_AILERON": ("positive", 1.448331),
+    "SOAR_NO_STALLPRV": ("count", 0),  # 1 disables the 40 deg stall-prevention clamp
+    "SOAR_MAX_BANK": ("bank angle", 45.0),  # deg
+    "RLL2SRV_P": ("number", 0.04),
+    "RLL2SRV_I": ("number", 0.006),
+    "RLL2SRV_D": ("number", 0.01),
+    "RLL2SRV_IMAX": ("number", 0.3),
+    "ARSPD_TRIM": ("positive", 9.0),  # m/s target airspeed
     # thermal belief prior and filter noise
-    "SOAR_THML_W0": (float, 1.5),
-    "SOAR_THML_R0": (float, 80.0),
-    "SOAR_THML_VAR_W0": (float, 1.0),
-    "SOAR_THML_VAR_R0": (float, 400.0),
-    "SOAR_THML_VAR_POS": (float, 400.0),
-    "SOAR_THML_Q_W0": (float, 0.0004),  # per second
-    "SOAR_THML_Q_R0": (float, 0.0004),
-    "SOAR_THML_Q_POS": (float, 0.25),
-    "SOAR_THML_R": (float, 0.04),  # variometer noise variance
+    "SOAR_THML_W0": ("number", 1.5),
+    "SOAR_THML_R0": ("number", 80.0),
+    "SOAR_THML_VAR_W0": ("positive", 1.0),
+    "SOAR_THML_VAR_R0": ("positive", 400.0),
+    "SOAR_THML_VAR_POS": ("positive", 400.0),
+    "SOAR_THML_Q_W0": ("non-negative", 0.0004),  # per second
+    "SOAR_THML_Q_R0": ("non-negative", 0.0004),
+    "SOAR_THML_Q_POS": ("non-negative", 0.25),
+    "SOAR_THML_R": ("positive", 0.04),  # variometer noise variance
     # planner
-    "SOAR_POMDP_ON": (int, 1),  # 1 = pomdsoar, 0 = fixed-circle baseline
-    "SOAR_POMDP_HORI": (float, 4.0),  # s
-    "SOAR_POMDP_EXT": (float, 3.0),
-    "SOAR_POMDP_N": (int, 10),
-    "SOAR_CONF_THRES": (float, 150.0),
-    "SOAR_POMDP_BANKS": (_banks, (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)),  # deg
-    "SOAR_POMDP_SINKCOMP": (int, 1),
-    "SOAR_POMDP_REPLAN": (float, 1.0),  # s between planning cycles
+    "SOAR_POMDP_ON": ("count", 1),  # 1 = pomdsoar, 0 = fixed-circle baseline
+    "SOAR_POMDP_HORI": ("horizon", 4.0),  # s
+    "SOAR_POMDP_EXT": ("at least 1", 3.0),
+    "SOAR_POMDP_N": ("positive int", 10),
+    "SOAR_CONF_THRES": ("number", 150.0),
+    "SOAR_POMDP_BANKS": (["number"], (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)),  # deg
+    "SOAR_POMDP_SINKCOMP": ("count", 1),
+    "SOAR_POMDP_REPLAN": ("number", 1.0),  # s between planning cycles
     # fixed-circle baseline
-    "SOAR_THML_RADIUS": (float, 60.0),  # m
-    "SOAR_LOITER_KP": (float, 0.8),  # deg of bank per m of radial error
-    "SOAR_LOITER_KD": (float, 2.0),  # deg of bank per m/s of radial rate
+    "SOAR_THML_RADIUS": ("positive", 60.0),  # m
+    "SOAR_LOITER_KP": ("number", 0.8),  # deg of bank per m of radial error
+    "SOAR_LOITER_KD": ("number", 2.0),  # deg of bank per m/s of radial rate
     # mission / soaring state machine
-    "SOAR_ENABLE": (int, 1),
-    "SOAR_ALT_MIN": (float, None),  # m; None = take from the mission file
-    "SOAR_ALT_CUTOFF": (float, None),
-    "SOAR_ALT_MAX": (float, None),
-    "SOAR_VSPEED": (float, 0.5),  # m/s filtered-lift detection threshold
-    "SOAR_EXIT_VSPEED": (float, 0.0),
-    "SOAR_EXIT_HOLD": (float, 8.0),  # s below exit threshold before giving up
-    "SOAR_REENTRY_M": (float, 10.0),  # m below SOAR_ALT_MAX before re-arming detection
-    "SOAR_FILT_TAU": (float, 2.0),  # s low-pass for detection/exit
-    "NAV_BANK_LIM": (float, 30.0),  # deg bank limit for waypoint guidance
-    "NAV_GAIN": (float, 1.5),  # bank per rad of heading error
-    "NAV_WP_RADIUS": (float, 20.0),  # m waypoint acceptance radius
+    "SOAR_ENABLE": ("count", 1),
+    "SOAR_ALT_MIN": ("altitude", None),  # m; None = take from the mission file
+    "SOAR_ALT_CUTOFF": ("altitude", None),
+    "SOAR_ALT_MAX": ("altitude", None),
+    "SOAR_VSPEED": ("number", 0.5),  # m/s filtered-lift detection threshold
+    "SOAR_EXIT_VSPEED": ("number", 0.0),
+    "SOAR_EXIT_HOLD": ("number", 8.0),  # s below exit threshold before giving up
+    "SOAR_REENTRY_M": ("number", 10.0),  # m below SOAR_ALT_MAX before re-arming detection
+    "SOAR_FILT_TAU": ("positive", 2.0),  # s low-pass for detection/exit
+    "NAV_BANK_LIM": ("bank angle", 30.0),  # deg bank limit for waypoint guidance
+    "NAV_GAIN": ("number", 1.5),  # bank per rad of heading error
+    "NAV_WP_RADIUS": ("number", 20.0),  # m waypoint acceptance radius
 }
 
 
@@ -184,16 +197,14 @@ def parse_param_file(path: str | Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in PARAM_SPEC:
             raise ConfigError(f"{path}:{lineno}: unknown parameter {key!r}")
-        parser = PARAM_SPEC[key][0]
+        kind = PARAM_SPEC[key][0]
+        parser = _banks if isinstance(kind, list) else int if kind in ("count", "positive int") else float
         try:
-            overrides[key] = parser(value)
+            value = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        # float() reads nan and inf, which would fly silently wrong
-        if parser is float:
-            check(overrides[key], "number", f"{path}:{lineno}: {key}")
-        elif parser is _banks:
-            check(list(overrides[key]), ["number"], f"{path}:{lineno}: {key}")
+        # float() reads nan and inf too, which the kind rejects with the rest
+        overrides[key] = check(value, kind, f"{path}:{lineno}: {key}")
     return overrides
 
 
@@ -235,8 +246,6 @@ def prior_from_params(p: dict):
     from .belief import GaussianBelief
 
     variances = [p["SOAR_THML_VAR_W0"], p["SOAR_THML_VAR_R0"], p["SOAR_THML_VAR_POS"], p["SOAR_THML_VAR_POS"]]
-    if not all(var > 0.0 for var in variances):  # the planner factors the covariance
-        raise ValueError("prior variances must be positive")
     return GaussianBelief(np.array([p["SOAR_THML_W0"], p["SOAR_THML_R0"], 0.0, 0.0]), np.diag(variances))
 
 

@@ -39,14 +39,6 @@ class PlannerConfig:
     sink_s0: float  # m/s, level-flight sink used by the correction
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
-    def __post_init__(self):
-        if not self.bank_angles:
-            raise ValueError("bank_angles must be non-empty")
-        if not (self.t_explore > 0 and self.n_samples > 0):
-            raise ValueError("t_explore and n_samples must be positive")
-        if self.exploit_extension < 1.0:
-            raise ValueError("exploit_extension must be >= 1")
-
     @property
     def t_exploit(self) -> float:
         return self.t_explore * self.exploit_extension

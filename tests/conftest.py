@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from soarsim import cli
 from soarsim.dynamics import SIM_DT, ActionTrajectory, PidState, step_kinematics
 from soarsim.belief import GaussianBelief
 from soarsim.environment import Scenario
@@ -24,8 +25,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 # The tests' configs, built the way load_bundle builds them: by the param
 # builders from the param table's defaults, the one source of every default.
-# A test changes a value with dataclasses.replace, which runs the class's
-# checks again.
+# A test changes a value with dataclasses.replace; the value ranges are the
+# param table's kinds, checked where the param file is read.
 PARAMS = resolve_params()
 AIRFRAME = airframe_from_params(PARAMS)
 NOISE = noise_from_params(PARAMS)
@@ -40,6 +41,15 @@ COURSE = {
     "alt_cutoff": 110.0,
     "alt_max": 160.0,
 }
+
+
+def param_error(tmp_path, capsys, text: str) -> str:
+    """The message of `soarsim run` on the field site with text as its
+    param file, which must exit 2, the config-error code."""
+    params = tmp_path / "bad.param"
+    params.write_text(text)
+    assert cli.main(["run", "--scenario", str(REPO / "scenarios" / "field.json"), "--params", str(params)]) == 2
+    return capsys.readouterr().err
 
 
 def prior() -> GaussianBelief:

@@ -12,7 +12,8 @@ so a dead field that shares its name with a live one (a trajectory's
 t beside world.t) slips through.
 No field that a param builder always sets may have a default of its own:
 params.PARAM_SPEC is the one copy of those defaults. Each input schema
-has one entry for each key its builder reads, and no other.
+has one entry for each key its builder reads, and no other. README's
+parameter table names every key of params.PARAM_SPEC.
 """
 
 import ast
@@ -23,6 +24,7 @@ from soarsim import environment
 from soarsim.environment import RANDOM_THERMALS, RANDOM_WIND, RING, SITE, THERMAL, Scenario
 from soarsim.experiment import SUMMARY, FlightSummary
 from soarsim.mission import MISSION, mission_from_dict
+from soarsim.params import PARAM_SPEC
 
 REPO = Path(__file__).resolve().parents[1]
 FILES = sorted((REPO / "src" / "soarsim").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
@@ -184,3 +186,9 @@ def test_each_input_schema_has_one_entry_per_key_read():
     assert set(THERMAL.keys) == string_constants(environment._thermal_spec)
     assert set(MISSION.keys) <= string_constants(mission_from_dict)
     assert set(SUMMARY.keys) == {f.name for f in fields(FlightSummary)}
+
+
+def test_readme_parameter_table_names_every_key():
+    section = (REPO / "README.md").read_text().split("## Parameter file", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    assert [key for key in PARAM_SPEC if f"`{key}`" not in table] == []

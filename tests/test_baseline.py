@@ -6,7 +6,7 @@ import pytest
 from soarsim.baseline import baseline_choose_bank, commit_direction
 from soarsim.dynamics import PidState, UavState, step_kinematics
 
-from conftest import AIRFRAME, BASELINE_CFG, make_belief
+from conftest import AIRFRAME, BASELINE_CFG, make_belief, param_error
 
 LIMIT = AIRFRAME.bank_limit
 
@@ -45,9 +45,9 @@ def test_commit_direction():
     assert commit_direction(0.0) == -1  # ties go left
 
 
-def test_invalid_radius():
-    with pytest.raises(ValueError):
-        replace(BASELINE_CFG, circle_radius=0.0)
+def test_invalid_radius(tmp_path, capsys):
+    assert "bad.param:1: SOAR_THML_RADIUS must be a finite positive number, got 0.0" in param_error(
+        tmp_path, capsys, "SOAR_THML_RADIUS=0.0")
 
 
 @pytest.mark.parametrize(

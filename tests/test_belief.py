@@ -17,7 +17,7 @@ from soarsim.belief import (
 )
 from soarsim.thermal import observe
 
-from conftest import NOISE, PLANNER, Bell, lift_at, make_belief, prior
+from conftest import NOISE, PLANNER, Bell, lift_at, make_belief, param_error, prior
 
 
 class TestPredictShift:
@@ -203,11 +203,11 @@ def test_single_viewpoint_radial_ambiguity():
     assert b.cov[3, 3] == pytest.approx(400.0)  # tangential variance untouched
 
 
-def test_noise_config_validation():
-    with pytest.raises(ValueError):
-        replace(NOISE, q_diag=(-1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        replace(NOISE, r_obs=0.0)
+def test_noise_config_validation(tmp_path, capsys):
+    assert "bad.param:1: SOAR_THML_Q_W0 must be a finite non-negative number, got -1.0" in param_error(
+        tmp_path, capsys, "SOAR_THML_Q_W0=-1")
+    assert "bad.param:1: SOAR_THML_R must be a finite positive number, got 0.0" in param_error(
+        tmp_path, capsys, "SOAR_THML_R=0.0")
 
 
 @pytest.mark.parametrize("off, accepted", [(0.0, True), (5e-10, True), (1e-9, True), (2e-9, False),

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 import soarsim.cli as cli
+from soarsim.params import PARAM_SPEC
+
+from conftest import param_error
 
 
 def ring(n, radius, phase=90.0):
@@ -18,6 +21,40 @@ def ring(n, radius, phase=90.0):
 def pentagram(radius):
     """A pentagon's vertices visited in the order 0, 2, 4, 1, 3: a star."""
     return [ring(5, radius)[k] for k in (0, 2, 4, 1, 3)]
+
+
+# one value out of range for each param-file key whose kind is narrower than
+# a finite number (or a list of them): key -> (value, the message's end)
+BAD_PARAM_VALUES = {
+    "SOAR_I_MOMENT": ("0", "a finite positive number, got 0.0"),
+    "SOAR_ROLL_CLP": ("0.5", "a finite negative number, got 0.5"),
+    "SOAR_K_AILERON": ("-1.4", "a finite positive number, got -1.4"),
+    "SOAR_NO_STALLPRV": ("-1", "a non-negative int, got -1"),
+    "SOAR_MAX_BANK": ("-10", "an angle above 0 and below 90 deg, got -10.0"),
+    "ARSPD_TRIM": ("0", "a finite positive number, got 0.0"),
+    "SOAR_THML_VAR_W0": ("0", "a finite positive number, got 0.0"),
+    "SOAR_THML_VAR_R0": ("-400", "a finite positive number, got -400.0"),
+    "SOAR_THML_VAR_POS": ("inf", "a finite positive number, got inf"),
+    "SOAR_THML_Q_W0": ("-0.0004", "a finite non-negative number, got -0.0004"),
+    "SOAR_THML_Q_R0": ("-1", "a finite non-negative number, got -1.0"),
+    "SOAR_THML_Q_POS": ("nan", "a finite non-negative number, got nan"),
+    "SOAR_THML_R": ("0", "a finite positive number, got 0.0"),
+    "SOAR_POMDP_ON": ("-1", "a non-negative int, got -1"),
+    "SOAR_POMDP_HORI": ("0.1", "a finite number of at least 0.2 s, got 0.1"),
+    "SOAR_POMDP_EXT": ("0.99", "a finite number of at least 1, got 0.99"),
+    "SOAR_POMDP_N": ("-3", "a positive int, got -3"),
+    "SOAR_POMDP_SINKCOMP": ("-1", "a non-negative int, got -1"),
+    "SOAR_THML_RADIUS": ("-60", "a finite positive number, got -60.0"),
+    "SOAR_ENABLE": ("-1", "a non-negative int, got -1"),
+    "SOAR_FILT_TAU": ("-2", "a finite positive number, got -2.0"),
+    # at 0 the waypoint guidance cannot turn, and the UAV flies out of the geofence
+    "NAV_BANK_LIM": ("0", "an angle above 0 and below 90 deg, got 0.0"),
+}
+
+
+def test_every_constrained_param_has_a_bad_value_case():
+    wide = ("number", ["number"], "altitude")
+    assert set(BAD_PARAM_VALUES) == {key for key, (kind, _) in PARAM_SPEC.items() if kind not in wide}
 
 
 # a complete random_thermals block: three bells anywhere in a 200 m box
@@ -286,19 +323,27 @@ class TestExitCodes:
         assert err.startswith("config error:") and "bad_value.param" in err
 
     @pytest.mark.parametrize("text, named", [
-        ("SOAR_MAX_BANK=95\n", "mission.param: airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
-        ("SOAR_POMDP_N=12\nSOAR_MAX_BANK=95\n", "airframe_from_params rejected SOAR_MAX_BANK=95.0: max_bank"),
-        ("SOAR_FILT_TAU=0\n", "mission_from_dict rejected SOAR_FILT_TAU=0.0: detect_filter_tau"),
-        ("SOAR_THML_VAR_W0=-1\n", "prior_from_params rejected SOAR_THML_VAR_W0=-1.0: prior variances"),
+        ("SOAR_MAX_BANK=95\n", "mission.param:1: SOAR_MAX_BANK must be an angle above 0 and below 90 deg, got 95.0"),
+        ("SOAR_POMDP_N=12\nSOAR_MAX_BANK=95\n", "mission.param:2: SOAR_MAX_BANK must be an angle above 0"),
+        ("SOAR_FILT_TAU=0\n", "mission.param:1: SOAR_FILT_TAU must be a finite positive number, got 0.0"),
+        ("SOAR_THML_VAR_W0=-1\n", "mission.param:1: SOAR_THML_VAR_W0 must be a finite positive number, got -1.0"),
         ("SOAR_POMDP_N=12\nSOAR_POMDP_BANKS=nan, 0, 30\n",
          "mission.param:2: SOAR_POMDP_BANKS[0] must be a finite number, got nan"),
-    ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan"])
+        # under one 0.2 s control tick the rollouts hold no waypoint, and every bank scores the same
+        ("SOAR_POMDP_HORI=0.05\n", "mission.param:1: SOAR_POMDP_HORI must be a finite number of at least 0.2 s, got 0.05"),
+    ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan", "horizon-under-a-tick"])
     def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
         site = tiny_site(tmp_path)
         params = tmp_path / "mission.param"
         params.write_text(text)
         assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, what", [
+        (key, value, what) for key, (value, what) in BAD_PARAM_VALUES.items()], ids=list(BAD_PARAM_VALUES))
+    def test_each_constrained_param_rejects_a_value_out_of_its_kind(self, tmp_path, capsys, key, value, what):
+        err = param_error(tmp_path, capsys, f"SOAR_POMDP_N=12\n{key}={value}\n")
+        assert f"bad.param:2: {key} must be {what}" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),

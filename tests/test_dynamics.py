@@ -18,7 +18,7 @@ from soarsim.dynamics import (
     wrap_angle,
 )
 
-from conftest import AIRFRAME
+from conftest import AIRFRAME, param_error
 
 
 def kp_only(kp):
@@ -193,13 +193,13 @@ def test_default_airframe_constants(airframe):
     assert airframe.k_a == pytest.approx(1.448331)
 
 
-def test_airframe_validation():
-    with pytest.raises(ValueError):
-        replace(AIRFRAME, i_x=0.0)
-    with pytest.raises(ValueError):
-        replace(AIRFRAME, c_lp=0.5)
-    with pytest.raises(ValueError):
-        replace(AIRFRAME, max_bank=math.pi / 2)
+def test_airframe_validation(tmp_path, capsys):
+    # i_x positive, c_lp negative (damping opposes roll rate), max_bank below 90 deg
+    for line, what in (("SOAR_I_MOMENT=0.0", "a finite positive number"),
+                       ("SOAR_ROLL_CLP=0.5", "a finite negative number"),
+                       ("SOAR_MAX_BANK=90", "an angle above 0 and below 90 deg")):
+        key, value = line.split("=")
+        assert f"bad.param:1: {key} must be {what}, got {float(value)}" in param_error(tmp_path, capsys, line)
 
 
 def test_stall_prevention_clamp():

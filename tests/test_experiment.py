@@ -17,6 +17,7 @@ from soarsim.experiment import (
     report,
     run_baseline,
     run_paired,
+    run_sweep,
     sign_test_p,
     summaries_from_json,
     summaries_to_json,
@@ -333,7 +334,10 @@ class TestRunPaired:
         assert a.rel_gain == a.flight_time / a.baseline_time
         assert not (a.excluded or b.excluded) or (a.excluded and b.excluded)
 
-    def test_plan_alternates_slots(self):
+    def test_plan_alternates_slots(self, monkeypatch):
+        monkeypatch.setattr(experiment, "run_flight", lambda *args, **kwargs: FlightRecord(400.0, 0.0, 0, False, {}))
+        sc = Scenario(thermals=(), turbulence_sigma=0.0, battery_j=3000.0)
         plan = ExperimentPlan(seeds=(1, 2, 3, 4), baseline_reps=BASELINE_REPS)
-        assignments = [plan.controller_for_slot(i, 0) for i in range(4)]
-        assert assignments == [POMDSOAR, BASELINE, POMDSOAR, BASELINE]
+        summaries = run_sweep(sc, config_bundle(), plan)
+        assert [s.airframe for s in summaries if s.controller == POMDSOAR] == ["A", "B", "A", "B"]
+        assert [s.airframe for s in summaries if s.controller == BASELINE] == ["B", "A", "B", "A"]

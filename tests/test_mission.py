@@ -23,7 +23,7 @@ from soarsim.mission import (
 )
 from soarsim.params import ConfigError, resolve_params
 
-from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, prior
+from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, param_error, prior
 
 
 def square(r):
@@ -190,9 +190,9 @@ class TestFilterLift:
             out.append(y)
         assert np.std(out[100:]) < 0.3 * np.std(raw)
 
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            filter_lift(0.0, 1.0, 0.2, 0.0)
+    def test_rejects_bad_tau(self, tmp_path, capsys):
+        assert "bad.param:1: SOAR_FILT_TAU must be a finite positive number, got 0.0" in param_error(
+            tmp_path, capsys, "SOAR_FILT_TAU=0.0")
 
 
 def flight_setup(sc_kw=None, mission_kw=None):
@@ -253,10 +253,13 @@ def test_thermalling_flight_gains_time():
             battery_j=4000.0,
             vario_sigma=0.2,
             turbulence_sigma=0.1,
-        )
+        ),
+        # the calm flight lands at 206 s, and both thermalling flights outlast the
+        # 5% gain long before this cap (uncapped, they fly on to the 14400 s cap)
+        mission_kw=dict(max_duration=400.0),
     )
     calm = Scenario(thermals=(), battery_j=4000.0, turbulence_sigma=0.0)
-    base = run_flight(calm, mission_config(soaring_enabled=False), *models, seed=2, slot=0)
+    base = run_flight(calm, mission_config(soaring_enabled=False, max_duration=400.0), *models, seed=2, slot=0)
     for controller in (POMDSOAR, BASELINE):
         rec = run_flight(sc, replace(cfg, controller=controller), *models, seed=2, slot=0)
         assert rec.thermal_encounters >= 1

@@ -5,6 +5,7 @@ import pytest
 from soarsim.baseline import baseline_choose_bank
 from soarsim.dynamics import UavState
 from soarsim.params import (
+    PARAM_SPEC,
     ConfigError,
     airframe_from_params,
     baseline_from_params,
@@ -12,8 +13,11 @@ from soarsim.params import (
     parse_param_file,
     planner_from_params,
     prior_from_params,
+    check,
     resolve_params,
 )
+
+from conftest import param_error
 
 
 def write(tmp_path, text):
@@ -81,6 +85,12 @@ SOAR_POMDP_BANKS = -30, 0, 30
             parse_param_file(tmp_path / "nope.param")
 
 
+def test_every_default_passes_its_own_kind():
+    # the altitude bands' None, which takes the band from the mission file, included
+    for key, (kind, default) in PARAM_SPEC.items():
+        assert check(default, kind, key) is default
+
+
 def test_defaults_carry_airframe_constants():
     p = resolve_params()
     assert p["SOAR_I_MOMENT"] == pytest.approx(0.00257482)
@@ -112,9 +122,10 @@ class TestBuilders:
 
     @pytest.mark.parametrize("key, value", [("SOAR_THML_VAR_W0", -1.0), ("SOAR_THML_VAR_R0", 0.0),
                                             ("SOAR_THML_VAR_POS", -400.0)])
-    def test_prior_rejects_a_variance_that_is_not_positive(self, key, value):
-        with pytest.raises(ValueError, match="prior variances must be positive"):
-            prior_from_params(resolve_params({key: value}))
+    def test_prior_rejects_a_variance_that_is_not_positive(self, tmp_path, capsys, key, value):
+        # the planner factors the prior covariance
+        assert f"bad.param:1: {key} must be a finite positive number, got {value}" in param_error(
+            tmp_path, capsys, f"{key}={value}")
 
     def test_planner(self):
         p = resolve_params({"SOAR_POMDP_BANKS": (-20.0, 0.0, 20.0), "SOAR_CONF_THRES": 99.0})

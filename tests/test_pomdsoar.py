@@ -15,7 +15,7 @@ from soarsim.pomdsoar import (
     exploit_score,
     explore_score,
 )
-from conftest import NOISE, PLANNER, Bell, fine_trajectory, lift_at, make_belief
+from conftest import NOISE, PLANNER, Bell, fine_trajectory, lift_at, make_belief, param_error
 
 
 def north_uav():
@@ -263,11 +263,11 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
         exploit_score(cfg, north_uav(), free_airframe, hypotheses(bad, bad))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        replace(PLANNER, bank_angles=())
-    with pytest.raises(ValueError):
-        replace(PLANNER, n_samples=0)
-    with pytest.raises(ValueError):
-        replace(PLANNER, exploit_extension=0.5)
+def test_config_validation(tmp_path, capsys):
+    assert "bad.param:1: bad value for SOAR_POMDP_BANKS: empty bank list" in param_error(
+        tmp_path, capsys, "SOAR_POMDP_BANKS=")
+    assert "bad.param:1: SOAR_POMDP_N must be a positive int, got 0" in param_error(
+        tmp_path, capsys, "SOAR_POMDP_N=0")
+    assert "bad.param:1: SOAR_POMDP_EXT must be a finite number of at least 1, got 0.5" in param_error(
+        tmp_path, capsys, "SOAR_POMDP_EXT=0.5")
     assert PLANNER.t_exploit == pytest.approx(12.0)
