@@ -111,10 +111,6 @@ class RollAction:
     target_bank: float  # rad
     duration: float  # s
 
-    def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError("action duration must be positive")
-
 
 @dataclass
 class ActionTrajectory:

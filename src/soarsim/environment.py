@@ -28,7 +28,6 @@ are (near_rows states why).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, PidState, UavState, step_kinematics
-from .params import ConfigError, Section, check
+from .params import ConfigError, Section, check, read_json
 
 SCHEMA_VERSION = 1
 DECAY_S = 10.0  # s over which a dying thermal's strength ramps to zero
@@ -62,7 +61,7 @@ class ThermalSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """World definition; lift from multiple thermals superposes linearly."""
+    """World definition, each value of its SITE kind; lift from thermals superposes linearly."""
 
     thermals: tuple[ThermalSpec, ...] = ()
     wind: tuple[float, float] = (0.0, 0.0)  # m/s, ground frame
@@ -78,30 +77,15 @@ class Scenario:
     random_thermals: dict | None = None  # sampled per mission seed
     random_wind: dict | None = None
     # derived once per scenario for the 50 Hz loop: one flat row per thermal,
-    # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y), and the number
-    # of SIM_DT steps between variometer readings
+    # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y), and the SIM_DT
+    # steps between variometer readings (3 Hz reads at 2.94 Hz, 40 Hz at 50 Hz)
     lift_rows: tuple = field(init=False, repr=False, compare=False)
     vario_period: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # readings per step; a rate whose inverse overflows has no sensor period
-        per_step = self.vario_rate * SIM_DT
-        if not (per_step > 0.0 and math.isfinite(1.0 / per_step)):
-            raise ConfigError(f"vario_rate must be positive, with a finite sensor period, got {self.vario_rate}")
-        if self.turbulence_sigma < 0.0 or self.vario_sigma < 0.0:
-            raise ConfigError("noise sigmas must be non-negative")
-        for th in self.thermals:
-            if not th.lifetime > 0.0:
-                raise ConfigError("thermal lifetimes must be positive")
-            # near_rows drops a far row's w0 * 0.0 term, which is nan for an
-            # infinite w0; an r0 whose square is 0.0 divides by zero
-            if not (all(map(math.isfinite, (th.w0, *th.center, th.birth, *th.drift)))
-                    and th.r0 > 0.0 and th.r0 * th.r0 > 0.0):
-                raise ConfigError("a thermal's w0, center, birth and drift must be finite, "
-                                  "and r0 * r0 above 0 with r0 positive")
         rows = tuple((th.w0, th.r0 * th.r0, *th.center, th.birth, th.lifetime, *th.drift) for th in self.thermals)
         object.__setattr__(self, "lift_rows", rows)
-        object.__setattr__(self, "vario_period", vario_period_steps(self))
+        object.__setattr__(self, "vario_period", max(1, round(1.0 / (self.vario_rate * SIM_DT))))
 
 
 def true_lift(rows, x: float, y: float, t: float) -> float:
@@ -154,8 +138,8 @@ def near_rows(sc: Scenario, w: WorldState) -> tuple:
       * 0.0 = +-0.0.
     true_lift's sum starts at 0.0 and is never -0.0, so adding +-0.0
     leaves it bit for bit the same. That needs w0 finite (inf * 0.0 is
-    nan), which Scenario checks, and a world moved only by env_step: a
-    kept row still runs the per-step age and fade checks.
+    nan), which the site schema and materialize ensure, and a world moved
+    only by env_step: a kept row still runs the per-step age and fade checks.
     """
     u, t = w.uav, w.t
     t_end = (w.step + NEAR_STEPS) * SIM_DT
@@ -277,10 +261,6 @@ def env_tick(
     return readings
 
 
-def vario_period_steps(sc: Scenario) -> int:
-    return max(1, round(1.0 / (sc.vario_rate * SIM_DT)))
-
-
 class NormalBlocks:
     """A Generator's scalar standard_normal() draws, served from blocks.
 
@@ -328,9 +308,6 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
     thermals = sc.thermals
     if sc.random_thermals is not None:
         spec = sc.random_thermals
-        births = spec.get("birth", [0.0, 0.0])
-        lifetimes = spec.get("lifetime", [600.0, 600.0])
-        drift_speed = spec.get("drift", [0.0, 0.0])
 
         def anchor():
             if "ring" in spec:
@@ -348,11 +325,15 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
                 r0 = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
             else:
                 r0 = rng.uniform(r_lo, r_hi)
-            birth = rng.uniform(*births)
-            life = rng.uniform(*lifetimes)
-            speed = rng.uniform(*drift_speed)
+            birth = rng.uniform(*spec.get("birth", [0.0, 0.0]))
+            life = rng.uniform(*spec.get("lifetime", [600.0, 600.0]))
+            speed = rng.uniform(*spec.get("drift", [0.0, 0.0]))
             angle = rng.uniform(0.0, 2.0 * math.pi)
             drift = (speed * math.cos(angle), speed * math.sin(angle))
+            # no kind rules out an anchor + offset_sigma * z that overflows, or exp(log(r_lo)) squaring to 0.0
+            if not (math.isfinite(cx) and math.isfinite(cy) and r0 * r0 > 0.0):
+                raise ConfigError(f"random_thermals drew a bell at ({cx}, {cy}) with r0 {r0}; "
+                                  "its center must be finite and r0 * r0 above 0")
             return ThermalSpec(w0, r0, (cx, cy), birth, life, drift)
 
         drawn = []
@@ -376,36 +357,33 @@ def calm_variant(sc: Scenario) -> Scenario:
     return replace(sc, thermals=(), random_thermals=None, turbulence_sigma=0.0)
 
 
-# the schema of a site file, checked before anything is built from it;
-# materialize reads the random blocks, _thermal_spec a thermal entry
+# the schema of a site file, checked before anything is built from it; materialize
+# reads the random blocks, whose draws lie in their ranges, _thermal_spec a thermal entry
 RING = Section({"radius": "range"}, required=("radius",))
 RANDOM_THERMALS = Section(
     {"w0": "range", "r0": "radius range", "r0_log": "bool", "count": "count", "clusters": "count",
      "bells": "count range", "offset_sigma": "number", "box": "box", "ring": RING,
-     "birth": "range", "lifetime": "range", "drift": "range"},
+     "birth": "range", "lifetime": "positive range", "drift": "range"},
     required=("w0", "r0", ("count", "clusters"), ("box", "ring")),
 )
 RANDOM_WIND = Section({"speed": "range"}, required=("speed",))
 THERMAL = Section(
-    {"w0": "number", "r0": "positive", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
+    {"w0": "number", "r0": "radius", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
     required=("w0", "r0", "center"),
 )
 SITE = Section({
     "schema_version": "count", "site": "string", "mission": "object",  # mission_from_dict checks the mission
-    "thermals": [THERMAL], "wind": "pair", "turbulence_sigma": "number", "vario_sigma": "number",
-    "vario_rate": "number", "sink_s0": "number", "seed": "count", "battery_j": "number",
+    "thermals": [THERMAL], "wind": "pair", "turbulence_sigma": "non-negative", "vario_sigma": "non-negative",
+    "vario_rate": "vario rate", "sink_s0": "number", "seed": "count", "battery_j": "number",
     "motor_power_w": "number", "motor_climb_rate": "number", "avionics_power_w": "number",
     "random_thermals": RANDOM_THERMALS, "random_wind": RANDOM_WIND,
 })
 
 
 def _thermal_spec(th: dict) -> ThermalSpec:
-    """One checked entry of a site file's thermals. A key the entry leaves
-    out, or a null lifetime, keeps ThermalSpec's default."""
-    given = {key: th[key] for key in ("birth", "lifetime") if th.get(key) is not None}
-    if "drift" in th:
-        given["drift"] = tuple(th["drift"])
-    return ThermalSpec(th["w0"], th["r0"], tuple(th["center"]), **given)
+    """One checked entry of a site file's thermals, its pairs as tuples. A
+    key the entry leaves out, or a null lifetime, keeps ThermalSpec's default."""
+    return ThermalSpec(**{key: tuple(v) if isinstance(v, list) else v for key, v in th.items() if v is not None})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -423,12 +401,4 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario_file(path: str | Path) -> dict:
     """Parse a scenario/mission JSON file; returns the raw document."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario file {path} must hold a JSON object")
-    return data
+    return read_json(path, "scenario")

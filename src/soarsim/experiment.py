@@ -34,6 +34,7 @@ from .params import (
     parse_param_file,
     planner_from_params,
     prior_from_params,
+    read_json,
     resolve_params,
 )
 from .pomdsoar import PlannerConfig
@@ -78,10 +79,6 @@ class ExperimentPlan:
 
     seeds: tuple[int, ...]
     baseline_reps: int
-
-    def __post_init__(self):
-        if self.baseline_reps < 1:
-            raise ConfigError(f"baseline_reps must be at least 1, got {self.baseline_reps}")
 
 
 @dataclass
@@ -331,17 +328,14 @@ def summaries_to_json(summaries: list[FlightSummary], path: str | Path) -> None:
 
 
 def summaries_from_json(path: str | Path) -> list[FlightSummary]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read summaries file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "summaries" not in data:
+    data = read_json(path, "summaries")
+    if "summaries" not in data:
         raise ConfigError(f"{path} has no 'summaries' list")
     if data.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: unsupported schema_version {data.get('schema_version')!r}, expected {REPORT_SCHEMA_VERSION}"
         )
     entries = check(data["summaries"], [SUMMARY], f"{path}: summaries")
+    if not entries:
+        raise ConfigError(f"{path} holds no flight summaries")
     return [FlightSummary(**entry) for entry in entries]

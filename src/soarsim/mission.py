@@ -59,16 +59,13 @@ class MissionConfig:
             raise ConfigError("altitude bands must satisfy alt_min < alt_cutoff < alt_max")
         if len(self.waypoints) < 3:
             raise ConfigError("mission needs at least 3 waypoints")
-        if self.controller not in (POMDSOAR, BASELINE):
-            raise ConfigError(f"unknown controller {self.controller!r}")
-        if len(self.geofence) >= 3:
-            if not _is_convex(self.geofence):
-                raise ConfigError("geofence polygon must be convex")
-            for wp in self.waypoints:
-                if not point_in_convex_polygon(wp, self.geofence):
-                    raise ConfigError(f"waypoint {wp} lies outside the geofence")
-        else:
+        if len(self.geofence) < 3:
             raise ConfigError("geofence needs at least 3 vertices")
+        if not _is_convex(self.geofence):
+            raise ConfigError("geofence polygon must be convex")
+        for wp in self.waypoints:
+            if not point_in_convex_polygon(wp, self.geofence):
+                raise ConfigError(f"waypoint {wp} lies outside the geofence")
 
 
 def _is_convex(poly) -> bool:

@@ -8,11 +8,13 @@ file and converted to radians when configs are built.
 
 check() holds every JSON input (the site file, its mission section, a
 summaries file) to a schema declared beside the code that builds from
-it, and each param-file value to its key's kind, where it is read.
+it, and each param-file value to its key's kind, where it is read. Only
+rules across keys are left to the code that builds from the values.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RECORD_DT
+from .dynamics import RECORD_DT, SIM_DT
 
 POMDSOAR = "pomdsoar"
 BASELINE = "baseline"
@@ -45,8 +47,13 @@ def _two(test):
 
 
 def _ordered(test):
-    """Two values that pass test, [low, high] with low <= high."""
-    return lambda v: _two(test)(v) and v[0] <= v[1]
+    """Two values that pass test, [low, high] with low <= high and a finite width."""
+    return lambda v: _two(test)(v) and v[0] <= v[1] and _number(v[1] - v[0])
+
+
+def _radius(v) -> bool:
+    # a bell divides by r0 * r0, which is 0.0 for an r0 under about 1.6e-162
+    return _number(v) and v > 0.0 and v * v > 0.0
 
 
 # kind -> (test, what a value of the kind is, for the message)
@@ -65,12 +72,16 @@ KINDS = {
     "positive int": (lambda v: _count(v) and v > 0, "a positive int"),
     "pair": (_two(_number), "two finite numbers"),
     "range": (_ordered(_number), "a [low, high] range"),
-    "radius range": (lambda v: _ordered(_number)(v) and v[0] > 0.0, "a [low, high] range with low above 0"),
+    "positive range": (lambda v: _ordered(_number)(v) and v[0] > 0.0, "a [low, high] range with low above 0"),
+    "radius": (_radius, "a finite positive number whose square is above 0"),
+    "radius range": (_ordered(_radius), "a [low, high] range with low above 0 and low * low above 0"),
     "count range": (_ordered(_count), "a [low, high] range of non-negative ints"),
     "box": (lambda v: _two(_two(_number))(v) and all(map(_ordered(_number), zip(*v))),
             "two points [x, y], low corner first"),
     # null, or 1e400 (which JSON reads as inf), is a thermal that never fades
-    "lifetime": (lambda v: v is None or _number(v) or v == math.inf, "a number or null"),
+    "lifetime": (lambda v: v is None or v == math.inf or _number(v) and v > 0.0, "a positive number or null"),
+    "vario rate": (lambda v: _number(v) and v * SIM_DT > 0.0 and math.isfinite(1.0 / (v * SIM_DT)),
+                   f"a positive number with a finite sensor period 1 / (rate * {SIM_DT} s)"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "controller": (lambda v: v in (POMDSOAR, BASELINE), f"{POMDSOAR!r} or {BASELINE!r}"),
@@ -177,8 +188,21 @@ PARAM_SPEC: dict = {
     "SOAR_FILT_TAU": ("positive", 2.0),  # s low-pass for detection/exit
     "NAV_BANK_LIM": ("bank angle", 30.0),  # deg bank limit for waypoint guidance
     "NAV_GAIN": ("number", 1.5),  # bank per rad of heading error
-    "NAV_WP_RADIUS": ("number", 20.0),  # m waypoint acceptance radius
+    "NAV_WP_RADIUS": ("positive", 20.0),  # m waypoint acceptance radius
 }
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at path; what names its role ("scenario") in messages."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return data
 
 
 def parse_param_file(path: str | Path) -> dict:

@@ -12,8 +12,9 @@ so a dead field that shares its name with a live one (a trajectory's
 t beside world.t) slips through.
 No field that a param builder always sets may have a default of its own:
 params.PARAM_SPEC is the one copy of those defaults. Each input schema
-has one entry for each key its builder reads, and no other. README's
-parameter table names every key of params.PARAM_SPEC.
+has one entry for each key its builder reads, and no other, and names
+only kinds that params.KINDS declares. README's parameter table names
+every key of params.PARAM_SPEC.
 """
 
 import ast
@@ -21,10 +22,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from soarsim import environment
-from soarsim.environment import RANDOM_THERMALS, RANDOM_WIND, RING, SITE, THERMAL, Scenario
+from soarsim.environment import RANDOM_THERMALS, RANDOM_WIND, RING, SITE, THERMAL, Scenario, ThermalSpec
 from soarsim.experiment import SUMMARY, FlightSummary
 from soarsim.mission import MISSION, mission_from_dict
-from soarsim.params import PARAM_SPEC
+from soarsim.params import KINDS, PARAM_SPEC, Section
 
 REPO = Path(__file__).resolve().parents[1]
 FILES = sorted((REPO / "src" / "soarsim").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
@@ -169,13 +170,15 @@ def test_no_field_a_param_builder_sets_has_a_default():
 
 
 def string_constants(function) -> set[str]:
-    """The string constants in a function's body, its docstring left out:
-    the keys it reads from the JSON objects it is given."""
+    """The string constants in a function's body, its docstring and the
+    text of its f-strings (messages) left out: the keys it reads from the
+    JSON objects it is given."""
     node = ast.parse(Path(function.__code__.co_filename).read_text()).body
     node = next(n for n in node if isinstance(n, ast.FunctionDef) and n.name == function.__name__)
-    doc = node.body[0]
+    skip = {id(getattr(node.body[0], "value", None))}
+    skip |= {id(part) for f in ast.walk(node) if isinstance(f, ast.JoinedStr) for part in f.values}
     return {c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)
-            and c is not getattr(doc, "value", None)}
+            and id(c) not in skip}
 
 
 def test_each_input_schema_has_one_entry_per_key_read():
@@ -183,9 +186,28 @@ def test_each_input_schema_has_one_entry_per_key_read():
     # misses would be rejected, and one the builder ignores would load unread
     assert set(SITE.keys) == {f.name for f in fields(Scenario) if f.init} | {"mission", "schema_version", "site"}
     assert set(RANDOM_THERMALS.keys) | set(RANDOM_WIND.keys) | set(RING.keys) == string_constants(environment.materialize)
-    assert set(THERMAL.keys) == string_constants(environment._thermal_spec)
+    # _thermal_spec passes a thermal entry to ThermalSpec key for key
+    assert set(THERMAL.keys) == {f.name for f in fields(ThermalSpec)}
     assert set(MISSION.keys) <= string_constants(mission_from_dict)
     assert set(SUMMARY.keys) == {f.name for f in fields(FlightSummary)}
+
+
+def kind_names(kind) -> set:
+    """The KINDS names a kind uses: its own, or those of a Section's
+    values or of a list kind's item."""
+    if isinstance(kind, Section):
+        return set().union(*map(kind_names, kind.keys.values()))
+    if isinstance(kind, list):
+        return kind_names(kind[0])
+    return {kind}
+
+
+def test_every_schema_names_only_declared_kinds():
+    # check() looks a kind up in KINDS: a misspelt one would be a KeyError,
+    # which exits 3 on a valid file
+    named = set().union(*map(kind_names, [SITE, MISSION, SUMMARY] + [kind for kind, _ in PARAM_SPEC.values()]))
+    assert named - set(KINDS) == set()
+    assert {"radius", "radius range", "positive range", "vario rate", "lifetime", "object"} <= named
 
 
 def test_readme_parameter_table_names_every_key():

@@ -49,6 +49,8 @@ BAD_PARAM_VALUES = {
     "SOAR_FILT_TAU": ("-2", "a finite positive number, got -2.0"),
     # at 0 the waypoint guidance cannot turn, and the UAV flies out of the geofence
     "NAV_BANK_LIM": ("0", "an angle above 0 and below 90 deg, got 0.0"),
+    # at 0 the UAV never comes within the radius of its first waypoint, and orbits it
+    "NAV_WP_RADIUS": ("0", "a finite positive number, got 0.0"),
 }
 
 
@@ -236,9 +238,18 @@ class TestExitCodes:
         (dict(thermals={}), "thermals must be a JSON list, got {}"),
         (dict(thermals=""), "thermals must be a JSON list, got ''"),
         (dict(thermals=None), "thermals must be a JSON list, got None"),
+        (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0]}, {"w0": 2.0, "r0": 50.0, "center": [0.0, 0.0],
+                                                                         "lifetime": -3}]),
+         "thermals[1].lifetime must be a positive number or null, got -3"),
+        (dict(random_thermals={**RANDOM_BOX, "lifetime": [-5, 1000]}),
+         "random_thermals.lifetime must be a [low, high] range with low above 0, got [-5, 1000]"),
+        (dict(random_thermals={**RANDOM_BOX, "r0": [1e-170, 80.0]}),
+         "random_thermals.r0 must be a [low, high] range with low above 0 and low * low above 0, got [1e-170, 80.0]"),
+        (dict(random_wind={"speed": [-1e308, 1e308]}), "random_wind.speed must be a [low, high] range"),
     ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
             "wind-one-number", "wind-three-numbers", "r0-log-string", "thermals-object", "thermals-string",
-            "thermals-null"])
+            "thermals-null", "second-thermal-lifetime", "random-lifetime-low", "random-r0-squares-to-zero",
+            "speed-width-overflows"])
     def test_malformed_site_value_is_config_error(self, tmp_path, capsys, overrides, named):
         site = tiny_site(tmp_path, **overrides)
         assert cli.main(["run", "--scenario", str(site)]) == 2
@@ -248,24 +259,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("old, new, named", [
         ('"w0": 2.5', '"w0": "2.5"', "thermals[0].w0 must be a finite number, got '2.5'"),
         ('"w0": 2.5', '"w0": 1e400', "thermals[0].w0 must be a finite number, got inf"),
-        ('"r0": 60.0', '"r0": null', "thermals[0].r0 must be a finite positive number, got None"),
-        ('"r0": 60.0', '"r0": -50', "thermals[0].r0 must be a finite positive number, got -50"),
-        ('"r0": 60.0', '"r0": 0', "thermals[0].r0 must be a finite positive number, got 0"),
+        ('"r0": 60.0', '"r0": null', "thermals[0].r0 must be a finite positive number whose square is above 0, got None"),
+        ('"r0": 60.0', '"r0": -50', "thermals[0].r0 must be a finite positive number whose square is above 0, got -50"),
+        ('"r0": 60.0', '"r0": 0', "thermals[0].r0 must be a finite positive number whose square is above 0, got 0"),
         ('"birth": 0.0', '"birth": "soon"', "thermals[0].birth must be a finite number, got 'soon'"),
-        ('"lifetime": 600.0', '"lifetime": "long"', "thermals[0].lifetime must be a number or null, got 'long'"),
+        ('"lifetime": 600.0', '"lifetime": "long"', "thermals[0].lifetime must be a positive number or null, got 'long'"),
         ('"battery_j": 2500.0', '"battery_j": "full"', "battery_j must be a finite number, got 'full'"),
         ('"battery_j": 2500.0', '"battery_j": ' + "9" * 401, "battery_j must be a finite number, got 999"),
-        ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a finite number, got nan"),
-        ('"vario_rate": 5.0', '"vario_rate": 1e-320', "vario_rate must be positive, with a finite sensor period"),
+        ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a positive number with a finite sensor period"),
+        ('"vario_rate": 5.0', '"vario_rate": 1e-320',
+         "vario_rate must be a positive number with a finite sensor period 1 / (rate * 0.02 s), got 1e-320"),
         ('"vario_rate": 5.0', '"vario_rate": 1e-300',
          "vario_rate 1e-300 gives one variometer reading every 1e+300 s, longer than the 14400 s flight cap"),
         ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
+        ('"vario_sigma": 0.2', '"vario_sigma": -0.1', "vario_sigma must be a finite non-negative number, got -0.1"),
+        ('"r0": 60.0', '"r0": 1e-170', "thermals[0].r0 must be a finite positive number whose square is above 0, got 1e-170"),
         ('"mission"', '"random_thermals": {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], '
                       '"ring": {"radius": [140.0, 215.0]}, "offset_sigma": "wide"}, "mission"',
          "random_thermals.offset_sigma must be a finite number, got 'wide'"),
     ], ids=["w0-string", "w0-inf", "r0-null", "r0-negative", "r0-zero", "birth-string", "lifetime-string",
             "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "vario-rate-blind",
-            "seed-float", "offset-sigma-string"])
+            "seed-float", "vario-sigma-negative", "r0-squares-to-zero", "offset-sigma-string"])
     def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
         site = tiny_site(tmp_path)
         text = site.read_text()
@@ -274,6 +288,13 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(site) in err and named in err
+
+    def test_a_random_lifetime_at_or_below_0_stops_a_sweep_before_its_first_flight(self, tmp_path, capsys):
+        # drawn per seed, such a lifetime once failed only at the seed that drew it
+        site = tiny_site(tmp_path, random_thermals={**RANDOM_BOX, "lifetime": [-5, 1000]})
+        assert cli.main(["sweep", "--scenario", str(site), "--count", "14", "--out", str(tmp_path / "out")]) == 2
+        assert "random_thermals.lifetime must be a [low, high] range with low above 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, named", [
         ("alt_min", "30", "mission.alt_min must be a finite number, got '30'"),
@@ -369,12 +390,12 @@ class TestExitCodes:
         assert f"argument {flag}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema_version": 1}',
-                                      '{"schema_version": 2, "summaries": []}',
+                                      '{"schema_version": 2, "summaries": []}', '{"schema_version": 1, "summaries": []}',
                                       '{"schema_version": 1, "summaries": [{"flight_id": "001"}]}',
                                       summaries_text(flight_time="900"), summaries_text(baseline_time=0.0),
                                       summaries_text(controller="pid"), summaries_text(flight_id=1),
                                       summaries_text(site=5)],
-                             ids=["missing", "not-json", "no-summaries", "schema", "bad-entry",
+                             ids=["missing", "not-json", "no-summaries", "schema", "empty", "bad-entry",
                                   "string-flight-time", "zero-baseline-time", "unknown-controller",
                                   "int-flight-id", "int-site"])
     def test_bad_summaries_file_is_config_error(self, tmp_path, capsys, text):

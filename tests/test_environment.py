@@ -1,10 +1,11 @@
+import json
 import math
 import re
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soarsim.environment as environment
@@ -33,17 +34,22 @@ from soarsim.environment import (
     scenario_from_dict,
     sink_rate,
     true_lift,
-    vario_period_steps,
 )
 from soarsim.params import ConfigError
 
-from conftest import AIRSPEED, PLANNER
+from conftest import AIRSPEED, PLANNER, REPO
 
 
 def quiet(**kw) -> Scenario:
     defaults = dict(thermals=(), wind=(0.0, 0.0), turbulence_sigma=0.0, vario_sigma=0.0)
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+# a complete random_thermals block: two bells anywhere in a 200 m box
+RANDOM_BLOCK = {"count": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+# the least r0 whose square is above 0.0
+R0_EDGE = 1.5717277847026619e-162
 
 
 class TestSink:
@@ -225,7 +231,8 @@ class TestScenarioFiles:
             scenario_from_dict({"schema_version": 1, "site": "s", "mission": {}, **change})
 
     @pytest.mark.parametrize("change, message", [
-        ({"r0": [0.0, 80.0]}, "random_thermals.r0 must be a [low, high] range with low above 0, got [0.0, 80.0]"),
+        ({"r0": [0.0, 80.0]},
+         "random_thermals.r0 must be a [low, high] range with low above 0 and low * low above 0, got [0.0, 80.0]"),
         ({"lifetime": [900.0, 400.0]}, "random_thermals.lifetime must be a [low, high] range"),
         ({"birth": [0.0, math.nan]}, "random_thermals.birth must be a [low, high] range"),
         ({"drift": [0.0, True]}, "random_thermals.drift must be a [low, high] range"),
@@ -259,10 +266,10 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize("change, message", [
         ({"w0": math.inf}, "thermals[0].w0 must be a finite number, got inf"),
-        ({"r0": math.nan}, "thermals[0].r0 must be a finite positive number, got nan"),
+        ({"r0": math.nan}, "thermals[0].r0 must be a finite positive number whose square is above 0, got nan"),
         ({"birth": -math.inf}, "thermals[0].birth must be a finite number, got -inf"),
-        ({"lifetime": math.nan}, "thermals[0].lifetime must be a number or null, got nan"),
-        ({"lifetime": False}, "thermals[0].lifetime must be a number or null, got False"),
+        ({"lifetime": math.nan}, "thermals[0].lifetime must be a positive number or null, got nan"),
+        ({"lifetime": False}, "thermals[0].lifetime must be a positive number or null, got False"),
         ({"w0": None}, "thermals[0] is missing 'w0'"),
     ], ids=["w0-inf", "r0-nan", "birth-inf", "lifetime-nan", "lifetime-bool", "w0-missing"])
     def test_non_finite_thermal_values_rejected(self, change, message):
@@ -276,36 +283,40 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match=f"^{key} must be a"):
             scenario_from_dict({"schema_version": 1, key: value})
 
-    @pytest.mark.parametrize("params, spec", [
-        ((math.inf, 50.0, (0.0, 0.0)), {}),
-        ((2.0, 50.0, (math.nan, 0.0)), {}),
-        ((2.0, 50.0, (0.0, -math.inf)), {}),
-        ((2.0, 50.0, (0.0, 0.0)), {"birth": math.nan}),
-        ((2.0, 50.0, (0.0, 0.0)), {"drift": (0.0, math.inf)}),
-        ((2.0, 1e-170, (0.0, 0.0)), {}),
+    @pytest.mark.parametrize("change, message", [
+        ({"w0": math.inf}, "thermals[0].w0 must be a finite number, got inf"),
+        ({"center": [math.nan, 0.0]}, "thermals[0].center must be two finite numbers, got [nan, 0.0]"),
+        ({"center": [0.0, -math.inf]}, "thermals[0].center must be two finite numbers, got [0.0, -inf]"),
+        ({"birth": math.nan}, "thermals[0].birth must be a finite number, got nan"),
+        ({"drift": [0.0, math.inf]}, "thermals[0].drift must be two finite numbers, got [0.0, inf]"),
+        ({"r0": 1e-170}, "thermals[0].r0 must be a finite positive number whose square is above 0, got 1e-170"),
     ], ids=["w0-inf", "cx-nan", "cy-inf", "birth-nan", "drift-inf", "r0-squares-to-zero"])
-    def test_scenario_rejects_a_thermal_that_is_not_finite(self, params, spec):
+    def test_scenario_rejects_a_thermal_that_is_not_finite(self, change, message):
         # near_rows drops far rows; inf * 0.0 would be nan, and 1e-170 ** 2 is 0.0
-        with pytest.raises(ConfigError, match="must be finite, and r0 \\* r0 above 0"):
-            Scenario(thermals=(ThermalSpec(*params, **spec),))
+        entry = {"w0": 2.0, "r0": 50.0, "center": [0.0, 0.0], **change}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict({"schema_version": 1, "thermals": [entry]})
 
     def test_invalid_radius_rejected(self):
         # a negative r0 squares to a positive r0 * r0, so that test alone would pass it
         for r0 in (0.0, -5.0, -80.0, math.nan):
-            with pytest.raises(ConfigError, match="r0 \\* r0 above 0 with r0 positive"):
-                Scenario(thermals=(ThermalSpec(1.0, r0, (0.0, 0.0)),))
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"thermals[0].r0 must be a finite positive number whose square is above 0, got {r0}")):
+                scenario_from_dict({"schema_version": 1, "thermals": [{"w0": 1.0, "r0": r0, "center": [0.0, 0.0]}]})
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError):
             scenario_from_dict({"schema_version": 99})
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            Scenario(vario_rate=0.0)
-        with pytest.raises(ConfigError):
-            Scenario(turbulence_sigma=-0.1)
-        with pytest.raises(ConfigError):
-            Scenario(thermals=(ThermalSpec(1, 50, (0.0, 0.0), lifetime=0.0),))
+        for change, message in [
+            ({"vario_rate": 0.0}, "vario_rate must be a positive number with a finite sensor period"),
+            ({"turbulence_sigma": -0.1}, "turbulence_sigma must be a finite non-negative number, got -0.1"),
+            ({"thermals": [{"w0": 1, "r0": 50, "center": [0.0, 0.0], "lifetime": 0.0}]},
+             "thermals[0].lifetime must be a positive number or null, got 0.0"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                scenario_from_dict({"schema_version": 1, **change})
 
 
 class TestMaterialize:
@@ -344,6 +355,76 @@ class TestMaterialize:
     def test_without_random_blocks_is_identity(self):
         sc = quiet(seed=3)
         assert materialize(sc, 42) is sc
+
+    @pytest.mark.parametrize("change, seed, drawn", [
+        # 1e308 * z overflows for |z| above 1.8: seed 2 draws a center at x = -inf
+        ({"count": None, "clusters": 1, "bells": [3, 3], "offset_sigma": 1e308}, 2, "(-inf, "),
+        # R0_EDGE squares to the least subnormal, but exp(log(R0_EDGE)) rounds below it
+        ({"r0": [R0_EDGE, R0_EDGE], "r0_log": True}, 1, "with r0 1.5717277847026172e-162"),
+    ], ids=["cluster-center-overflows", "log-r0-squares-to-zero"])
+    def test_a_drawn_bell_no_kind_rules_out_is_config_error(self, change, seed, drawn):
+        # unchecked, near_rows would drop the bell at inf, and true_lift divide by an r0^2 of 0.0
+        block = {k: v for k, v in {**RANDOM_BLOCK, **change}.items() if v is not None}
+        sc = scenario_from_dict({"schema_version": 1, "random_thermals": block})
+        with pytest.raises(ConfigError, match="^random_thermals drew a bell at ") as err:
+            materialize(sc, seed)
+        assert drawn in str(err.value)
+
+
+# lows at and past the edges of the kinds: below 0, -0.0, 0, the least subnormal, r0s squaring to 0.0 or not
+LOWS = [-5.0, -1e-300, -0.0, 0.0, 5e-324, 1e-170, 1e-162, 1e-160, 1.0, 40.0]
+SIGMAS = [-0.1, -5e-324, -0.0, 0.0, 5e-324, 0.2]
+VARIO_RATES = [-1.0, 0.0, 5e-324, 1e-320, 1e-318, 1e-300, 0.2, 3.0, 5.0, 40.0, 1e308]
+
+
+@st.composite
+def site_documents(draw):
+    """A site file's top-level noise and vario values and random_thermals
+    block, within the SITE schema's kinds and at the edges of them."""
+
+    def span(lows, typical=st.floats(-1e3, 1e3)):
+        low = draw(st.one_of(st.sampled_from(lows), typical))
+        return [low, low + draw(st.floats(0.0, 1e3))]
+
+    def scalar(edges, typical):
+        return draw(st.one_of(st.sampled_from(edges), typical))
+
+    positive = st.floats(1e-3, 1e3)
+    block = {"w0": span([-3.0, 0.0]), "r0": span(LOWS, positive), "r0_log": draw(st.booleans()),
+             "birth": span([0.0]), "lifetime": span(LOWS, positive), "drift": span([0.0])}
+    if draw(st.booleans()):
+        block["ring"] = {"radius": span([0.0, 140.0])}
+    else:
+        block["box"] = [[-100.0, -100.0], [100.0, draw(st.floats(-100.0, 500.0))]]
+    if draw(st.booleans()):
+        block["count"] = draw(st.integers(0, 5))
+    else:
+        lo = draw(st.integers(0, 3))
+        block |= {"clusters": draw(st.integers(0, 3)), "bells": [lo, lo + draw(st.integers(0, 2))],
+                  "offset_sigma": draw(st.floats(-100.0, 100.0))}
+    return {"schema_version": 1, "random_thermals": block, "vario_rate": scalar(VARIO_RATES, st.floats(0.5, 50.0)),
+            "turbulence_sigma": scalar(SIGMAS, st.floats(0.0, 1.0)), "vario_sigma": scalar(SIGMAS, st.floats(0.0, 1.0))}
+
+
+FIELD_BLOCK = json.loads((REPO / "scenarios" / "field.json").read_text())["random_thermals"]
+
+
+@given(doc=site_documents())
+# field.json's field with this lifetime range draws one at or below 0 first at seed 14
+@example(doc={"schema_version": 1, "random_thermals": {**FIELD_BLOCK, "lifetime": [-5, 1000]}})
+@settings(max_examples=300, deadline=None)
+def test_a_site_file_that_passes_the_schema_loads(doc):
+    # either the schema names the key path of a value out of its kind, or every
+    # seed draws a field whose lift rows are finite, with r0^2 and lifetime above 0
+    try:
+        sc = scenario_from_dict(doc)
+    except ConfigError as exc:
+        keys = set(doc) | {f"random_thermals.{key}" for key in doc["random_thermals"]}
+        assert str(exc).split(" must be ")[0] in keys
+        return
+    for seed in range(1, 21):
+        for row in materialize(sc, seed).lift_rows:
+            assert all(map(math.isfinite, row)) and row[1] > 0.0 and row[5] > 0.0
 
 
 def test_calm_variant_strips_lift():
@@ -664,5 +745,8 @@ def test_env_step_rebuilds_the_near_set_every_near_steps(airframe, rng):
 
 
 def test_vario_period_steps():
-    assert vario_period_steps(quiet(vario_rate=5.0)) == 10
-    assert vario_period_steps(quiet(vario_rate=50.0)) == 1
+    # the rate is rounded to a whole number of SIM_DT steps, as README states
+    assert quiet(vario_rate=5.0).vario_period == 10
+    assert quiet(vario_rate=50.0).vario_period == 1
+    assert quiet(vario_rate=3.0).vario_period == 17  # reads at 2.94 Hz
+    assert quiet(vario_rate=40.0).vario_period == 1  # reads at 50 Hz

@@ -67,10 +67,6 @@ class TestConfigValidation:
         assert len(load_bundle(REPO / "scenarios" / f"{site}.json")[1].mission.geofence) == 8
         assert mission_config(geofence=square(345.0)).geofence == square(345.0)
 
-    def test_unknown_controller(self):
-        with pytest.raises(ConfigError):
-            mission_config(controller="magic")
-
 
 class TestPointInPolygon:
     def test_inside_outside(self):
