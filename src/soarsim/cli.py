@@ -29,13 +29,6 @@ from .mission import BASELINE, POMDSOAR, run_flight
 from .params import ConfigError
 
 
-def _load_inputs(args) -> tuple[Scenario, ConfigBundle]:
-    sc, bundle = load_bundle(args.scenario, args.params)
-    if getattr(args, "seed", None) is not None:
-        sc = replace(sc, seed=args.seed)
-    return sc, bundle
-
-
 def _jsonl_sink(path: Path):
     fh = path.open("w")
 
@@ -46,8 +39,7 @@ def _jsonl_sink(path: Path):
     return sink
 
 
-def cmd_run(args) -> int:
-    sc, bundle = _load_inputs(args)
+def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
     world = materialize(sc, sc.seed)
     cfg = replace(bundle.mission, controller=args.controller)
     sink = _jsonl_sink(Path(args.out)) if args.out else None
@@ -72,8 +64,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_baseline(args) -> int:
-    sc, bundle = _load_inputs(args)
+def cmd_baseline(args, sc: Scenario, bundle: ConfigBundle) -> int:
     world = materialize(sc, sc.seed)
     time = run_baseline(world, bundle, repetitions=args.reps)
     out = {"baseline_time": time, "repetitions": args.reps, "seed": sc.seed}
@@ -83,8 +74,7 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_paired(args) -> int:
-    sc, bundle = _load_inputs(args)
+def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sinks = [None, None]
@@ -109,8 +99,7 @@ def cmd_paired(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    sc, bundle = _load_inputs(args)
+def cmd_sweep(args, sc: Scenario, bundle: ConfigBundle) -> int:
     seeds = tuple(range(args.seed_start, args.seed_start + args.count))
     plan = ExperimentPlan(seeds=seeds, baseline_reps=args.baseline_reps)
     summaries = run_sweep(sc, bundle, plan)
@@ -203,10 +192,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else 0
+    site = ""
     try:
-        return args.func(args)
+        if args.func is cmd_report:
+            return cmd_report(args)
+        sc, bundle = load_bundle(args.scenario, args.params)
+        if getattr(args, "seed", None) is not None:
+            sc = replace(sc, seed=args.seed)
+        site = f"{args.scenario}: "  # load_bundle names the file; materialize's checks of a seed's draws do not
+        return args.func(args, sc, bundle)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {site}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface as a simulation failure
         print(f"simulation error: {exc}", file=sys.stderr)

@@ -18,12 +18,11 @@ sensor steps and returns that tick's readings, so the mission makes one
 environment call per tick. env_step moves the airframe through
 dynamics.step_kinematics, the kernel trajectory prediction uses too.
 
-Each world keeps a near set: the lift rows that can add a nonzero term
-during the next NEAR_STEPS steps (2 s). env_step rebuilds it every
-NEAR_STEPS steps and sums only those rows, in scenario order. Dropping a
-row is exact, not an approximation: a dropped row would add +-0.0 at
-every step of the window, and adding +-0.0 leaves the sum's bits as they
-are (near_rows states why).
+Each world keeps a near set, rebuilt every NEAR_STEPS steps (2 s): the
+lift rows that can add a nonzero term in that window, each with a bound.
+true_lift sums them in scenario order, skipping a row whose bound is under
+2^-55 of the running sum. Both are exact, the sum keeps its bits: a dropped
+row would add +-0.0, a skipped one under half an ulp (near_rows, true_lift).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
-from math import exp
+from math import exp, inf
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,7 @@ DECAY_S = 10.0  # s over which a dying thermal's strength ramps to zero
 NEAR_STEPS = 100  # SIM_DT steps between rebuilds of a world's near set
 NEAR_WINDOW = NEAR_STEPS * SIM_DT  # s
 FAR_SQ = 28.0**2  # (d / r0)^2 beyond which exp(-d^2 / r0^2) is 0.0
+ABSORB = 2.0**55  # a term below |total| / ABSORB leaves true_lift's running sum as it is
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,13 @@ class Scenario:
     random_thermals: dict | None = None  # sampled per mission seed
     random_wind: dict | None = None
     # derived once per scenario for the 50 Hz loop: one flat row per thermal,
-    # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y), and the SIM_DT
-    # steps between variometer readings (3 Hz reads at 2.94 Hz, 40 Hz at 50 Hz)
+    # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y, inf: no skip bound),
+    # and the SIM_DT steps between variometer readings (3 Hz reads at 2.94 Hz)
     lift_rows: tuple = field(init=False, repr=False, compare=False)
     vario_period: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple((th.w0, th.r0 * th.r0, *th.center, th.birth, th.lifetime, *th.drift) for th in self.thermals)
+        rows = tuple((th.w0, th.r0 * th.r0, *th.center, th.birth, th.lifetime, *th.drift, inf) for th in self.thermals)
         object.__setattr__(self, "lift_rows", rows)
         object.__setattr__(self, "vario_period", max(1, round(1.0 / (self.vario_rate * SIM_DT))))
 
@@ -95,6 +95,15 @@ def true_lift(rows, x: float, y: float, t: float) -> float:
     Lift superposes linearly. A thermal adds w0 * exp(-d^2 / r0^2) about
     its center drifted by drift * age; it adds nothing before its birth,
     and after its lifetime its strength ramps linearly to zero over DECAY_S.
+
+    A row's last field is ABSORB = 2^55 times a bound B on its term
+    (near_rows; inf in Scenario.lift_rows, which skips nothing); the row is
+    skipped when |total| exceeds it. For |total| in [2^e, 2^(e+1)) the
+    floats beside total are 2^(e-52) away, 2^(e-53) below a power of two,
+    and B < 2^(e-54), 2^(e-55) at a power of two: under half that gap with a
+    factor of 2 for the rounding of exp and the products, so total + term
+    == total. The rows keep scenario order, so each running total, and each
+    skip decided on it, is the full sum's: float addition is not associative.
     """
     # A scalar math.exp loop, not numpy: np.exp differs from math.exp in the
     # last bit on about 5% of inputs (92,375 of 2,000,000 uniform in [-20, 0]
@@ -105,7 +114,9 @@ def true_lift(rows, x: float, y: float, t: float) -> float:
     # pow is not correctly rounded, and a * a differs from a ** 2 in the last
     # bit on 862 of 1,000,000 inputs uniform in [-500, 500] (glibc, x86-64).
     total = 0.0
-    for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y in rows:
+    for w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y, absorbed in rows:
+        if abs(total) > absorbed:
+            continue
         age = t - birth
         if age < 0.0:
             continue
@@ -140,13 +151,19 @@ def near_rows(sc: Scenario, w: WorldState) -> tuple:
     leaves it bit for bit the same. That needs w0 finite (inf * 0.0 is
     nan), which the site schema and materialize ensure, and a world moved
     only by env_step: a kept row still runs the per-step age and fade checks.
+    A kept row gets a ninth field, ABSORB * B for true_lift's skip: B =
+    |w0| max(exp(-g^2 / r0^2), 2^-1022), g = max(gap, 0), as the UAV stays g
+    or more from the center through the window and fade <= 1. exp's error
+    is relative only above 2^-1022, the least normal float, hence that floor;
+    B's floor at the least subnormal, 5e-324, keeps a 0.0 bound (for |w0|
+    under 2^-52) from skipping a term against any total.
     """
     u, t = w.uav, w.t
     t_end = (w.step + NEAR_STEPS) * SIM_DT
     reach = u.v * NEAR_WINDOW + 1.0
     near = []
     for row in sc.lift_rows:
-        w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y = row
+        w0, r0_sq, cx, cy, birth, lifetime, drift_x, drift_y, _ = row
         age = t - birth
         if birth > t_end or (age > lifetime and 1.0 - (age - lifetime) / DECAY_S <= 0.0):
             continue
@@ -154,7 +171,8 @@ def near_rows(sc: Scenario, w: WorldState) -> tuple:
             reach + math.hypot(drift_x, drift_y) * NEAR_WINDOW)
         if gap > 0.0 and gap * gap > FAR_SQ * r0_sq:
             continue
-        near.append(row)
+        bound = abs(w0) * max(exp(-(gap * gap if gap > 0.0 else 0.0) / r0_sq), 2.0**-1022)
+        near.append(row[:8] + (ABSORB * max(bound, 5e-324),))
     return tuple(near)
 
 

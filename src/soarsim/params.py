@@ -75,7 +75,8 @@ KINDS = {
     "positive range": (lambda v: _ordered(_number)(v) and v[0] > 0.0, "a [low, high] range with low above 0"),
     "radius": (_radius, "a finite positive number whose square is above 0"),
     "radius range": (_ordered(_radius), "a [low, high] range with low above 0 and low * low above 0"),
-    "count range": (_ordered(_count), "a [low, high] range of non-negative ints"),
+    # materialize draws rng.integers(low, high + 1), whose bounds numpy holds to int64
+    "count range": (lambda v: _ordered(_count)(v) and v[1] < 2**63, "a [low, high] range of ints from 0 to 2**63 - 1"),
     "box": (lambda v: _two(_two(_number))(v) and all(map(_ordered(_number), zip(*v))),
             "two points [x, y], low corner first"),
     # null, or 1e400 (which JSON reads as inf), is a thermal that never fades

@@ -61,6 +61,7 @@ def test_every_constrained_param_has_a_bad_value_case():
 
 # a complete random_thermals block: three bells anywhere in a 200 m box
 RANDOM_BOX = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
 
 
 def tiny_site(tmp_path, **overrides) -> Path:
@@ -246,15 +247,32 @@ class TestExitCodes:
         (dict(random_thermals={**RANDOM_BOX, "r0": [1e-170, 80.0]}),
          "random_thermals.r0 must be a [low, high] range with low above 0 and low * low above 0, got [1e-170, 80.0]"),
         (dict(random_wind={"speed": [-1e308, 1e308]}), "random_wind.speed must be a [low, high] range"),
+        # materialize draws rng.integers(low, high + 1), which numpy bounds to int64
+        (dict(random_thermals={**CLUSTERS, "bells": [1, 2**63]}),
+         "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, "
+         "got [1, 9223372036854775808]"),
     ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
             "wind-one-number", "wind-three-numbers", "r0-log-string", "thermals-object", "thermals-string",
             "thermals-null", "second-thermal-lifetime", "random-lifetime-low", "random-r0-squares-to-zero",
-            "speed-width-overflows"])
+            "speed-width-overflows", "bells-beyond-int64"])
     def test_malformed_site_value_is_config_error(self, tmp_path, capsys, overrides, named):
         site = tiny_site(tmp_path, **overrides)
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(site) in err and named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "2"],
+        ["baseline", "--seed", "2"],
+        ["paired", "--seed", "2", "--out", "out"],
+        ["sweep", "--seed-start", "2", "--count", "1", "--out", "out"],
+    ], ids=["run", "baseline", "paired", "sweep"])
+    def test_a_drawn_bell_no_kind_rules_out_names_the_site_file(self, tmp_path, capsys, argv):
+        # 1e308 * z overflows for |z| above 1.8: seed 2 draws a center at x = -inf
+        site = tiny_site(tmp_path, random_thermals={**CLUSTERS, "bells": [3, 3], "offset_sigma": 1e308})
+        argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
+        assert cli.main([*argv, "--scenario", str(site)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {site}: random_thermals drew a bell at (-inf, ")
 
     @pytest.mark.parametrize("old, new, named", [
         ('"w0": 2.5', '"w0": "2.5"', "thermals[0].w0 must be a finite number, got '2.5'"),

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import soarsim.environment as environment
@@ -19,6 +19,7 @@ from soarsim.dynamics import (
     step_kinematics,
 )
 from soarsim.environment import (
+    ABSORB,
     DECAY_S,
     FAR_SQ,
     NEAR_STEPS,
@@ -38,6 +39,11 @@ from soarsim.environment import (
 from soarsim.params import ConfigError
 
 from conftest import AIRSPEED, PLANNER, REPO
+
+
+def physical(rows) -> list:
+    """Lift rows without their last field, true_lift's skip bound."""
+    return [row[:8] for row in rows]
 
 
 def quiet(**kw) -> Scenario:
@@ -239,7 +245,7 @@ class TestScenarioFiles:
         ({"count": -1}, "random_thermals.count must be a non-negative int, got -1"),
         ({"count": 2.5}, "random_thermals.count must be a non-negative int, got 2.5"),
         ({"count": None, "clusters": True}, "random_thermals.clusters must be a non-negative int, got True"),
-        ({"bells": [1.5, 3]}, "random_thermals.bells must be a [low, high] range of non-negative ints, got [1.5, 3]"),
+        ({"bells": [1.5, 3]}, "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, got [1.5, 3]"),
         ({"bells": [3, 1]}, "random_thermals.bells must be a [low, high] range"),
         ({"box": [[0.0, 0.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0]]"),
         ({"box": [[0.0, 0.0], [1.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0], [1.0]]"),
@@ -423,7 +429,7 @@ def test_a_site_file_that_passes_the_schema_loads(doc):
         assert str(exc).split(" must be ")[0] in keys
         return
     for seed in range(1, 21):
-        for row in materialize(sc, seed).lift_rows:
+        for row in physical(materialize(sc, seed).lift_rows):
             assert all(map(math.isfinite, row)) and row[1] > 0.0 and row[5] > 0.0
 
 
@@ -707,7 +713,7 @@ def walk(w, headings):
 def test_near_set_lift_equals_the_full_sum(case):
     sc, w, headings = case
     near = near_rows(sc, w)
-    assert set(near) <= set(sc.lift_rows)
+    assert set(physical(near)) <= set(physical(sc.lift_rows))
     for x, y, t in walk(w, headings):
         assert true_lift(near, x, y, t) == true_lift(sc.lift_rows, x, y, t)
 
@@ -724,9 +730,90 @@ def test_a_row_just_past_the_cut_adds_exactly_zero(w0):
         ThermalSpec(w0, r0, (0.0, cut - 1e-6), drift=(0.0, -speed)),
     ))
     w = make_world(sc, h0=100.0, v=v)
-    assert near_rows(sc, w) == sc.lift_rows[1:]
+    assert physical(near_rows(sc, w)) == physical(sc.lift_rows[1:])
     for x, y, t in walk(w, [0.0] * NEAR_STEPS):
         assert true_lift(sc.lift_rows[:1], x, y, t) == 0.0
+
+
+def skips(near, x, y, t) -> int:
+    """How many rows of near true_lift skips at (x, y, t): those whose bound
+    the sum of the rows before them exceeds."""
+    return sum(abs(true_lift(near[:i], x, y, t)) > row[8] for i, row in enumerate(near))
+
+
+@st.composite
+def absorbed_cases(draw):
+    """A strong bell at the UAV, listed first, and weak bells 5 to 7 radii
+    out, where the sum starts to absorb their terms. A large r0 and a slow
+    UAV keep the near set's bound within a few percent of the terms."""
+    v = draw(st.floats(5.0, 8.0))
+    step = draw(st.integers(0, 5000))
+    t = step * SIM_DT
+    x, y, psi = draw(st.floats(-2000.0, 2000.0)), draw(st.floats(-2000.0, 2000.0)), draw(ANGLE)
+    r0 = draw(st.floats(80.0, 300.0))
+    offset, bearing = r0 * draw(st.floats(0.0, 0.5)), draw(ANGLE)
+    strength = draw(st.one_of(st.floats(0.5, 4.0), st.floats(-3.0, -0.5)))
+    thermals = [ThermalSpec(strength, r0, (x + offset * math.sin(bearing), y + offset * math.cos(bearing)))]
+    for _ in range(draw(st.integers(1, 5))):
+        r0 = draw(st.floats(500.0, 3000.0))
+        distance, bearing = r0 * draw(st.floats(5.0, 7.0)), draw(ANGLE)
+        speed, drift_angle = draw(st.floats(0.0, 0.3)), draw(ANGLE)
+        drift = (speed * math.sin(drift_angle), speed * math.cos(drift_angle))
+        thermals.append(ThermalSpec(
+            draw(st.floats(-3.0, 4.0)), r0,
+            (x + distance * math.sin(bearing) - drift[0] * t, y + distance * math.cos(bearing) - drift[1] * t),
+            drift=drift,
+        ))
+    sc = quiet(thermals=tuple(thermals))
+    w = make_world(sc, h0=100.0, v=v)
+    w.uav.x, w.uav.y, w.uav.psi = x, y, psi
+    w.step, w.t = step, t
+    turn = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+    return sc, w, [psi + turn * k for k in range(1, NEAR_STEPS + 1)]
+
+
+def test_the_near_set_skips_only_terms_the_sum_absorbs():
+    # with 2^52 in place of ABSORB's 2^55, 8 of 8 runs of this test failed; with 2^53, 5 of 8
+    skipped = []
+
+    @given(case=absorbed_cases())
+    @settings(max_examples=150, deadline=None)
+    def check(case):
+        sc, w, headings = case
+        near = near_rows(sc, w)
+        n = 0
+        for x, y, t in walk(w, headings):
+            assert true_lift(near, x, y, t) == true_lift(sc.lift_rows, x, y, t)
+            n += skips(near, x, y, t)
+        event("skips rows" if n else "skips none")
+        skipped.append(n)
+
+    check()
+    assert sum(map(bool, skipped)) > len(skipped) // 2
+
+
+STRONG = ThermalSpec(2.5, 150.0, (0.0, 30.0))  # the UAV flies north through its core
+
+
+@pytest.mark.parametrize("thermals, through_lift_rows, bound", [
+    ((ThermalSpec(-2.0, 150.0, (0.0, 30.0)), ThermalSpec(1.5, 1000.0, (6500.0, 0.0))), False, None),
+    # 27.2 radii out, past the reach: exp(-g^2 / r0^2) is subnormal, and floored at 2^-1022
+    ((STRONG, ThermalSpec(3.0, 100.0, (2734.0, 0.0))), False, ABSORB * 3.0 * 2.0**-1022),
+    ((STRONG, ThermalSpec(1.5, 1000.0, (0.0, -6200.0), birth=1.0),
+      ThermalSpec(1.5, 1000.0, (6200.0, 0.0), birth=-10.0, lifetime=1.0)), False, None),
+    ((STRONG, ThermalSpec(1.5, 1000.0, (6500.0, 0.0))), True, math.inf),
+], ids=["sink-total", "subnormal-bound", "born-and-fading", "lift-rows"])
+def test_an_absorbed_row_is_skipped_without_changing_a_bit(thermals, through_lift_rows, bound):
+    sc = quiet(thermals=thermals)
+    w = make_world(sc, h0=100.0, v=6.0)
+    rows = sc.lift_rows if through_lift_rows else near_rows(sc, w)
+    assert physical(rows) == physical(sc.lift_rows)
+    assert bound is None or rows[1][8] == bound
+    n = 0
+    for x, y, t in walk(w, [0.0] * NEAR_STEPS):
+        assert true_lift(rows, x, y, t) == reference_true_lift(sc, x, y, t)
+        n += skips(rows, x, y, t)
+    assert (n == 0) == through_lift_rows
 
 
 def test_env_step_rebuilds_the_near_set_every_near_steps(airframe, rng):
