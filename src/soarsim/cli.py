@@ -75,6 +75,7 @@ def cmd_baseline(args, sc: Scenario, bundle: ConfigBundle) -> int:
 
 
 def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
+    sc = materialize(sc, sc.seed)  # before any output exists; run_paired flies this world as drawn
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sinks = [None, None]

@@ -121,10 +121,6 @@ class ActionTrajectory:
     phi: np.ndarray  # (n,) rad
     psi: np.ndarray  # (n,) rad
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([self.x, self.y], axis=-1)
-
 
 def step_kinematics(
     params: AirframeParams,

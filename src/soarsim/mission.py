@@ -289,8 +289,8 @@ def run_flight(
                 "battery_j": world.battery_j,
             }
             if ms.belief is not None:
-                rec["belief_mean"] = [float(v) for v in ms.belief.mean]
-                rec["belief_trace"] = float(np.trace(ms.belief.cov))
+                rec["belief_mean"] = ms.belief.mean.tolist()
+                rec["belief_trace"] = float(ms.belief.cov.trace())
             if ms.plan is not None and ms.last_plan_t == world.t:
                 rec["plan"] = {
                     "mode": ms.plan.mode,

@@ -69,6 +69,11 @@ def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, h
     return [predict_trajectory(airframe, s0, RollAction(bank, horizon)) for bank in cfg.bank_angles]
 
 
+def _positions(trajs) -> np.ndarray:
+    """Every trajectory's waypoints, start included: (A, T+1, 2)."""
+    return np.array([(tr.x, tr.y) for tr in trajs]).transpose(0, 2, 1)
+
+
 def _sampled_lift(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Lift of each sampled thermal at each waypoint: (A, N, T) for
     samples of shape (N, 4) and pos of shape (A, T, 2)."""
@@ -93,41 +98,59 @@ def explore_score(
     trace over samples (lower is better).
     """
     trajs = _trajectories(cfg, uav, airframe, cfg.t_explore)
-    a = len(trajs)
-    n = len(samples)
-    pos = np.stack([tr.positions[1:] for tr in trajs])  # (A, T, 2), start excluded
-    deltas = np.diff(np.stack([tr.positions for tr in trajs]), axis=1)  # (A, T, 2)
-    obs = _sampled_lift(samples, pos)  # (A, N, T)
+    xy = _positions(trajs)
+    obs = _sampled_lift(samples, xy[:, 1:])  # (A, N, T), start excluded
+    a, n = obs.shape[:2]
+    # per step, the UAV displacement (2, A, 1) and the observations (A, N)
+    steps = zip(np.diff(xy, axis=1).transpose(1, 2, 0)[..., None], np.moveaxis(obs, 2, 0).copy())
 
-    means = np.broadcast_to(b.mean, (a, n, 4)).copy()
+    # Each step works in place on the buffers and views made here, the means laid out (4, A, N).
+    # The pinned outputs hold while every product keeps thermal.observe's operands and
+    # association and both einsums their subscripts, whose summation order is in the bits.
+    means = np.broadcast_to(b.mean[:, None, None], (4, a, n)).copy()
     covs = np.broadcast_to(b.cov, (a, n, 4, 4)).copy()
     q_step = np.diag(noise.q_diag) * RECORD_DT
-    n_steps = pos.shape[1]
-    for t in range(n_steps):
+    w0, r0_mean, cxy = means[0], means[1], means[2:]
+    r0, r03, r2, inv_r02, e, w, innov, s = np.empty((8, a, n))
+    cxy2, dmean = np.empty((2, a, n)), np.empty((4, a, n))
+    h, cov_h, k = np.empty((3, a, n, 4))
+    outer = np.empty((a, n, 4, 4))
+    h_e, h_r0, h_c, covs_t = h[..., 0], h[..., 1], h[..., 2:].transpose(2, 0, 1), covs.swapaxes(-1, -2)
+    s_col, k_t, k_col, cov_h_row = s[..., None], k.transpose(2, 0, 1), k[..., :, None], cov_h[..., None, :]
+    for delta, obs_t in steps:
         # shift: relative center moves opposite the UAV displacement
-        means[:, :, 2] -= deltas[:, t, 0][:, None]
-        means[:, :, 3] -= deltas[:, t, 1][:, None]
+        cxy -= delta
         covs += q_step
         # linearized observation map at the current means
-        w0 = means[..., 0]
-        r0 = np.maximum(means[..., 1], R0_FLOOR)
-        cx = means[..., 2]
-        cy = means[..., 3]
-        r2 = cx * cx + cy * cy
-        inv_r02 = 1.0 / (r0 * r0)
-        e = np.exp(-r2 * inv_r02)
-        w = w0 * e
-        h = np.stack(
-            [e, 2.0 * r2 * w / r0**3, -2.0 * cx * w * inv_r02, -2.0 * cy * w * inv_r02],
-            axis=-1,
-        )  # (A, N, 4)
-        cov_h = np.einsum("anij,anj->ani", covs, h)
-        s = np.einsum("ani,ani->an", h, cov_h) + noise.r_obs
-        k = cov_h / s[..., None]
-        means += k * (obs[:, :, t] - w)[..., None]
-        covs -= k[..., :, None] * cov_h[..., None, :]
-        covs = (covs + covs.swapaxes(-1, -2)) * 0.5
-        means[..., 1] = np.maximum(means[..., 1], R0_FLOOR)
+        np.maximum(r0_mean, R0_FLOOR, out=r0)
+        np.multiply(cxy, cxy, out=cxy2)
+        np.add(cxy2[0], cxy2[1], out=r2)
+        np.multiply(r0, r0, out=inv_r02)
+        np.divide(1.0, inv_r02, out=inv_r02)
+        np.negative(r2, out=e)
+        e *= inv_r02
+        np.exp(e, out=e)
+        np.multiply(w0, e, out=w)
+        np.power(r0, 3, out=r03)
+        h_e[...] = e
+        np.multiply(2.0, r2, out=h_r0)
+        h_r0 *= w
+        h_r0 /= r03
+        np.multiply(-2.0, cxy, out=h_c)
+        h_c *= w
+        h_c *= inv_r02
+        np.einsum("anij,anj->ani", covs, h, out=cov_h)
+        np.einsum("ani,ani->an", h, cov_h, out=s)
+        s += noise.r_obs
+        np.divide(cov_h, s_col, out=k)
+        np.subtract(obs_t, w, out=innov)
+        np.multiply(k_t, innov, out=dmean)
+        means += dmean
+        np.multiply(k_col, cov_h_row, out=outer)
+        covs -= outer
+        np.add(covs, covs_t, out=outer)
+        np.multiply(outer, 0.5, out=covs)
+        np.maximum(r0_mean, R0_FLOOR, out=r0_mean)
 
     weights = np.asarray(cfg.trace_weights)
     traces = np.einsum("anii,i->an", covs, weights)  # (A, N)
@@ -148,8 +171,7 @@ def exploit_score(
     """Expected altitude gain per action, m, integrating hypothesis lift
     along each trajectory (minus bank-dependent sink when enabled)."""
     trajs = _trajectories(cfg, uav, airframe, cfg.t_exploit)
-    pos = np.stack([tr.positions[1:] for tr in trajs])  # (A, T, 2)
-    lifts = _sampled_lift(samples, pos)  # (A, N, T)
+    lifts = _sampled_lift(samples, _positions(trajs)[:, 1:])  # (A, N, T)
     gains = lifts.sum(axis=2) * RECORD_DT  # (A, N)
     valid = np.isfinite(gains).all(axis=0)
     if not valid.all():

@@ -106,6 +106,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     sources = sorted((REPO / "src" / "soarsim").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
     n = sum(p.read_bytes().count(b"\n") for p in sources)
     tw.write_line(f"LINES src+scripts {n}")
+    # the planner's worst cycle times, which test_c10_planning_budget records
+    plan = {k: v for rep in terminalreporter.stats.get("passed", []) + terminalreporter.stats.get("failed", [])
+            for k, v in rep.user_properties}
+    if "plan_worst_explore_ms" in plan:
+        tw.write_line(f"PLAN worst explore {plan['plan_worst_explore_ms']:.1f} ms, "
+                      f"worst exploit {plan['plan_worst_exploit_ms']:.1f} ms")
 
 
 @pytest.fixture

@@ -168,7 +168,7 @@ def test_c05_coordinated_turn_radius():
         duration = max(round(2 * period / 0.2), 1) * 0.2
         s0 = UavState(0.0, 0.0, 9.0, 0.0, phi, 0.0, 100.0)
         tr = predict_trajectory(airframe, s0, RollAction(phi, duration))
-        pts = tr.positions
+        pts = np.stack([tr.x, tr.y], axis=-1)
         center = pts.mean(axis=0)
         measured = float(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]).mean())
         assert abs(measured - radius) / radius < 0.01
@@ -320,15 +320,19 @@ def test_c09_cli_determinism(tmp_path, capsys):
     assert sweeps[0] == sweeps[1]
 
 
-def test_c10_planning_budget(free_airframe, noise):
+def test_c10_planning_budget(free_airframe, noise, record_property):
     uav = UavState(0.0, 0.0, 9.0, 0.0, 0.1, 0.0, 100.0)
     explore_belief = GaussianBelief(np.array([1.5, 80.0, 5.0, 5.0]), np.diag([1.0, 400.0, 400.0, 400.0]))
     exploit_belief = GaussianBelief(np.array([2.0, 80.0, 5.0, 5.0]), np.diag([1.0, 10.0, 10.0, 10.0]))
     cfg = PLANNER
     choose_action(cfg, uav, explore_belief, free_airframe, noise, np.random.default_rng(0))  # warm-up
-    worst = 0.0
+    worst_by_mode = {EXPLORE: 0.0, EXPLOIT: 0.0}
     for seed, belief in [(i, explore_belief) for i in range(5)] + [(i, exploit_belief) for i in range(5)]:
         t0 = time.perf_counter()
-        choose_action(cfg, uav, belief, free_airframe, noise, np.random.default_rng(seed))
-        worst = max(worst, time.perf_counter() - t0)
+        mode = choose_action(cfg, uav, belief, free_airframe, noise, np.random.default_rng(seed)).mode
+        worst_by_mode[mode] = max(worst_by_mode[mode], time.perf_counter() - t0)
+    # the terminal summary prints both under LINES, beside the 0.5 s budget
+    for mode, seconds in worst_by_mode.items():
+        record_property(f"plan_worst_{mode}_ms", seconds * 1e3)
+    worst = max(worst_by_mode.values())
     assert worst < 0.5

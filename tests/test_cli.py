@@ -274,6 +274,14 @@ class TestExitCodes:
         assert cli.main([*argv, "--scenario", str(site)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {site}: random_thermals drew a bell at (-inf, ")
 
+    def test_a_drawn_bell_error_leaves_no_paired_output(self, tmp_path, capsys):
+        # paired draws the seed's world before it creates --out and opens the telemetry files
+        site = tiny_site(tmp_path, random_thermals={**CLUSTERS, "bells": [3, 3], "offset_sigma": 1e308})
+        out = tmp_path / "out"
+        assert cli.main(["paired", "--scenario", str(site), "--seed", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {site}: random_thermals drew a bell at (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, named", [
         ('"w0": 2.5', '"w0": "2.5"', "thermals[0].w0 must be a finite number, got '2.5'"),
         ('"w0": 2.5', '"w0": 1e400', "thermals[0].w0 must be a finite number, got inf"),

@@ -165,7 +165,7 @@ class TestPredictTrajectory:
         duration = round(2 * period / 0.2) * 0.2
         s0 = UavState(0.0, 0.0, 9.0, 0.0, phi, 0.0, 100.0)
         tr = predict_trajectory(free_airframe, s0, RollAction(phi, duration))
-        pts = tr.positions
+        pts = np.stack([tr.x, tr.y], axis=-1)
         center = pts.mean(axis=0)
         radii = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         assert abs(radii.mean() - radius) / radius < 0.01
