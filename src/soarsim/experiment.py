@@ -118,9 +118,13 @@ def load_bundle(
     if period > cap:
         raise ConfigError(f"{scenario_path}: vario_rate {sc.vario_rate} gives one variometer reading every "
                           f"{period:g} s, longer than the {cap:g} s flight cap")
+    # an exploit rollout past the cap records round(horizon / RECORD_DT) waypoints: it never ends, or overflows
+    planner = planner_from_params(params, sink_s0=sc.sink_s0)
+    if planner.t_exploit > cap:
+        raise ConfigError(f"{params_path}: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of "
+                          f"{planner.t_exploit:g} s, longer than the {cap:g} s flight cap")
     return sc, ConfigBundle(mission, airframe_from_params(params), noise_from_params(params),
-                            prior_from_params(params), planner_from_params(params, sink_s0=sc.sink_s0),
-                            baseline_from_params(params))
+                            prior_from_params(params), planner, baseline_from_params(params))
 
 
 def exclusion_flag(encounters_a: int, encounters_b: int) -> bool:

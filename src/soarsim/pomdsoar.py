@@ -101,59 +101,67 @@ def explore_score(
     xy = _positions(trajs)
     obs = _sampled_lift(samples, xy[:, 1:])  # (A, N, T), start excluded
     a, n = obs.shape[:2]
-    # per step, the UAV displacement (2, A, 1) and the observations (A, N)
-    steps = zip(np.diff(xy, axis=1).transpose(1, 2, 0)[..., None], np.moveaxis(obs, 2, 0).copy())
+    # per step, the UAV displacement (2, A, N), repeated over samples, and the observations (A, N)
+    steps = zip(np.repeat(np.diff(xy, axis=1).transpose(1, 2, 0)[..., None], n, axis=-1),
+                np.moveaxis(obs, 2, 0).copy())
 
-    # Each step works in place on the buffers and views made here, the means laid out (4, A, N).
-    # The pinned outputs hold while every product keeps thermal.observe's operands and
-    # association and both einsums their subscripts, whose summation order is in the bits.
+    # Each step works in place on the buffers and views made here: elementwise ops on contiguous
+    # component-major (..., A, N) rows, the einsums on (A, N, ...) copies, h and covs. The pinned
+    # outputs hold while every product keeps thermal.observe's operands and association and both
+    # einsums their subscripts and operand layouts, which set their summation order.
     means = np.broadcast_to(b.mean[:, None, None], (4, a, n)).copy()
-    covs = np.broadcast_to(b.cov, (a, n, 4, 4)).copy()
-    q_step = np.diag(noise.q_diag) * RECORD_DT
+    cov = np.broadcast_to(b.cov[:, :, None, None], (4, 4, a, n)).copy()
+    q_step = np.broadcast_to((np.diag(noise.q_diag) * RECORD_DT)[:, :, None, None], (4, 4, a, n)).copy()
     w0, r0_mean, cxy = means[0], means[1], means[2:]
-    r0, r03, r2, inv_r02, e, w, innov, s = np.empty((8, a, n))
-    cxy2, dmean = np.empty((2, a, n)), np.empty((4, a, n))
-    h, cov_h, k = np.empty((3, a, n, 4))
-    outer = np.empty((a, n, 4, 4))
-    h_e, h_r0, h_c, covs_t = h[..., 0], h[..., 1], h[..., 2:].transpose(2, 0, 1), covs.swapaxes(-1, -2)
-    s_col, k_t, k_col, cov_h_row = s[..., None], k.transpose(2, 0, 1), k[..., :, None], cov_h[..., None, :]
-    for delta, obs_t in steps:
-        # shift: relative center moves opposite the UAV displacement
-        cxy -= delta
-        covs += q_step
-        # linearized observation map at the current means
-        np.maximum(r0_mean, R0_FLOOR, out=r0)
-        np.multiply(cxy, cxy, out=cxy2)
-        np.add(cxy2[0], cxy2[1], out=r2)
-        np.multiply(r0, r0, out=inv_r02)
-        np.divide(1.0, inv_r02, out=inv_r02)
-        np.negative(r2, out=e)
-        e *= inv_r02
-        np.exp(e, out=e)
-        np.multiply(w0, e, out=w)
-        np.power(r0, 3, out=r03)
-        h_e[...] = e
-        np.multiply(2.0, r2, out=h_r0)
-        h_r0 *= w
-        h_r0 /= r03
-        np.multiply(-2.0, cxy, out=h_c)
-        h_c *= w
-        h_c *= inv_r02
-        np.einsum("anij,anj->ani", covs, h, out=cov_h)
-        np.einsum("ani,ani->an", h, cov_h, out=s)
-        s += noise.r_obs
-        np.divide(cov_h, s_col, out=k)
-        np.subtract(obs_t, w, out=innov)
-        np.multiply(k_t, innov, out=dmean)
-        means += dmean
-        np.multiply(k_col, cov_h_row, out=outer)
-        covs -= outer
-        np.add(covs, covs_t, out=outer)
-        np.multiply(outer, 0.5, out=covs)
-        np.maximum(r0_mean, R0_FLOOR, out=r0_mean)
+    r03, r2, inv_r02, e, w, innov, s = np.empty((7, a, n))
+    cx2, cy2 = cxy2 = np.empty((2, a, n))
+    jac, ch, k, dmean = np.empty((4, 4, a, n))
+    jac_e, jac_r0, jac_c, jac_rc = jac[0], jac[1], jac[2:], jac[1:]
+    h, cov_h = np.empty((2, a, n, 4))
+    covs, outer = np.empty((a, n, 4, 4)), np.empty((4, 4, a, n))
+    jac_h, cov_h_t, k_col, ch_row = jac.transpose(1, 2, 0), cov_h.transpose(2, 0, 1), k[:, None], ch[None, :]
+    cov_an, cov_t = cov.transpose(2, 3, 0, 1), cov.transpose(1, 0, 2, 3)
+    r0 = np.maximum(r0_mean, R0_FLOOR)  # later steps linearize at r0_mean, floored by the step before
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging chain is dropped below
+        for delta, obs_t in steps:
+            # shift: relative center moves opposite the UAV displacement
+            cxy -= delta
+            cov += q_step
+            covs[...] = cov_an
+            # linearized observation map at the current means
+            np.multiply(cxy, cxy, out=cxy2)
+            np.add(cx2, cy2, out=r2)
+            np.multiply(r0, r0, out=inv_r02)
+            np.divide(1.0, inv_r02, out=inv_r02)
+            np.negative(r2, out=e)
+            e *= inv_r02
+            np.exp(e, out=jac_e)
+            np.multiply(w0, jac_e, out=w)
+            np.power(r0, 3, out=r03)
+            np.multiply(2.0, r2, out=jac_r0)
+            np.multiply(-2.0, cxy, out=jac_c)
+            jac_rc *= w
+            jac_r0 /= r03
+            jac_c *= inv_r02
+            h[...] = jac_h
+            np.einsum("anij,anj->ani", covs, h, out=cov_h)
+            np.einsum("ani,ani->an", h, cov_h, out=s)
+            s += noise.r_obs
+            ch[...] = cov_h_t
+            np.divide(ch, s, out=k)
+            np.subtract(obs_t, w, out=innov)
+            np.multiply(k, innov, out=dmean)
+            means += dmean
+            np.multiply(k_col, ch_row, out=outer)
+            cov -= outer
+            np.add(cov, cov_t, out=outer)
+            np.multiply(outer, 0.5, out=cov)
+            np.maximum(r0_mean, R0_FLOOR, out=r0_mean)
+            r0 = r0_mean
 
-    weights = np.asarray(cfg.trace_weights)
-    traces = np.einsum("anii,i->an", covs, weights)  # (A, N)
+        covs[...] = cov_an
+        weights = np.asarray(cfg.trace_weights)
+        traces = np.einsum("anii,i->an", covs, weights)  # (A, N)
     valid = np.isfinite(traces).all(axis=0)  # keep samples finite for every action
     if not valid.all():
         log.warning("explore: dropped %d/%d belief samples", int((~valid).sum()), n)

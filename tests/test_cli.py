@@ -378,7 +378,13 @@ class TestExitCodes:
          "mission.param:2: SOAR_POMDP_BANKS[0] must be a finite number, got nan"),
         # under one 0.2 s control tick the rollouts hold no waypoint, and every bank scores the same
         ("SOAR_POMDP_HORI=0.05\n", "mission.param:1: SOAR_POMDP_HORI must be a finite number of at least 0.2 s, got 0.05"),
-    ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan", "horizon-under-a-tick"])
+        # an exploit rollout past the flight cap never ends, or overflows at the first exploit cycle
+        ("SOAR_POMDP_HORI=4801\n", "mission.param: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of "
+                                   "14403 s, longer than the 14400 s flight cap"),
+        ("SOAR_POMDP_HORI=1e200\nSOAR_POMDP_EXT=1e200\n",
+         "mission.param: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of inf s, longer than the 14400 s"),
+    ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan", "horizon-under-a-tick",
+            "horizon-past-the-cap", "horizon-overflows"])
     def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
         site = tiny_site(tmp_path)
         params = tmp_path / "mission.param"

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -226,25 +228,32 @@ def explore_cases(draw):
     return uav, GaussianBelief(mean, (cov + cov.T) * 0.5), samples
 
 
+# one hypothesis whose chains overflow: 1e200 m/s of lift drives its means
+# and covariances to inf and nan, so explore_score drops it and warns
+DIVERGING = (north_uav(), make_belief([1.5, 2.0, 5.0, 5.0], [1.0, 4.0, 400.0, 400.0]),
+             hypotheses(Bell(1e200, 2.0, 0.0, 1.0), Bell(1.5, 3.0, 6.0, 2.0)))
+
+
 def test_explore_score_is_bit_identical_to_the_reference_chain():
     floored = []
 
-    # one hypothesis whose chains overflow: 1e200 m/s of lift drives its
-    # means and covariances to inf and nan, so explore_score drops it and warns
-    @example(case=(north_uav(), make_belief([1.5, 2.0, 5.0, 5.0], [1.0, 4.0, 400.0, 400.0]),
-                   hypotheses(Bell(1e200, 2.0, 0.0, 1.0), Bell(1.5, 3.0, 6.0, 2.0))))
+    @example(case=DIVERGING)
+    # the prior r0 sits below R0_FLOOR: the first step linearizes at the floor,
+    # while the mean's own r0 is floored only after that step's update
+    @example(case=(north_uav(), make_belief([1.5, 0.5, 0.3, -0.2], [1.0, 4.0, 4.0, 4.0]),
+                   hypotheses(Bell(1.5, 1.0, 0.5, 0.5), Bell(2.0, 3.0, -1.0, 0.5))))
     @given(case=explore_cases())
     @settings(max_examples=120, deadline=None)
     def check(case):
         uav, b, samples = case
-        with np.errstate(all="ignore"):  # the huge covariances overflow on purpose
-            try:
+        try:
+            with np.errstate(all="ignore"):  # the huge covariances overflow on purpose
                 reference, n = reference_explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
-            except ValueError:
-                with pytest.raises(ValueError, match="non-finite explore chains"):
-                    explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
-                return
-            scores = explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-finite explore chains"):
+                explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+            return
+        scores = explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
         assert scores.tobytes() == reference.tobytes()
         floored.append(n)
 
@@ -346,9 +355,16 @@ class TestChooseAction:
         assert dec.chosen_bank in cfg.bank_angles
 
 
-def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
-    import logging
+def test_diverging_explore_chain_is_dropped_without_numpy_warnings(caplog):
+    uav, b, samples = DIVERGING
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
+        warnings.simplefilter("error")
+        scores = explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+    assert np.isfinite(scores).all()
+    assert [rec.message for rec in caplog.records] == ["explore: dropped 1/2 belief samples"]
 
+
+def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     cfg = replace(PLANNER, n_samples=2)
     good = Bell(2.0, 80.0, 5.0, 5.0)
     bad = Bell(float("nan"), 80.0, 5.0, 5.0)
