@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 simulation error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import asdict, replace
@@ -41,25 +42,15 @@ def _jsonl_sink(path: Path):
 
 def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
     world = materialize(sc, sc.seed)
-    cfg = replace(bundle.mission, controller=args.controller)
+    cfg = bundle.mission if args.controller is None else replace(bundle.mission, controller=args.controller)
     sink = _jsonl_sink(Path(args.out)) if args.out else None
     try:
-        rec = run_flight(
-            world,
-            cfg,
-            bundle.airframe,
-            bundle.noise,
-            bundle.prior,
-            bundle.planner,
-            bundle.baseline,
-            seed=sc.seed,
-            slot=args.slot,
-            telemetry_sink=sink,
-        )
+        rec = run_flight(world, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline,
+                         seed=sc.seed, slot=args.slot, telemetry_sink=sink)
     finally:
         if sink is not None:
             sink.close()
-    out = {"controller": args.controller, "seed": sc.seed, **asdict(rec)}
+    out = {"controller": cfg.controller, "seed": sc.seed, **asdict(rec)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
@@ -102,9 +93,13 @@ def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
 
 def cmd_sweep(args, sc: Scenario, bundle: ConfigBundle) -> int:
     seeds = tuple(range(args.seed_start, args.seed_start + args.count))
+    out_dir = Path(args.out)
+    # found before the first flight, and without creating --out, which a seed's config error leaves untouched
+    blocker = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not blocker.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, f"{blocker} is not a directory", args.out)
     plan = ExperimentPlan(seeds=seeds, baseline_reps=args.baseline_reps)
     summaries = run_sweep(sc, bundle, plan)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries_to_json(summaries, out_dir / "summaries.json")
     (out_dir / "seeds.json").write_text(json.dumps({"seeds": list(seeds)}, sort_keys=True) + "\n")
@@ -149,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fly one mission")
     common(p)
-    p.add_argument("--controller", choices=[POMDSOAR, BASELINE], default=POMDSOAR)
+    p.add_argument("--controller", choices=[POMDSOAR, BASELINE], help="default: SOAR_POMDP_ON's choice")
     p.add_argument("--slot", type=int, choices=(0, 1), default=0, help="noise-stream slot (0 or 1)")
     p.add_argument("--out", help="telemetry JSONL path")
     p.set_defaults(func=cmd_run)
@@ -204,6 +199,9 @@ def main(argv=None) -> int:
         return args.func(args, sc, bundle)
     except ConfigError as exc:
         print(f"config error: {site}{exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the inputs' read errors are ConfigErrors already
+        print(f"config error: cannot write {exc.filename or 'an output'}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface as a simulation failure
         print(f"simulation error: {exc}", file=sys.stderr)

@@ -19,11 +19,9 @@ import statistics
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .baseline import BaselineConfig
-from .belief import GaussianBelief, NoiseConfig
-from .dynamics import SIM_DT, AirframeParams
+from .dynamics import SIM_DT
 from .environment import Scenario, calm_variant, load_scenario_file, materialize, scenario_from_dict
-from .mission import BASELINE, POMDSOAR, MissionConfig, mission_from_dict, run_flight
+from .mission import BASELINE, POMDSOAR, ConfigBundle, mission_from_dict, run_flight
 from .params import (
     ConfigError,
     Section,
@@ -37,7 +35,6 @@ from .params import (
     read_json,
     resolve_params,
 )
-from .pomdsoar import PlannerConfig
 
 REPORT_SCHEMA_VERSION = 1
 BASELINE_REPS = 3  # calm-flight repetitions the CLI averages by default
@@ -79,18 +76,6 @@ class ExperimentPlan:
 
     seeds: tuple[int, ...]
     baseline_reps: int
-
-
-@dataclass
-class ConfigBundle:
-    """Everything a mission needs besides the scenario."""
-
-    mission: MissionConfig
-    airframe: AirframeParams
-    noise: NoiseConfig
-    prior: GaussianBelief
-    planner: PlannerConfig
-    baseline: BaselineConfig
 
 
 def load_bundle(
@@ -179,18 +164,8 @@ def run_paired(
     summaries = []
     for slot, controller in enumerate(controllers):
         cfg = replace(bundle.mission, controller=controller)
-        rec = run_flight(
-            world_sc,
-            cfg,
-            bundle.airframe,
-            bundle.noise,
-            bundle.prior,
-            bundle.planner,
-            bundle.baseline,
-            seed=seed,
-            slot=slot,
-            telemetry_sink=telemetry_sinks[slot],
-        )
+        rec = run_flight(world_sc, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline,
+                         seed=seed, slot=slot, telemetry_sink=telemetry_sinks[slot])
         summaries.append(
             FlightSummary(
                 flight_id=flight_id,

@@ -22,7 +22,7 @@ from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
 from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
-from .environment import NormalBlocks, Scenario, env_tick, make_world
+from .environment import NormalBlocks, Scenario, WorldState, env_tick, make_world
 from .params import BASELINE, POMDSOAR, ConfigError, Section, check
 
 
@@ -187,130 +187,147 @@ class FlightRecord:
     mode_seconds: dict
 
 
-def mission_rngs(seed: int, slot: int):
-    """Independent per-slot streams: (sensor/turbulence, planner sampling)."""
-    env_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1, int(slot)]))
-    planner_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2, int(slot)]))
-    return env_rng, planner_rng
+@dataclass
+class ConfigBundle:
+    """Everything a mission needs besides the scenario."""
+
+    mission: MissionConfig
+    airframe: AirframeParams
+    noise: NoiseConfig
+    prior: GaussianBelief
+    planner: planner_mod.PlannerConfig
+    baseline: BaselineConfig
 
 
-def run_flight(
-    sc: Scenario,
-    cfg: MissionConfig,
-    airframe: AirframeParams,
-    noise: NoiseConfig,
-    prior: GaussianBelief,
-    planner_cfg: planner_mod.PlannerConfig,
-    baseline_cfg: BaselineConfig,
-    seed: int | None = None,
-    slot: int = 0,
-    telemetry_sink=None,
-) -> FlightRecord:
-    """Simulate one mission to its termination event.
+@dataclass
+class Flight:
+    """One mission in flight: what flight_tick reads and advances."""
+
+    sc: Scenario
+    bundle: ConfigBundle
+    world: WorldState
+    ms: MissionState
+    normals: NormalBlocks  # the sensor and turbulence draws, a block at a time
+    planner_rng: np.random.Generator
+    sink: object  # called with one dict per tick, or None
+    mode_seconds: dict
+
+    def record(self) -> FlightRecord:
+        """The outcome so far: the mission's, once flight_tick has returned True."""
+        w = self.world
+        return FlightRecord(w.t, self.sc.battery_j - w.battery_j, self.ms.thermal_encounters, w.crashed,
+                            self.mode_seconds)
+
+
+def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink) -> Flight:
+    """A mission at its first tick, gliding toward the first waypoint.
 
     The world realization (thermals, wind) comes from sc, which must
     already be materialized; per-slot noise and planner streams derive
     from the seed so paired missions share the world but not the noise.
-    Every variometer reading of a 0.2 s control tick feeds the detection
-    filter and, while thermalling, the EKF, in the order taken and at the
-    air-frame position where it was taken. telemetry_sink, when given,
-    receives one dict per tick, whose vario is the tick's last reading.
     """
-    seed = sc.seed if seed is None else seed
-    env_rng, planner_rng = mission_rngs(seed, slot)
-    normals = NormalBlocks(env_rng)  # the same draws as env_rng, a block at a time
-
+    env_rng, planner_rng = (np.random.default_rng(np.random.SeedSequence([int(seed), k, int(slot)])) for k in (1, 2))
+    cfg = bundle.mission
     world = make_world(sc, h0=cfg.alt_cutoff, v=cfg.airspeed)
     ms = MissionState()
-    dt_obs = sc.vario_period * SIM_DT
-    mode_seconds = {m.value: 0.0 for m in FlightMode}
+    ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, world.uav.psi)
+    return Flight(sc, bundle, world, ms, NormalBlocks(env_rng), planner_rng, sink,
+                  {m.value: 0.0 for m in FlightMode})
 
-    uav = world.uav  # env_tick updates it in place
-    ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
-    done = False
-    while not done:
-        # (lift, x, y): every variometer reading of this tick, in order
-        readings = env_tick(sc, airframe, world, ms.target_bank, normals)
-        mode_seconds[ms.mode.value] += RECORD_DT
-        if world.crashed:
-            break
 
-        for obs, x, y in readings:
-            ms.filtered_lift = filter_lift(ms.filtered_lift, obs, dt_obs, cfg.detect_filter_tau)
-            if ms.mode is FlightMode.THERMALLING and ms.belief is not None:
-                dx = x - ms.last_obs_pos[0]
-                dy = y - ms.last_obs_pos[1]
-                ms.belief = predict_shift(ms.belief, (dx, dy), noise, dt_obs)
-                ms.belief = ekf_update(ms.belief, obs, noise)
-            ms.last_obs_pos = (x, y)
+def flight_tick(f: Flight, readings) -> bool:
+    """Advance the mission over one 0.2 s control tick, after env_tick has
+    flown it and returned its variometer readings as (lift, x, y); True
+    when the flight is over.
 
-        prev_mode = ms.mode
-        in_fence = point_in_convex_polygon(world.ground_pos, cfg.geofence)
-        mode = update_mode(cfg, ms, uav.h, in_fence)
-        if mode is not prev_mode:
-            if mode is FlightMode.THERMALLING:
-                ms.belief = prior.copy()
-                ms.last_obs_pos = (uav.x, uav.y)
-                ms.thermal_dir = baseline_mod.commit_direction(uav.phi)
-                ms.thermal_encounters += 1
-                ms.exit_timer = 0.0
-                ms.last_plan_t = -math.inf
-            elif prev_mode is FlightMode.THERMALLING:
-                ms.belief = None
-                ms.plan = None
-        world.motor_on = mode is FlightMode.AUTO_CLIMB
+    Every reading feeds the detection filter and, while thermalling, the
+    EKF, in the order taken and at the air-frame position where it was
+    taken. The sink, when given, receives one dict per tick, whose vario
+    is the tick's last reading.
+    """
+    b, world, ms = f.bundle, f.world, f.ms
+    cfg, uav = b.mission, world.uav
+    f.mode_seconds[ms.mode.value] += RECORD_DT
+    if world.crashed:
+        return True
 
+    dt_obs = f.sc.vario_period * SIM_DT
+    for obs, x, y in readings:
+        ms.filtered_lift = filter_lift(ms.filtered_lift, obs, dt_obs, cfg.detect_filter_tau)
+        if ms.mode is FlightMode.THERMALLING and ms.belief is not None:
+            dx = x - ms.last_obs_pos[0]
+            dy = y - ms.last_obs_pos[1]
+            ms.belief = predict_shift(ms.belief, (dx, dy), b.noise, dt_obs)
+            ms.belief = ekf_update(ms.belief, obs, b.noise)
+        ms.last_obs_pos = (x, y)
+
+    prev_mode = ms.mode
+    in_fence = point_in_convex_polygon(world.ground_pos, cfg.geofence)
+    mode = update_mode(cfg, ms, uav.h, in_fence)
+    if mode is not prev_mode:
         if mode is FlightMode.THERMALLING:
-            if cfg.controller == POMDSOAR:
-                if world.t - ms.last_plan_t >= cfg.replan_period - 1e-9:
-                    ms.plan = planner_mod.choose_action(
-                        planner_cfg, uav, ms.belief, airframe, noise, planner_rng
-                    )
-                    ms.target_bank = ms.plan.chosen_bank
-                    ms.last_plan_t = world.t
-            else:
-                ms.target_bank = baseline_mod.baseline_choose_bank(
-                    baseline_cfg, uav, ms.belief, ms.thermal_dir, airframe.bank_limit
-                )
+            ms.belief = b.prior.copy()
+            ms.last_obs_pos = (uav.x, uav.y)
+            ms.thermal_dir = baseline_mod.commit_direction(uav.phi)
+            ms.thermal_encounters += 1
+            ms.exit_timer = 0.0
+            ms.last_plan_t = -math.inf
+        elif prev_mode is FlightMode.THERMALLING:
+            ms.belief = None
+            ms.plan = None
+    world.motor_on = mode is FlightMode.AUTO_CLIMB
+
+    if mode is FlightMode.THERMALLING:
+        if cfg.controller == POMDSOAR:
+            if world.t - ms.last_plan_t >= cfg.replan_period - 1e-9:
+                ms.plan = planner_mod.choose_action(b.planner, uav, ms.belief, b.airframe, b.noise, f.planner_rng)
+                ms.target_bank = ms.plan.chosen_bank
+                ms.last_plan_t = world.t
         else:
-            ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
+            ms.target_bank = baseline_mod.baseline_choose_bank(
+                b.baseline, uav, ms.belief, ms.thermal_dir, b.airframe.bank_limit
+            )
+    else:
+        ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
 
-        if telemetry_sink is not None:
-            rec = {
-                "t": round(world.t, 6),
-                "ground": [world.ground_pos[0], world.ground_pos[1]],
-                "air": [uav.x, uav.y],
-                "h": uav.h,
-                "mode": mode.value,
-                "phi": uav.phi,
-                "target_bank": ms.target_bank,
-                "vario": readings[-1][0] if readings else None,
-                "filtered_lift": ms.filtered_lift,
-                "battery_j": world.battery_j,
+    if f.sink is not None:
+        rec = {
+            "t": round(world.t, 6),
+            "ground": [world.ground_pos[0], world.ground_pos[1]],
+            "air": [uav.x, uav.y],
+            "h": uav.h,
+            "mode": mode.value,
+            "phi": uav.phi,
+            "target_bank": ms.target_bank,
+            "vario": readings[-1][0] if readings else None,
+            "filtered_lift": ms.filtered_lift,
+            "battery_j": world.battery_j,
+        }
+        if ms.belief is not None:
+            rec["belief_mean"] = ms.belief.mean.tolist()
+            rec["belief_trace"] = float(ms.belief.cov.trace())
+        if ms.plan is not None and ms.last_plan_t == world.t:
+            rec["plan"] = {
+                "mode": ms.plan.mode,
+                "chosen_bank": ms.plan.chosen_bank,
+                "scores": ms.plan.per_action_scores,
             }
-            if ms.belief is not None:
-                rec["belief_mean"] = ms.belief.mean.tolist()
-                rec["belief_trace"] = float(ms.belief.cov.trace())
-            if ms.plan is not None and ms.last_plan_t == world.t:
-                rec["plan"] = {
-                    "mode": ms.plan.mode,
-                    "chosen_bank": ms.plan.chosen_bank,
-                    "scores": ms.plan.per_action_scores,
-                }
-            telemetry_sink(rec)
+        f.sink(rec)
 
-        out_of_power = world.battery_j <= 0.0 and (
-            mode is FlightMode.AUTO_CLIMB or uav.h <= cfg.alt_min
-        )
-        done = out_of_power or world.t >= cfg.max_duration
+    out_of_power = world.battery_j <= 0.0 and (mode is FlightMode.AUTO_CLIMB or uav.h <= cfg.alt_min)
+    return out_of_power or world.t >= cfg.max_duration
 
-    return FlightRecord(
-        flight_time=world.t,
-        energy_used=sc.battery_j - world.battery_j,
-        thermal_encounters=ms.thermal_encounters,
-        crashed=world.crashed,
-        mode_seconds=mode_seconds,
-    )
+
+def run_flight(sc: Scenario, cfg: MissionConfig, airframe: AirframeParams, noise: NoiseConfig, prior: GaussianBelief,
+               planner_cfg: planner_mod.PlannerConfig, baseline_cfg: BaselineConfig, seed: int | None = None,
+               slot: int = 0, telemetry_sink=None) -> FlightRecord:
+    """Simulate one mission to its termination event; the seed defaults
+    to the scenario's."""
+    bundle = ConfigBundle(cfg, airframe, noise, prior, planner_cfg, baseline_cfg)
+    f = start_flight(sc, bundle, sc.seed if seed is None else seed, slot, telemetry_sink)
+    while not flight_tick(f, env_tick(sc, airframe, f.world, f.ms.target_bank, f.normals)):
+        pass
+    return f.record()
 
 
 # the schema of a site file's mission section

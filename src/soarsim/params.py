@@ -22,7 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RECORD_DT, SIM_DT
+from .baseline import BaselineConfig
+from .belief import GaussianBelief, NoiseConfig
+from .dynamics import RECORD_DT, SIM_DT, AirframeParams, PidGains
+from .pomdsoar import PlannerConfig
 
 POMDSOAR = "pomdsoar"
 BASELINE = "baseline"
@@ -238,9 +241,7 @@ def resolve_params(overrides: dict | None = None) -> dict:
     return {key: default for key, (_, default) in PARAM_SPEC.items()} | (overrides or {})
 
 
-def airframe_from_params(p: dict):
-    from .dynamics import AirframeParams, PidGains
-
+def airframe_from_params(p: dict) -> AirframeParams:
     return AirframeParams(
         i_x=p["SOAR_I_MOMENT"],
         c_lp=p["SOAR_ROLL_CLP"],
@@ -257,26 +258,20 @@ def airframe_from_params(p: dict):
     )
 
 
-def noise_from_params(p: dict):
-    from .belief import NoiseConfig
-
+def noise_from_params(p: dict) -> NoiseConfig:
     return NoiseConfig(
         q_diag=(p["SOAR_THML_Q_W0"], p["SOAR_THML_Q_R0"], p["SOAR_THML_Q_POS"], p["SOAR_THML_Q_POS"]),
         r_obs=p["SOAR_THML_R"],
     )
 
 
-def prior_from_params(p: dict):
+def prior_from_params(p: dict) -> GaussianBelief:
     """Initial thermal belief: a typical local thermal centered at the UAV."""
-    from .belief import GaussianBelief
-
     variances = [p["SOAR_THML_VAR_W0"], p["SOAR_THML_VAR_R0"], p["SOAR_THML_VAR_POS"], p["SOAR_THML_VAR_POS"]]
     return GaussianBelief(np.array([p["SOAR_THML_W0"], p["SOAR_THML_R0"], 0.0, 0.0]), np.diag(variances))
 
 
-def planner_from_params(p: dict, sink_s0: float):
-    from .pomdsoar import PlannerConfig
-
+def planner_from_params(p: dict, sink_s0: float) -> PlannerConfig:
     return PlannerConfig(
         bank_angles=tuple(math.radians(b) for b in p["SOAR_POMDP_BANKS"]),
         t_explore=p["SOAR_POMDP_HORI"],
@@ -288,9 +283,7 @@ def planner_from_params(p: dict, sink_s0: float):
     )
 
 
-def baseline_from_params(p: dict):
-    from .baseline import BaselineConfig
-
+def baseline_from_params(p: dict) -> BaselineConfig:
     return BaselineConfig(
         circle_radius=p["SOAR_THML_RADIUS"],
         kp=math.radians(p["SOAR_LOITER_KP"]),

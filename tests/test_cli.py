@@ -7,7 +7,7 @@ import pytest
 import soarsim.cli as cli
 from soarsim.params import PARAM_SPEC
 
-from conftest import param_error
+from conftest import REPO, param_error
 
 
 def ring(n, radius, phase=90.0):
@@ -118,6 +118,18 @@ def test_run_respects_param_file(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["thermal_encounters"] == 0
+
+
+def test_soar_pomdp_on_0_flies_the_baseline(tmp_path, capsys):
+    # field.json seed 3 thermals: pomdsoar flies 716.2 s, the baseline 773.8 s
+    site = ["--scenario", str(REPO / "scenarios" / "field.json"), "--seed", "3"]
+    params = tmp_path / "circle.param"
+    params.write_text("SOAR_POMDP_ON = 0\n")
+    assert cli.main(["run", *site, "--params", str(params)]) == 0
+    by_param = json.loads(capsys.readouterr().out)
+    assert cli.main(["run", *site, "--controller", "baseline"]) == 0
+    assert by_param == json.loads(capsys.readouterr().out)
+    assert by_param["controller"] == "baseline" and by_param["thermal_encounters"] > 0
 
 
 def test_baseline_command(tmp_path, capsys):
@@ -450,6 +462,23 @@ class TestExitCodes:
                          "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
         assert code == 2
         assert "flight '001' has two pomdsoar summaries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [("run", "t.jsonl"), ("baseline", "b.json")])
+    def test_an_output_that_cannot_be_written_is_config_error(self, tmp_path, capsys, command, name):
+        out = tmp_path / "missing" / name
+        assert cli.main([command, "--scenario", str(tiny_site(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("out, blocker", [("taken", "taken"), ("taken/sub", "taken")])
+    def test_a_sweep_out_under_a_file_is_config_error_before_any_flight(self, tmp_path, capsys, monkeypatch,
+                                                                          out, blocker):
+        (tmp_path / "taken").write_text("kept\n")
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the sweep flew"))
+        out, blocker = tmp_path / out, tmp_path / blocker
+        assert cli.main(["sweep", "--scenario", str(tiny_site(tmp_path)), "--count", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {out}: {blocker} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["site.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
     def test_simulation_failure_maps_to_3(self, tmp_path, monkeypatch):
         site = tiny_site(tmp_path)
