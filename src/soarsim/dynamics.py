@@ -112,16 +112,6 @@ class RollAction:
     duration: float  # s
 
 
-@dataclass
-class ActionTrajectory:
-    """Predicted poses sampled along one candidate action, from its start."""
-
-    x: np.ndarray  # (n,) m
-    y: np.ndarray  # (n,) m
-    phi: np.ndarray  # (n,) rad
-    psi: np.ndarray  # (n,) rad
-
-
 def step_kinematics(
     params: AirframeParams,
     x: float,
@@ -185,11 +175,12 @@ def step_kinematics(
     return x, y, psi, phi, phi_dot
 
 
-def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction) -> ActionTrajectory:
+def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction) -> np.ndarray:
     """Simulate the closed-loop response to action and record poses.
 
-    Integrates at SIM_DT from a fresh PID and records (position, phi, psi)
-    every RECORD_DT, from t = 0 through t = action.duration.
+    Integrates at SIM_DT from a fresh PID and records the pose every
+    RECORD_DT, from t = 0 through t = action.duration: a (4, n+1) array
+    whose rows are x, y, phi and psi.
     """
     n_rec = round(action.duration / RECORD_DT)
     pid = PidState()
@@ -204,10 +195,5 @@ def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction)
         ys.append(y)
         phis.append(phi)
         psis.append(psi)
-    return ActionTrajectory(*np.array([xs, ys, phis, psis], dtype=float))
-
-
-def turn_radius(v: float, phi: float) -> float:
-    """Steady coordinated-turn radius v^2/(g*tan(phi))."""
-    return v * v / (G * math.tan(phi))
+    return np.array([xs, ys, phis, psis], dtype=float)
 

@@ -210,8 +210,8 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
 
     Wins/losses are decided on baseline-corrected gains with a 1
     percentage point draw margin; raw flight times are tallied alongside
-    because the two rankings can differ. A flight with two summaries for
-    one controller is a config error.
+    because the two rankings can differ. A flight without exactly one
+    summary for each controller is a config error.
     """
     if not summaries:
         raise ValueError("report needs at least one flight summary")
@@ -235,8 +235,9 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
     gains: dict[str, list[float]] = {POMDSOAR: [], BASELINE: []}
     for fid in sorted(by_flight):
         pair = by_flight[fid]
-        if len(pair) != 2:
-            continue
+        for controller in (POMDSOAR, BASELINE):
+            if controller not in pair:
+                raise ConfigError(f"flight {fid!r} has no {controller} summary")
         p, b = pair[POMDSOAR], pair[BASELINE]
         if p.excluded or b.excluded:
             excluded += 1

@@ -250,6 +250,9 @@ def flight_tick(f: Flight, readings) -> bool:
     f.mode_seconds[ms.mode.value] += RECORD_DT
     if world.crashed:
         return True
+    if not math.isfinite(uav.h):  # a diverging roll integration: NaN passes every termination test
+        raise FloatingPointError(f"the flight diverged at t = {world.t:.1f} s: the roll channel set by SOAR_I_MOMENT, "
+                                 "SOAR_ROLL_CLP, SOAR_K_ROLLDAMP, RLL2SRV_* and ARSPD_TRIM is unstable")
 
     dt_obs = f.sc.vario_period * SIM_DT
     for obs, x, y in readings:

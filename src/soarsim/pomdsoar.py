@@ -14,7 +14,7 @@ sink) along each trajectory and picks the largest expected altitude gain.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class PlannerDecision:
 
     chosen_bank: float
     mode: str  # EXPLORE or EXPLOIT
-    per_action_scores: list = field(default_factory=list)  # [(bank, score)]
+    per_action_scores: list  # [(bank, score)]
 
 
 def _pick(banks, scores, maximize: bool) -> int:
@@ -62,23 +62,19 @@ def _pick(banks, scores, maximize: bool) -> int:
     return min(tied, key=lambda i: (abs(banks[i]), i))
 
 
-def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, horizon: float):
-    """Predicted trajectories for every candidate bank, planning frame
-    (current UAV position is the origin), sampled every RECORD_DT."""
+def _trajectories(cfg: PlannerConfig, uav: UavState, airframe: AirframeParams, horizon: float) -> np.ndarray:
+    """Predicted poses for every candidate bank, planning frame (current
+    UAV position is the origin), sampled every RECORD_DT: a component-major
+    (4, A, T+1) block whose rows are x, y, phi and psi."""
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
-    return [predict_trajectory(airframe, s0, RollAction(bank, horizon)) for bank in cfg.bank_angles]
+    return np.stack([predict_trajectory(airframe, s0, RollAction(bank, horizon)) for bank in cfg.bank_angles], axis=1)
 
 
-def _positions(trajs) -> np.ndarray:
-    """Every trajectory's waypoints, start included: (A, T+1, 2)."""
-    return np.array([(tr.x, tr.y) for tr in trajs]).transpose(0, 2, 1)
-
-
-def _sampled_lift(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _sampled_lift(samples: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lift of each sampled thermal at each waypoint: (A, N, T) for
-    samples of shape (N, 4) and pos of shape (A, T, 2)."""
+    samples of shape (N, 4) and waypoint coordinates x, y of shape (A, T)."""
     w, r, cx, cy = samples.T[:, None, :, None]
-    return field_lift(w, r, cx, cy, pos[:, None, :, 0], pos[:, None, :, 1])
+    return field_lift(w, r, cx, cy, x[:, None], y[:, None])
 
 
 def explore_score(
@@ -97,13 +93,11 @@ def explore_score(
     copy of the current belief; the score is the mean final weighted
     trace over samples (lower is better).
     """
-    trajs = _trajectories(cfg, uav, airframe, cfg.t_explore)
-    xy = _positions(trajs)
-    obs = _sampled_lift(samples, xy[:, 1:])  # (A, N, T), start excluded
+    xy = _trajectories(cfg, uav, airframe, cfg.t_explore)[:2]
+    obs = _sampled_lift(samples, *xy[:, :, 1:])  # (A, N, T), start excluded
     a, n = obs.shape[:2]
-    # per step, the UAV displacement (2, A, N), repeated over samples, and the observations (A, N)
-    steps = zip(np.repeat(np.diff(xy, axis=1).transpose(1, 2, 0)[..., None], n, axis=-1),
-                np.moveaxis(obs, 2, 0).copy())
+    # per step, the UAV displacement (2, A, 1), broadcast over samples, and the observations (A, N)
+    steps = zip(np.moveaxis(np.diff(xy, axis=2), 2, 0)[..., None], np.moveaxis(obs, 2, 0).copy())
 
     # Each step works in place on the buffers and views made here: elementwise ops on contiguous
     # component-major (..., A, N) rows, the einsums on (A, N, ...) copies, h and covs. The pinned
@@ -178,8 +172,8 @@ def exploit_score(
 ) -> np.ndarray:
     """Expected altitude gain per action, m, integrating hypothesis lift
     along each trajectory (minus bank-dependent sink when enabled)."""
-    trajs = _trajectories(cfg, uav, airframe, cfg.t_exploit)
-    lifts = _sampled_lift(samples, _positions(trajs)[:, 1:])  # (A, N, T)
+    x, y, phi, _ = _trajectories(cfg, uav, airframe, cfg.t_exploit)[:, :, 1:]  # start excluded
+    lifts = _sampled_lift(samples, x, y)  # (A, N, T)
     gains = lifts.sum(axis=2) * RECORD_DT  # (A, N)
     valid = np.isfinite(gains).all(axis=0)
     if not valid.all():
@@ -188,8 +182,7 @@ def exploit_score(
             raise ValueError("all belief samples produced non-finite altitude gains")
     scores = gains[:, valid].mean(axis=1)
     if cfg.sink_correction:
-        phis = np.stack([tr.phi[1:] for tr in trajs])  # (A, T)
-        sink = cfg.sink_s0 * (1.0 / np.cos(phis)) ** 1.5
+        sink = cfg.sink_s0 * (1.0 / np.cos(phi)) ** 1.5  # (A, T)
         scores = scores - sink.sum(axis=1) * RECORD_DT
     return scores
 

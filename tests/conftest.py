@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soarsim import cli
-from soarsim.dynamics import SIM_DT, ActionTrajectory, PidState, step_kinematics
+from soarsim.dynamics import G, SIM_DT, PidState, step_kinematics
 from soarsim.belief import GaussianBelief
 from soarsim.environment import Scenario
 from soarsim.experiment import ConfigBundle
@@ -143,17 +143,24 @@ def deg(x: float) -> float:
     return math.radians(x)
 
 
-def fine_trajectory(airframe, s0, action) -> ActionTrajectory:
+def turn_radius(v: float, phi: float) -> float:
+    """Steady coordinated-turn radius v^2/(g tan phi), the reference formula
+    the kinematics are checked against."""
+    return v * v / (G * math.tan(phi))
+
+
+def fine_trajectory(airframe, s0, action) -> np.ndarray:
     """The poses of predict_trajectory at every SIM_DT step, not only every
-    RECORD_DT: the kernel stepped once at a time from a fresh PID. The 0.02 s
-    integration oracles that check the planner's 0.2 s scoring run on it."""
+    RECORD_DT: the kernel stepped once at a time from a fresh PID, as a
+    (4, n+1) array of x, y, phi and psi rows. The 0.02 s integration oracles
+    that check the planner's 0.2 s scoring run on it."""
     pid = PidState()
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
     poses = [(x, y, phi, psi)]
     for _ in range(round(action.duration / SIM_DT)):
         x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1)
         poses.append((x, y, phi, psi))
-    return ActionTrajectory(*np.array(poses, dtype=float).T)
+    return np.array(poses, dtype=float).T
 
 
 # The reference bell: the lift w0 * exp(-d^2 / r0^2) at any point and its

@@ -15,14 +15,14 @@ import pytest
 import soarsim.belief as belief_mod
 import soarsim.cli as cli
 from soarsim.belief import GaussianBelief, ekf_update, predict_shift
-from soarsim.dynamics import RollAction, UavState, predict_trajectory, turn_radius
+from soarsim.dynamics import RollAction, UavState, predict_trajectory
 from soarsim.environment import Scenario, env_tick, make_world, sink_rate
 from soarsim.experiment import ExperimentPlan, FlightSummary, load_bundle, report, run_sweep
 from soarsim.mission import BASELINE, POMDSOAR
 from soarsim.pomdsoar import EXPLOIT, EXPLORE, choose_action
 from soarsim.thermal import observe
 
-from conftest import AIRFRAME, NOISE, PLANNER, Bell, fine_trajectory, lift_at
+from conftest import AIRFRAME, NOISE, PLANNER, Bell, fine_trajectory, lift_at, turn_radius
 from test_cli import tiny_site
 
 REPO = Path(__file__).resolve().parents[1]
@@ -147,13 +147,13 @@ def test_c04_trajectory_prediction_self_consistency():
     for bank_deg in (0.0, 15.0, -15.0, 30.0, -30.0, 45.0, -45.0):
         bank = math.radians(bank_deg)
         s0 = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
-        tr = predict_trajectory(airframe, s0, RollAction(bank, 20.0))
+        x, y, _, _ = predict_trajectory(airframe, s0, RollAction(bank, 20.0))
         world = make_world(sc, h0=100.0, v=s0.v)
         rng = np.random.default_rng(0)  # calm: nothing is drawn
         divergence = 0.0
         for i in range(1, 101):
             env_tick(sc, airframe, world, bank, rng)
-            divergence = max(divergence, math.hypot(world.uav.x - tr.x[i], world.uav.y - tr.y[i]))
+            divergence = max(divergence, math.hypot(world.uav.x - x[i], world.uav.y - y[i]))
         assert divergence < 0.1
     assert time.perf_counter() - start < 5.0
 
@@ -167,8 +167,8 @@ def test_c05_coordinated_turn_radius():
         period = 2 * math.pi * radius / 9.0
         duration = max(round(2 * period / 0.2), 1) * 0.2
         s0 = UavState(0.0, 0.0, 9.0, 0.0, phi, 0.0, 100.0)
-        tr = predict_trajectory(airframe, s0, RollAction(phi, duration))
-        pts = np.stack([tr.x, tr.y], axis=-1)
+        x, y, _, _ = predict_trajectory(airframe, s0, RollAction(phi, duration))
+        pts = np.stack([x, y], axis=-1)
         center = pts.mean(axis=0)
         measured = float(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]).mean())
         assert abs(measured - radius) / radius < 0.01
@@ -204,11 +204,11 @@ def test_c06_planner_gate_and_argmax(free_airframe, noise):
 
         best, best_bank = -math.inf, None
         for bank in cfg.bank_angles:
-            tr = fine_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
-                                 RollAction(bank, cfg.t_exploit))
+            x, y, phi, _ = fine_trajectory(free_airframe, UavState(0, 0, 9.0, uav.psi, 0.0, 0.0, 100.0),
+                                           RollAction(bank, cfg.t_exploit))
             gain = 0.0
-            for t in range(1, len(tr.x)):
-                gain += (lift_at(th, (tr.x[t], tr.y[t])) - sink_rate(cfg.sink_s0, tr.phi[t])) * 0.02
+            for t in range(1, len(x)):
+                gain += (lift_at(th, (x[t], y[t])) - sink_rate(cfg.sink_s0, phi[t])) * 0.02
             if gain > best:
                 best, best_bank = gain, bank
         assert dec.chosen_bank == best_bank

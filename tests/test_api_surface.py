@@ -30,12 +30,6 @@ from soarsim.params import KINDS, PARAM_SPEC, Section
 REPO = Path(__file__).resolve().parents[1]
 FILES = sorted((REPO / "src" / "soarsim").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
 
-# qualified name -> why it may stay although no production code names it
-ALLOWED = {
-    "dynamics.turn_radius": "reference formula v^2/(g tan phi) that acceptance test c05 checks the kinematics against",
-}
-
-
 def definitions(path: Path, tree: ast.Module):
     """(qualified name, bare name, first line, last line) of each public
     module-level function or class and each public method or property."""
@@ -76,7 +70,7 @@ def unused_names() -> set[str]:
 
 
 def test_every_public_name_is_used_by_production_code():
-    assert sorted(unused_names() - set(ALLOWED)) == []
+    assert sorted(unused_names()) == []
 
 
 def dataclass_fields():
@@ -127,11 +121,6 @@ def test_every_dataclass_field_is_read_by_production_code():
     assert len(fields) > 50
     unread = [q for q, name in fields if name not in read and q.split(".")[1] not in whole]
     assert sorted(unread) == []
-
-
-def test_allow_list_holds_only_unused_names_with_a_reason():
-    assert set(ALLOWED) <= unused_names()
-    assert all(reason.strip() for reason in ALLOWED.values())
 
 
 def builder_keywords() -> dict[str, set[str]]:

@@ -463,6 +463,18 @@ class TestExitCodes:
         assert code == 2
         assert "flight '001' has two pomdsoar summaries" in capsys.readouterr().err
 
+    def test_a_flight_with_one_controller_is_config_error(self, tmp_path, capsys):
+        entry = {"flight_id": "001", "site": "mini", "controller": "pomdsoar", "airframe": "A",
+                 "flight_time": 900.0, "baseline_time": 600.0, "thermal_encounters": 1, "excluded": False}
+        rows = [entry, {**entry, "controller": "baseline", "airframe": "B"}, {**entry, "flight_id": "002"}]
+        path = tmp_path / "summaries.json"
+        path.write_text(json.dumps({"schema_version": 1, "summaries": rows}))
+        code = cli.main(["report", "--summaries", str(path),
+                         "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: flight '002' has no baseline summary\n"
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("command, name", [("run", "t.jsonl"), ("baseline", "b.json")])
     def test_an_output_that_cannot_be_written_is_config_error(self, tmp_path, capsys, command, name):
         out = tmp_path / "missing" / name
@@ -488,6 +500,23 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_flight", boom)
         assert cli.main(["run", "--scenario", str(site)]) == 3
+
+    # each value passes its kind, yet the roll integration diverges: the pose
+    # is NaN from t = 15.2 s and 15.6 s on field.json seed 3
+    @pytest.mark.parametrize("line, t", [("ARSPD_TRIM=0.5", "15.2"), ("SOAR_ROLL_CLP=-20", "15.6")])
+    def test_a_diverging_flight_is_a_simulation_error(self, tmp_path, capsys, line, t):
+        params, out = tmp_path / "unstable.param", tmp_path / "t.jsonl"
+        params.write_text(line + "\n")
+        code = cli.main(["run", "--scenario", str(REPO / "scenarios" / "field.json"), "--seed", "3",
+                         "--params", str(params), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulation error: the flight diverged at t = {t} s")
+        assert all(key in err for key in ("SOAR_I_MOMENT", "SOAR_ROLL_CLP", "SOAR_K_ROLLDAMP", "RLL2SRV_*",
+                                          "ARSPD_TRIM"))
+        text = out.read_text()
+        assert text and "NaN" not in text
+        assert all(math.isfinite(json.loads(rec)["h"]) for rec in text.splitlines())
 
     def test_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2

@@ -14,11 +14,10 @@ from soarsim.dynamics import (
     UavState,
     predict_trajectory,
     step_kinematics,
-    turn_radius,
     wrap_angle,
 )
 
-from conftest import AIRFRAME, param_error
+from conftest import AIRFRAME, param_error, turn_radius
 
 
 def kp_only(kp):
@@ -138,10 +137,11 @@ def test_heading_stays_wrapped(free_airframe):
 class TestPredictTrajectory:
     def test_straight_samples_and_endpoint(self, free_airframe):
         s0 = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
-        tr = predict_trajectory(free_airframe, s0, RollAction(0.0, 4.0))
-        assert len(tr.x) == 21
-        assert tr.x[-1] == pytest.approx(0.0, abs=1e-9)
-        assert tr.y[-1] == pytest.approx(36.0, rel=1e-9)
+        poses = predict_trajectory(free_airframe, s0, RollAction(0.0, 4.0))
+        assert poses.shape == (4, 21)
+        x, y, _, _ = poses
+        assert x[-1] == pytest.approx(0.0, abs=1e-9)
+        assert y[-1] == pytest.approx(36.0, rel=1e-9)
 
     def test_left_right_symmetry(self, free_airframe):
         right = predict_trajectory(
@@ -154,8 +154,8 @@ class TestPredictTrajectory:
             UavState(0.0, 0.0, 9.0, 0.0, -math.radians(10.0), -0.1, 100.0),
             RollAction(-math.radians(45.0), 8.0),
         )
-        np.testing.assert_allclose(right.x, -left.x, atol=1e-9)
-        np.testing.assert_allclose(right.y, left.y, atol=1e-9)
+        np.testing.assert_allclose(right[0], -left[0], atol=1e-9)
+        np.testing.assert_allclose(right[1], left[1], atol=1e-9)
 
     @pytest.mark.parametrize("bank_deg", [15.0, 30.0, 45.0])
     def test_steady_bank_circle(self, free_airframe, bank_deg):
@@ -164,8 +164,8 @@ class TestPredictTrajectory:
         period = 2 * math.pi * radius / 9.0
         duration = round(2 * period / 0.2) * 0.2
         s0 = UavState(0.0, 0.0, 9.0, 0.0, phi, 0.0, 100.0)
-        tr = predict_trajectory(free_airframe, s0, RollAction(phi, duration))
-        pts = np.stack([tr.x, tr.y], axis=-1)
+        x, y, _, _ = predict_trajectory(free_airframe, s0, RollAction(phi, duration))
+        pts = np.stack([x, y], axis=-1)
         center = pts.mean(axis=0)
         radii = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         assert abs(radii.mean() - radius) / radius < 0.01
@@ -173,7 +173,7 @@ class TestPredictTrajectory:
     def test_matches_repeated_dynamics_step(self, free_airframe):
         s0 = UavState(0.0, 0.0, 9.0, 0.3, 0.05, 0.0, 100.0)
         action = RollAction(math.radians(30.0), 4.0)
-        tr = predict_trajectory(free_airframe, s0, action)
+        xs, ys, phis, _ = predict_trajectory(free_airframe, s0, action)
         pid = PidState()
         x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
         for k in range(1, 201):
@@ -182,8 +182,8 @@ class TestPredictTrajectory:
             )
             if k % 10 == 0:
                 i = k // 10
-                assert (x, y) == (tr.x[i], tr.y[i])
-                assert phi == tr.phi[i]
+                assert (x, y) == (xs[i], ys[i])
+                assert phi == phis[i]
 
 
 def test_default_airframe_constants(airframe):

@@ -504,12 +504,12 @@ def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe, rng):
     s0 = UavState(0.0, 0.0, 9.0, 0.7, 0.1, -0.2, 100.0)
     assert len(PLANNER.bank_angles) == 7 and max(PLANNER.bank_angles) > airframe.bank_limit
     for bank in PLANNER.bank_angles:
-        tr = predict_trajectory(airframe, s0, RollAction(bank, 12.0))
+        x, y, phi, psi = predict_trajectory(airframe, s0, RollAction(bank, 12.0))
         w = make_world(sc, h0=100.0, v=AIRSPEED)
         w.uav = replace(s0)
         for i in range(1, 61):
             env_tick(sc, airframe, w, bank, rng)
-            assert (w.uav.x, w.uav.y, w.uav.phi, w.uav.psi) == (tr.x[i], tr.y[i], tr.phi[i], tr.psi[i])
+            assert (w.uav.x, w.uav.y, w.uav.phi, w.uav.psi) == (x[i], y[i], phi[i], psi[i])
         assert w.pid != PidState()
         if abs(bank) > airframe.bank_limit:
             assert abs(w.uav.phi) == airframe.bank_limit

@@ -120,9 +120,17 @@ class TestReport:
         assert agg["wins"][BASELINE] == 1
 
     def test_single_flight_aggregate(self):
-        _, agg = report([summary("001", POMDSOAR, 30.0, 20.0)])
+        _, agg = report([summary("001", POMDSOAR, 30.0, 20.0), summary("001", BASELINE, 30.0, 20.0, "B")])
         assert agg["flights"] == 1
         assert agg["wins"] == {POMDSOAR: 0, BASELINE: 0}
+
+    @pytest.mark.parametrize("missing", [BASELINE, POMDSOAR])
+    def test_a_flight_without_both_controllers_rejected(self, missing):
+        # it would count in "flights" and in the CSV, but in no tally
+        rows = self.make_pairs() + [summary("005", POMDSOAR, 30.0, 20.0), summary("005", BASELINE, 30.0, 20.0, "B")]
+        rows = [s for s in rows if (s.flight_id, s.controller) != ("005", missing)]
+        with pytest.raises(ConfigError, match=f"flight '005' has no {missing} summary"):
+            report(rows)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

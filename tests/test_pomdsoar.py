@@ -54,12 +54,12 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
     best, best_bank = -math.inf, None
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     for bank in cfg.bank_angles:
-        tr = fine_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit))
+        x, y, phi, _ = fine_trajectory(airframe, s0, RollAction(bank, cfg.t_exploit))
         gain = 0.0
-        for t in range(1, len(tr.x)):
-            gain += lift_at(th, (tr.x[t], tr.y[t])) * 0.02
+        for t in range(1, len(x)):
+            gain += lift_at(th, (x[t], y[t])) * 0.02
             if cfg.sink_correction:
-                gain -= sink_rate(cfg.sink_s0, tr.phi[t]) * 0.02
+                gain -= sink_rate(cfg.sink_s0, phi[t]) * 0.02
         if gain > best:
             best, best_bank = gain, bank
     return best_bank
@@ -105,7 +105,7 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
                          rng.uniform(-150.0, 150.0)], [1.0, 900.0, 2500.0, 2500.0])
         samples = sample_thermal(b, n, rng)
         pos = rng.uniform(-400.0, 400.0, size=(a, t, 2))
-        out = planner._sampled_lift(samples, pos)
+        out = planner._sampled_lift(samples, pos[..., 0], pos[..., 1])
         assert out.shape == (a, n, t)
         assert np.array_equal(out, reference_sampled_lift(samples, pos))
         values += out.size
@@ -133,8 +133,8 @@ class TestExploitScore:
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
-            tr = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
-            fine = sum(lift_at(th, (tr.x[t], tr.y[t])) * 0.02 for t in range(1, len(tr.x)))
+            x, y, _, _ = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
+            fine = sum(lift_at(th, (x[t], y[t])) * 0.02 for t in range(1, len(x)))
             assert abs(scores[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
@@ -148,13 +148,13 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
     out = []
     s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
     for bank in cfg.bank_angles:
-        tr = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))
+        x, y, _, _ = predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))
         traces = []
         for s in samples:
             th, bb = Bell(*s), b.copy()
-            for t in range(1, len(tr.x)):
-                bb = predict_shift(bb, (tr.x[t] - tr.x[t - 1], tr.y[t] - tr.y[t - 1]), noise, RECORD_DT)
-                bb = ekf_update(bb, lift_at(th, (tr.x[t], tr.y[t])), noise)
+            for t in range(1, len(x)):
+                bb = predict_shift(bb, (x[t] - x[t - 1], y[t] - y[t - 1]), noise, RECORD_DT)
+                bb = ekf_update(bb, lift_at(th, (x[t], y[t])), noise)
             traces.append(uncertainty(bb, cfg.trace_weights))
         out.append(float(np.mean(traces)))
     return np.array(out)
@@ -163,13 +163,16 @@ def scalar_explore_reference(cfg, uav, b, airframe, noise, samples):
 def reference_explore_score(cfg, uav, b, airframe, noise, samples):
     """explore_score as it was written before it worked in place on
     preallocated buffers, the chain its scores must equal bit for bit; also
-    the number of steps at which the r0 floor raised some chain's mean."""
-    trajs = planner._trajectories(cfg, uav, airframe, cfg.t_explore)
-    xy = np.stack([np.stack([tr.x, tr.y], axis=-1) for tr in trajs])
+    the number of steps at which the r0 floor raised some chain's mean. It
+    rolls out each bank and evaluates the bell itself, apart from the
+    planner's own rollout block and lift."""
+    s0 = UavState(0.0, 0.0, uav.v, uav.psi, uav.phi, uav.phi_dot, uav.h)
+    xy = np.stack([predict_trajectory(airframe, s0, RollAction(bank, cfg.t_explore))[:2].T
+                   for bank in cfg.bank_angles])  # (A, T+1, 2)
     pos = xy[:, 1:]
     deltas = np.diff(xy, axis=1)
-    obs = planner._sampled_lift(samples, pos)
-    a, n = len(trajs), len(samples)
+    obs = reference_sampled_lift(samples, pos)
+    a, n = len(cfg.bank_angles), len(samples)
     means = np.broadcast_to(b.mean, (a, n, 4)).copy()
     covs = np.broadcast_to(b.cov, (a, n, 4, 4)).copy()
     q_step = np.diag(noise.q_diag) * RECORD_DT
