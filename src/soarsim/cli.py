@@ -33,8 +33,8 @@ from .params import ConfigError
 def _jsonl_sink(path: Path):
     fh = path.open("w")
 
-    def sink(record: dict):
-        fh.write(json.dumps(record) + "\n")
+    def sink(line: str):
+        fh.write(line)
 
     sink.close = fh.close
     return sink

@@ -209,7 +209,7 @@ class Flight:
     ms: MissionState
     normals: NormalBlocks  # the sensor and turbulence draws, a block at a time
     planner_rng: np.random.Generator
-    sink: object  # called with one dict per tick, or None
+    sink: object  # called with one JSON line per tick, or None
     mode_seconds: dict
 
     def record(self) -> FlightRecord:
@@ -235,6 +235,25 @@ def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink)
                   {m.value: 0.0 for m in FlightMode})
 
 
+def _record_line(f: Flight, readings) -> str:
+    """The tick's record as the JSON line json.dumps(record) + "\n" gives: each float in json's format,
+    float.__repr__, the lists of floats as the repr of a list, and non-finite values as json writes them, where
+    repr's nan, inf and -inf are the only text of the line that holds "nan" or "inf"."""
+    world, ms, uav, num = f.world, f.ms, f.world.uav, float.__repr__
+    gx, gy = world.ground_pos
+    line = (f'{{"t": {num(round(world.t, 6))}, "ground": [{num(gx)}, {num(gy)}], "air": [{num(uav.x)}, '
+            f'{num(uav.y)}], "h": {num(uav.h)}, "mode": "{ms.mode.value}", "phi": {num(uav.phi)}, "target_bank": '
+            f'{num(ms.target_bank)}, "vario": {num(readings[-1][0]) if readings else "null"}, "filtered_lift": '
+            f'{num(ms.filtered_lift)}, "battery_j": {num(world.battery_j)}')
+    if ms.belief is not None:
+        line += f', "belief_mean": {ms.belief.mean.tolist()!r}, "belief_trace": {num(ms.belief.cov.trace())}'
+    if ms.plan is not None and ms.last_plan_t == world.t:
+        p = ms.plan
+        scores = repr(p.per_action_scores).replace("(", "[").replace(")", "]")  # its (bank, score) tuples as lists
+        line += f', "plan": {{"mode": "{p.mode}", "chosen_bank": {num(p.chosen_bank)}, "scores": {scores}}}'
+    return line.replace("nan", "NaN").replace("inf", "Infinity") + "}\n"
+
+
 def flight_tick(f: Flight, readings) -> bool:
     """Advance the mission over one 0.2 s control tick, after env_tick has
     flown it and returned its variometer readings as (lift, x, y); True
@@ -242,8 +261,9 @@ def flight_tick(f: Flight, readings) -> bool:
 
     Every reading feeds the detection filter and, while thermalling, the
     EKF, in the order taken and at the air-frame position where it was
-    taken. The sink, when given, receives one dict per tick, whose vario
-    is the tick's last reading.
+    taken. The sink, when given, receives each tick's record as its JSON
+    line, a str equal to json.dumps(record) + "\n", whose vario is the
+    tick's last reading.
     """
     b, world, ms = f.bundle, f.world, f.ms
     cfg, uav = b.mission, world.uav
@@ -294,28 +314,7 @@ def flight_tick(f: Flight, readings) -> bool:
         ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, uav.psi)
 
     if f.sink is not None:
-        rec = {
-            "t": round(world.t, 6),
-            "ground": [world.ground_pos[0], world.ground_pos[1]],
-            "air": [uav.x, uav.y],
-            "h": uav.h,
-            "mode": mode.value,
-            "phi": uav.phi,
-            "target_bank": ms.target_bank,
-            "vario": readings[-1][0] if readings else None,
-            "filtered_lift": ms.filtered_lift,
-            "battery_j": world.battery_j,
-        }
-        if ms.belief is not None:
-            rec["belief_mean"] = ms.belief.mean.tolist()
-            rec["belief_trace"] = float(ms.belief.cov.trace())
-        if ms.plan is not None and ms.last_plan_t == world.t:
-            rec["plan"] = {
-                "mode": ms.plan.mode,
-                "chosen_bank": ms.plan.chosen_bank,
-                "scores": ms.plan.per_action_scores,
-            }
-        f.sink(rec)
+        f.sink(_record_line(f, readings))
 
     out_of_power = world.battery_j <= 0.0 and (mode is FlightMode.AUTO_CLIMB or uav.h <= cfg.alt_min)
     return out_of_power or world.t >= cfg.max_duration
@@ -325,7 +324,7 @@ def run_flight(sc: Scenario, cfg: MissionConfig, airframe: AirframeParams, noise
                planner_cfg: planner_mod.PlannerConfig, baseline_cfg: BaselineConfig, seed: int | None = None,
                slot: int = 0, telemetry_sink=None) -> FlightRecord:
     """Simulate one mission to its termination event; the seed defaults
-    to the scenario's."""
+    to the scenario's, and telemetry_sink gets flight_tick's JSON lines."""
     bundle = ConfigBundle(cfg, airframe, noise, prior, planner_cfg, baseline_cfg)
     f = start_flight(sc, bundle, sc.seed if seed is None else seed, slot, telemetry_sink)
     while not flight_tick(f, env_tick(sc, airframe, f.world, f.ms.target_bank, f.normals)):

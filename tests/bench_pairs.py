@@ -9,8 +9,11 @@ values, each side's median and quartiles, the change's wins (a tie counts
 for neither side; which way is better comes from the change's
 BENCHMARK.json), and whether the change makes the claim the benchmark
 asks of a gain: it wins at least 9 pairs in 10, and its median beats the
-parent's by more than the parent's interquartile range. Exits 1 if any run
-reports a failed operation.
+parent's by more than the parent's interquartile range. For each end-to-end
+metric it also prints how much worse the change's median is than the
+parent's, relative to the parent's, against that metric's bound. Exits 1 if
+any run reports a failed operation, else 2 if an end-to-end metric worsens
+by more than its bound.
 """
 
 from __future__ import annotations
@@ -31,24 +34,32 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def better_ways(checkout: Path) -> dict:
-    """metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def load_spec(checkout: Path) -> tuple[dict, dict]:
+    """(metric name -> "higher" or "lower", end-to-end metric name -> bound),
+    from the checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+def summarize(pairs: list[tuple[float, float]], better: str, bound: float | None = None) -> dict:
     """The verdict on one metric's (parent, change) pairs: wins, ties, each
     side's (q1, median, q3), the median gap in the better direction, and
-    whether the change makes the claim."""
+    whether the change makes the claim. Given the metric's bound, also the
+    change's worsening, the gap against it as a fraction of the parent's
+    median, and whether it is past the bound."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
     ties = sum(c == p for p, c in pairs)
     parent, change = (quartiles([pair[i] for pair in pairs]) for i in (0, 1))
     gap = sign * (change[1] - parent[1])
     iqr = parent[2] - parent[0]
-    return {"wins": wins, "ties": ties, "losses": len(pairs) - wins - ties, "parent": parent, "change": change,
-            "gap": gap, "iqr": iqr, "claim": wins >= 0.9 * len(pairs) and gap > iqr}
+    s = {"wins": wins, "ties": ties, "losses": len(pairs) - wins - ties, "parent": parent, "change": change,
+         "gap": gap, "iqr": iqr, "claim": wins >= 0.9 * len(pairs) and gap > iqr}
+    if bound is not None:
+        s["worsening"] = -gap / abs(parent[1])
+        s["regression"] = s["worsening"] > bound
+    return s
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -59,8 +70,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(name: str, pairs: list[tuple[float, float]], better: str) -> list[str]:
-    s = summarize(pairs, better)
+def report(name: str, pairs: list[tuple[float, float]], better: str, bound: float | None = None) -> list[str]:
+    s = summarize(pairs, better, bound)
     lines = [f"{name} ({better} is better)"]
     lines += [f"  pair {i}: parent {p:.6g}  change {c:.6g}" for i, (p, c) in enumerate(pairs, 1)]
     for side in ("parent", "change"):
@@ -68,6 +79,9 @@ def report(name: str, pairs: list[tuple[float, float]], better: str) -> list[str
         lines.append(f"  {side}: median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
     lines.append(f"  change wins {s['wins']}, loses {s['losses']}, ties {s['ties']} of {len(pairs)}; "
                  f"median gap {s['gap']:.6g} vs parent IQR {s['iqr']:.6g}: claim {'holds' if s['claim'] else 'fails'}")
+    if bound is not None:
+        lines.append(f"  worsening {s['worsening']:+.2%} of the parent's median vs bound {bound:.0%}: "
+                     f"{'regression' if s['regression'] else 'within bound'}")
     return lines
 
 
@@ -83,7 +97,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    better = better_ways(args.change)
+    better, bounds = load_spec(args.change)
     results = []  # per seed, {side: result}
     failed = 0
     for i, seed in enumerate(args.seeds):
@@ -96,12 +110,17 @@ def main(argv=None) -> int:
         results.append(pair)
         print(f"seed {seed} done ({sides[0]} first)", flush=True)
     names = [name for name in results[0]["parent"]["metrics"] if name in better]
+    regressed = []
     for name in names:
         pairs = [(r["parent"]["metrics"][name]["value"], r["change"]["metrics"][name]["value"]) for r in results
                  if name in r["parent"]["metrics"] and name in r["change"]["metrics"]]
         if pairs:
-            print("\n".join(report(name, pairs, better[name])))
-    return 1 if failed else 0
+            print("\n".join(report(name, pairs, better[name], bounds.get(name))))
+            if name in bounds and summarize(pairs, better[name], bounds[name])["regression"]:
+                regressed.append(name)
+    if regressed:
+        print(f"past their bounds: {', '.join(regressed)}")
+    return 1 if failed else 2 if regressed else 0
 
 
 if __name__ == "__main__":

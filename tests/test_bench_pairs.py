@@ -1,5 +1,6 @@
 import pytest
 
+import bench_pairs
 from bench_pairs import report, summarize
 
 # ten (parent, change) pairs of a lower-is-better time: the change wins nine
@@ -36,3 +37,30 @@ def test_report_prints_every_pair_and_the_verdict():
     assert lines[0] == "plan_explore_p50_ms (lower is better)"
     assert lines[5] == "  pair 5: parent 4  change 4"
     assert lines[-1] == "  change wins 9, loses 0, ties 1 of 10; median gap 0.35 vs parent IQR 0.225: claim holds"
+
+
+def test_a_worsening_inside_its_bound_is_no_regression():
+    # the change's median rate is 10% below the parent's, against a 22% bound
+    rates = [(99.0 + i % 3, 89.0 + i % 3) for i in range(10)]
+    s = summarize(rates, "higher", 0.22)
+    assert s["worsening"] == pytest.approx(0.1) and not s["regression"]
+    assert report("sim_rate", rates, "higher", 0.22)[-1] == (
+        "  worsening +10.00% of the parent's median vs bound 22%: within bound")
+
+
+def test_a_worsening_past_its_bound_is_a_regression_and_exits_2(monkeypatch, capsys):
+    # a lower-is-better time whose median rises 25%, against a 20% bound
+    s = summarize([(4.0, 5.0)] * 10, "lower", 0.2)
+    assert s["worsening"] == pytest.approx(0.25) and s["regression"]
+
+    def run(checkout, workload, seed, seconds):
+        value = 4.0 if checkout.name == "parent" else 5.0
+        return {"failed": 0, "attempted": 1, "metrics": {"plan_explore_p50_ms": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "load_spec", lambda checkout: ({"plan_explore_p50_ms": "lower"},
+                                                                     {"plan_explore_p50_ms": 0.2}))
+    assert bench_pairs.main(["parent", "change", "--workload", "w", "--seeds", "1", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "worsening +25.00% of the parent's median vs bound 20%: regression" in out
+    assert out.endswith("past their bounds: plan_explore_p50_ms\n")

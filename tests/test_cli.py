@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -517,6 +518,21 @@ class TestExitCodes:
         text = out.read_text()
         assert text and "NaN" not in text
         assert all(math.isfinite(json.loads(rec)["h"]) for rec in text.splitlines())
+
+    # a vario noise of 1e308 m/s overflows the readings and then the detection filter; the flight fails at its
+    # 26th tick, and the last two records hold Infinity and NaN. The digest is of the bytes that json.dumps of
+    # each record wrote before the line writer.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_telemetry_is_written_as_json_writes_it(self, tmp_path, capsys):
+        site, out = tmp_path / "huge_vario.json", tmp_path / "t.jsonl"
+        site.write_text(json.dumps({**json.loads((REPO / "scenarios" / "field.json").read_text()), "vario_sigma": 1e308}))
+        assert cli.main(["run", "--scenario", str(site), "--seed", "7", "--out", str(out)]) == 3
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert len(lines) == 26
+        assert '"vario": Infinity, "filtered_lift": Infinity' in lines[24] and '"filtered_lift": NaN' in lines[25]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b7f76d9b1bf74246bddba7172e92963e62bac1d5db34b2635e7a4c9ad53cce32")
 
     def test_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2

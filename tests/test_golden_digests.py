@@ -1,7 +1,8 @@
 """Golden digests: run_flight's telemetry at fixed seeds, pinned to the bit.
 
 Each digest is the SHA-256 of one flight, capped at 900 s: the JSON line
-of every telemetry record, then the repr of the FlightRecord. Seeds 1-5
+of every telemetry record, as the sink receives it, then the repr of the
+FlightRecord. Seeds 1-5
 of field.json, whose thermals random_thermals draws per seed, fly with
 both controllers, and seeds 1-3 of explicit_thermals.json, whose site
 file lists its thermals with each optional key given and left out, a
@@ -90,8 +91,9 @@ class Digests:
     def __init__(self):
         self.full, self.decisions = hashlib.sha256(), hashlib.sha256()
 
-    def __call__(self, record: dict):
-        self.full.update((json.dumps(record) + "\n").encode())
+    def __call__(self, line: str):
+        self.full.update(line.encode())
+        record = json.loads(line)
         self.decisions.update((json.dumps([record["t"], record["mode"], record["target_bank"]]) + "\n").encode())
 
     def hexdigests(self, rec) -> tuple[str, str]:

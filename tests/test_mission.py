@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -12,16 +13,19 @@ from soarsim.experiment import load_bundle
 from soarsim.mission import (
     BASELINE,
     POMDSOAR,
+    ConfigBundle,
     FlightMode,
     MissionState,
     filter_lift,
     mission_from_dict,
     point_in_convex_polygon,
     run_flight,
+    start_flight,
     update_mode,
     waypoint_bank,
 )
 from soarsim.params import ConfigError, resolve_params
+from soarsim.pomdsoar import EXPLORE, PlannerDecision
 
 from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, param_error, prior
 
@@ -218,6 +222,41 @@ def test_mode_seconds_account_for_flight_time():
     assert rec.energy_used <= 2000.0
 
 
+def reference_record(f, readings) -> dict:
+    """The tick's telemetry record as a dict, the form json.dumps wrote."""
+    world, ms, uav = f.world, f.ms, f.world.uav
+    rec = {"t": round(world.t, 6), "ground": list(world.ground_pos), "air": [uav.x, uav.y], "h": uav.h,
+           "mode": ms.mode.value, "phi": uav.phi, "target_bank": ms.target_bank,
+           "vario": readings[-1][0] if readings else None, "filtered_lift": ms.filtered_lift,
+           "battery_j": world.battery_j}
+    if ms.belief is not None:
+        rec["belief_mean"] = ms.belief.mean.tolist()
+        rec["belief_trace"] = float(ms.belief.cov.trace())
+    if ms.plan is not None and ms.last_plan_t == world.t:
+        rec["plan"] = {"mode": ms.plan.mode, "chosen_bank": ms.plan.chosen_bank, "scores": ms.plan.per_action_scores}
+    return rec
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(-2.0 / 3.0)],
+                         ids=["nan", "inf", "-inf", "-0.0", "5e-324", "1e308", "float64"])
+def test_a_record_line_is_json_dumps_of_the_record(value):
+    sc, cfg, models = flight_setup()
+    f = start_flight(sc, ConfigBundle(cfg, *models), 1, 0, None)
+    world, ms = f.world, f.ms
+    world.t, world.battery_j = 4.2, value
+    world.uav.x = world.uav.y = world.uav.h = world.uav.phi = value
+    ms.target_bank = ms.filtered_lift = value
+    for readings in ([], [(1.0, 0.0, 0.0), (value, 0.0, 0.0)]):
+        assert mission._record_line(f, readings) == json.dumps(reference_record(f, readings)) + "\n"
+    # thermalling on a planning tick: a belief, and a plan whose scores are python floats, as choose_action makes them
+    ms.mode, ms.belief, ms.last_plan_t = FlightMode.THERMALLING, prior(), world.t
+    ms.belief.mean[1:] = value
+    ms.belief.cov[3, 3] = value
+    ms.plan = PlannerDecision(value, EXPLORE, [(-0.5, float(value)), (0.5, float(value))])
+    readings = [(value, 1.0, 2.0)]
+    assert mission._record_line(f, readings) == json.dumps(reference_record(f, readings)) + "\n"
+
+
 def test_pentagon_cross_track_after_first_lap():
     sc, cfg, models = flight_setup(sc_kw=dict(battery_j=2500.0))
     records = []
@@ -238,7 +277,7 @@ def test_pentagon_cross_track_after_first_lap():
     # first lap is complete once the waypoint index has cycled through all 5;
     # approximate it generously as one perimeter at cruise speed
     lap_time = 5 * 235.0 / 9.0 * 1.3
-    errs = [cross_track(np.array(r["ground"])) for r in records if r["t"] > lap_time]
+    errs = [cross_track(np.array(r["ground"])) for r in map(json.loads, records) if r["t"] > lap_time]
     assert errs and max(errs) < 30.0
 
 

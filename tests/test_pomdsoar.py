@@ -237,32 +237,48 @@ DIVERGING = (north_uav(), make_belief([1.5, 2.0, 5.0, 5.0], [1.0, 4.0, 400.0, 40
              hypotheses(Bell(1e200, 2.0, 0.0, 1.0), Bell(1.5, 3.0, 6.0, 2.0)))
 
 
-def test_explore_score_is_bit_identical_to_the_reference_chain():
+def check_explore_case(case):
+    """Assert that explore_score gives the reference chain's scores byte for
+    byte on case; the reference's count of floored steps, or None when every
+    hypothesis diverges and both raise."""
+    uav, b, samples = case
+    try:
+        with np.errstate(all="ignore"):  # the huge covariances overflow on purpose
+            reference, n = reference_explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-finite explore chains"):
+            explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+        return None
+    scores = explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
+    assert scores.tobytes() == reference.tobytes()
+    return n
+
+
+@example(case=DIVERGING)
+# the prior r0 sits below R0_FLOOR: the first step linearizes at the floor,
+# while the mean's own r0 is floored only after that step's update
+@example(case=(north_uav(), make_belief([1.5, 0.5, 0.3, -0.2], [1.0, 4.0, 4.0, 4.0]),
+               hypotheses(Bell(1.5, 1.0, 0.5, 0.5), Bell(2.0, 3.0, -1.0, 0.5))))
+@given(case=explore_cases())
+@settings(max_examples=120, deadline=None)
+def test_explore_score_is_bit_identical_to_the_reference_chain(case):
+    check_explore_case(case)
+
+
+def test_the_floor_fires_mid_chain_in_a_tenth_of_a_fixed_set_of_cases():
+    # the same comparison on 120 cases that derandomize fixes, so that the
+    # floor's share is a property of the cases and not of one run's draws
     floored = []
 
-    @example(case=DIVERGING)
-    # the prior r0 sits below R0_FLOOR: the first step linearizes at the floor,
-    # while the mean's own r0 is floored only after that step's update
-    @example(case=(north_uav(), make_belief([1.5, 0.5, 0.3, -0.2], [1.0, 4.0, 4.0, 4.0]),
-                   hypotheses(Bell(1.5, 1.0, 0.5, 0.5), Bell(2.0, 3.0, -1.0, 0.5))))
     @given(case=explore_cases())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     def check(case):
-        uav, b, samples = case
-        try:
-            with np.errstate(all="ignore"):  # the huge covariances overflow on purpose
-                reference, n = reference_explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
-        except ValueError:
-            with pytest.raises(ValueError, match="non-finite explore chains"):
-                explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
-            return
-        scores = explore_score(PLANNER, uav, b, AIRFRAME, NOISE, samples)
-        assert scores.tobytes() == reference.tobytes()
-        floored.append(n)
+        n = check_explore_case(case)
+        if n is not None:
+            floored.append(n)
 
     check()
-    # 0.18-0.45 of the examples hit the floor mid-chain over 12 Hypothesis seeds
-    assert sum(map(bool, floored)) > len(floored) // 10
+    assert sum(map(bool, floored)) > len(floored) // 10, (sum(map(bool, floored)), len(floored))
 
 
 class TestExploreScore:
