@@ -210,13 +210,13 @@ class Flight:
     normals: NormalBlocks  # the sensor and turbulence draws, a block at a time
     planner_rng: np.random.Generator
     sink: object  # called with one JSON line per tick, or None
-    mode_seconds: dict
+    mode_ticks: dict  # ticks flown in each mode, by its value
 
     def record(self) -> FlightRecord:
         """The outcome so far: the mission's, once flight_tick has returned True."""
         w = self.world
         return FlightRecord(w.t, self.sc.battery_j - w.battery_j, self.ms.thermal_encounters, w.crashed,
-                            self.mode_seconds)
+                            {mode: n * RECORD_DT for mode, n in self.mode_ticks.items()})
 
 
 def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink) -> Flight:
@@ -232,7 +232,7 @@ def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink)
     ms = MissionState()
     ms.target_bank = waypoint_bank(cfg, ms, *world.ground_pos, world.uav.psi)
     return Flight(sc, bundle, world, ms, NormalBlocks(env_rng), planner_rng, sink,
-                  {m.value: 0.0 for m in FlightMode})
+                  {m.value: 0 for m in FlightMode})
 
 
 def _record_line(f: Flight, readings) -> str:
@@ -267,7 +267,7 @@ def flight_tick(f: Flight, readings) -> bool:
     """
     b, world, ms = f.bundle, f.world, f.ms
     cfg, uav = b.mission, world.uav
-    f.mode_seconds[ms.mode.value] += RECORD_DT
+    f.mode_ticks[ms.mode.value] += 1
     if world.crashed:
         return True
     if not math.isfinite(uav.h):  # a diverging roll integration: NaN passes every termination test

@@ -37,28 +37,28 @@ FIELD = REPO / "scenarios" / "field.json"
 EXPLICIT = REPO / "tests" / "explicit_thermals.json"
 
 GOLDEN = {
-    (1, POMDSOAR): "9b94e2245af805f116b91567543ba1b7201e19b306dff526e7e666075a1dc532",
-    (1, BASELINE): "c994dfda6e79b42301aa2d916454ffca028ee3b304bf6e4740a9d52c0a01f5f3",
-    (2, POMDSOAR): "5e1d6484b409186298a8ccbb0a2c0809c29f7ea691af97c1daa5e49cdfff8940",
-    (2, BASELINE): "7b31abb1ee1217d9be41b2c1cf4d95b03cf72941f75093675647589fbc701e5e",
-    (3, POMDSOAR): "3f39fa0e3b605eab1556936937349cc57ea7e5051f227398940068fd71e16812",
-    (3, BASELINE): "64d92d1053c07f21fe0ac325ef2384c3494e427b83307129b618a2fa409be47a",
-    (4, POMDSOAR): "6ff91941bbdd884d5f2db3e541a3c11f2a46227a2c6b64b991dd6f55380fbc40",
-    (4, BASELINE): "9267efbc1e3f9125794f69d7c4c14c6da8819f655a85d7028b94ae578e93a8bf",
+    (1, POMDSOAR): "192dee2ffa32c031d5d027f37ca6896a3608e80d9cd8df2769720eccddc3404d",
+    (1, BASELINE): "a6d1854ee47cbebd1f151e78742d1a1fe696c104fcfafd0dec87d036ef9f3d2a",
+    (2, POMDSOAR): "f59ab88c48b93e5a13de2bfb219dd10a0478c4363526eeb80d672877e0fb4570",
+    (2, BASELINE): "3ecde56dfc86d64855a3300016124c1e4cece2a0d113c5836f3d9e6796f77d07",
+    (3, POMDSOAR): "00574995443b0e47c77f577d56a91431e137a87b9b04d299e04172dce7fc2e52",
+    (3, BASELINE): "00acb05d1dc26f7c562002299e0de0de08886c220a5413ccd53ac5621c511b21",
+    (4, POMDSOAR): "12710046a19b2ebed0610bb22400c2e8fbc5167be632478fdf3a20b8cf12e250",
+    (4, BASELINE): "079994a50a8f539d3706e34f86ad4297e9703202e551e571085fe73b14adc1dc",
     # seed 5 meets no thermal before its battery runs out at 583.6 s, so the
     # controllers never act and both flights are the same
-    (5, POMDSOAR): "f8907ae6ef5152fcc64443ac90606b8e54d9524a4a993fa3f1ff4c13d34dbb58",
-    (5, BASELINE): "f8907ae6ef5152fcc64443ac90606b8e54d9524a4a993fa3f1ff4c13d34dbb58",
+    (5, POMDSOAR): "33580a9086b8f2a6ceebd4581f9ff37539aa4f8f124a7cadd34479034e6ddb23",
+    (5, BASELINE): "33580a9086b8f2a6ceebd4581f9ff37539aa4f8f124a7cadd34479034e6ddb23",
 }
 
 # each flight thermals: the planner 1 time, the baseline 3 to 7 times
 EXPLICIT_GOLDEN = {
-    (1, POMDSOAR): "bab55866c44c2fc3059a95770499df1b73984d6020e9a4f4155ba4ab2d4d9bc4",
-    (1, BASELINE): "5020c7a2cd9e99de11e9ef13297b935e747d02df0a6cfda92a76a05f2f2315a6",
-    (2, POMDSOAR): "ac93fd10a6ad11d8c07137b6484379caa83db7d5a9d3e365606eae990876498d",
-    (2, BASELINE): "7a2ad63c14692828465d22a66e62cac154f0c42135fc38d2704df1f9b501f3d8",
-    (3, POMDSOAR): "c18c929012a2ff3be257c2c51f2cd89b182b41a538d7bebe717807ec0e46cb41",
-    (3, BASELINE): "0cc093a73fe743a740b87b279429c96d0a0ba420ee56f0a395e7b12795d442aa",
+    (1, POMDSOAR): "297d74028b91916c67098213ab4813d5c0b155c818c587abefceb69f867485e6",
+    (1, BASELINE): "81a5e584b5dcf8986324448255e10145b6dc956232fda0942b85c050bc0c3879",
+    (2, POMDSOAR): "6c39fc2d4dd2fead4e2b92d3cbe0ae14b3d6db91440afef3dcf3963b1cc99348",
+    (2, BASELINE): "8dca79322d62b8f6d62785c44d209361b6dc033147a14f82aca64150b4c0d6ab",
+    (3, POMDSOAR): "edd5f3872be225a527bfced1ef8bbbc02510f0ee510a07b651e07db4b0a23ba4",
+    (3, BASELINE): "a83941878252160ea9ac3d4633ca8b95a86960504fed12a13441fa6c314c2c50",
 }
 
 # each tick's (t, mode, target_bank), pinned on the same flights as GOLDEN

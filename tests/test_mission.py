@@ -8,7 +8,7 @@ import pytest
 import soarsim.environment as environment
 import soarsim.mission as mission
 from soarsim.dynamics import RECORD_DT
-from soarsim.environment import Scenario, ThermalSpec
+from soarsim.environment import Scenario, ThermalSpec, env_tick
 from soarsim.experiment import load_bundle
 from soarsim.mission import (
     BASELINE,
@@ -19,6 +19,7 @@ from soarsim.mission import (
     filter_lift,
     mission_from_dict,
     point_in_convex_polygon,
+    flight_tick,
     run_flight,
     start_flight,
     update_mode,
@@ -220,6 +221,21 @@ def test_mode_seconds_account_for_flight_time():
     assert sum(rec.mode_seconds.values()) == pytest.approx(rec.flight_time, abs=0.21)
     assert rec.mode_seconds[FlightMode.THERMALLING.value] == 0.0
     assert rec.energy_used <= 2000.0
+
+
+def test_mode_ticks_add_up_to_a_capped_flights_ticks():
+    # 168 ticks climbing and 432 gliding to the 120 s cap: running sums of RECORD_DT read 33.59999999999994 s
+    # and 86.40000000000069 s
+    sc, cfg, models = flight_setup(sc_kw=dict(battery_j=1e6), mission_kw=dict(max_duration=120.0))
+    f = start_flight(sc, ConfigBundle(cfg, *models), 4, 0, None)
+    ticks = 1
+    while not flight_tick(f, env_tick(sc, AIRFRAME, f.world, f.ms.target_bank, f.normals)):
+        ticks += 1
+    rec = f.record()
+    assert ticks == 600 and rec.flight_time >= 120.0
+    assert sum(f.mode_ticks.values()) == ticks
+    assert rec.mode_seconds == {mode: n * RECORD_DT for mode, n in f.mode_ticks.items()}
+    assert sum(rec.mode_seconds.values()) == 120.0
 
 
 def reference_record(f, readings) -> dict:
