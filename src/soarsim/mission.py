@@ -236,9 +236,9 @@ def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink)
 
 
 def _record_line(f: Flight, readings) -> str:
-    """The tick's record as the JSON line json.dumps(record) + "\n" gives: each float in json's format,
-    float.__repr__, the lists of floats as the repr of a list, and non-finite values as json writes them, where
-    repr's nan, inf and -inf are the only text of the line that holds "nan" or "inf"."""
+    """The tick's record as the JSON line json.dumps(record) + "\n" gives. Floats are written by float.__repr__,
+    json's own format, and lists of floats by the repr of the list; repr's nan, inf and -inf, the only text of the
+    line that holds "nan" or "inf", become json's NaN, Infinity and -Infinity."""
     world, ms, uav, num = f.world, f.ms, f.world.uav, float.__repr__
     gx, gy = world.ground_pos
     line = (f'{{"t": {num(round(world.t, 6))}, "ground": [{num(gx)}, {num(gy)}], "air": [{num(uav.x)}, '

@@ -46,8 +46,8 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float | None
     """The verdict on one metric's (parent, change) pairs: wins, ties, each
     side's (q1, median, q3), the median gap in the better direction, and
     whether the change makes the claim. Given the metric's bound, also the
-    change's worsening, the gap against it as a fraction of the parent's
-    median, and whether it is past the bound."""
+    worsening (how much worse the change's median is, as a fraction of the
+    parent's) and whether it is past the bound."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
     ties = sum(c == p for p, c in pairs)
