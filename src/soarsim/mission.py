@@ -236,21 +236,21 @@ def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink)
 
 
 def _record_line(f: Flight, readings) -> str:
-    """The tick's record as the JSON line json.dumps(record) + "\n" gives. Floats are written by float.__repr__,
-    json's own format, and lists of floats by the repr of the list; repr's nan, inf and -inf, the only text of the
-    line that holds "nan" or "inf", become json's NaN, Infinity and -Infinity."""
-    world, ms, uav, num = f.world, f.ms, f.world.uav, float.__repr__
+    """The tick's record as the JSON line json.dumps(record) + "\n" gives: floats (numpy's as python floats) and
+    lists of them by their repr, json's own format; repr's nan, inf and -inf, the only text of the line that holds
+    "nan" or "inf", become json's NaN, Infinity and -Infinity."""
+    world, ms, uav = f.world, f.ms, f.world.uav
     gx, gy = world.ground_pos
-    line = (f'{{"t": {num(round(world.t, 6))}, "ground": [{num(gx)}, {num(gy)}], "air": [{num(uav.x)}, '
-            f'{num(uav.y)}], "h": {num(uav.h)}, "mode": "{ms.mode.value}", "phi": {num(uav.phi)}, "target_bank": '
-            f'{num(ms.target_bank)}, "vario": {num(readings[-1][0]) if readings else "null"}, "filtered_lift": '
-            f'{num(ms.filtered_lift)}, "battery_j": {num(world.battery_j)}')
+    line = (f'{{"t": {round(world.t, 6)!r}, "ground": [{gx!r}, {gy!r}], "air": [{uav.x!r}, {uav.y!r}], "h": {uav.h!r}, '
+            f'"mode": "{ms.mode.value}", "phi": {uav.phi!r}, "target_bank": {ms.target_bank!r}, "vario": '
+            f'{repr(readings[-1][0]) if readings else "null"}, "filtered_lift": {ms.filtered_lift!r}, "battery_j": '
+            f'{world.battery_j!r}')
     if ms.belief is not None:
-        line += f', "belief_mean": {ms.belief.mean.tolist()!r}, "belief_trace": {num(ms.belief.cov.trace())}'
+        line += f', "belief_mean": {ms.belief.mean.tolist()!r}, "belief_trace": {float(ms.belief.cov.trace())!r}'
     if ms.plan is not None and ms.last_plan_t == world.t:
         p = ms.plan
         scores = repr(p.per_action_scores).replace("(", "[").replace(")", "]")  # its (bank, score) tuples as lists
-        line += f', "plan": {{"mode": "{p.mode}", "chosen_bank": {num(p.chosen_bank)}, "scores": {scores}}}'
+        line += f', "plan": {{"mode": "{p.mode}", "chosen_bank": {p.chosen_bank!r}, "scores": {scores}}}'
     return line.replace("nan", "NaN").replace("inf", "Infinity") + "}\n"
 
 

@@ -21,6 +21,7 @@ def test_on_circle_nominal_bank():
     cmd = baseline_choose_bank(cfg, uav, belief_for_center(uav, 0.0, 0.0), 1, LIMIT)
     expected = math.atan(81.0 / (9.80665 * 60.0))
     assert cmd == pytest.approx(expected, abs=1e-12)
+    assert type(cmd) is float  # not numpy's, whose repr the telemetry line would write
     assert math.degrees(cmd) == pytest.approx(7.84, abs=0.1)
 
 

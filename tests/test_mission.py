@@ -256,20 +256,21 @@ def reference_record(f, readings) -> dict:
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(-2.0 / 3.0)],
                          ids=["nan", "inf", "-inf", "-0.0", "5e-324", "1e308", "float64"])
 def test_a_record_line_is_json_dumps_of_the_record(value):
+    # numpy floats reach a record only through the belief's arrays: the flight's state, its readings, both
+    # controllers' banks and the plan's scores are python floats
     sc, cfg, models = flight_setup()
     f = start_flight(sc, ConfigBundle(cfg, *models), 1, 0, None)
     world, ms = f.world, f.ms
-    world.t, world.battery_j = 4.2, value
-    world.uav.x = world.uav.y = world.uav.h = world.uav.phi = value
-    ms.target_bank = ms.filtered_lift = value
-    for readings in ([], [(1.0, 0.0, 0.0), (value, 0.0, 0.0)]):
+    world.t, world.battery_j = 4.2, float(value)
+    world.uav.x = world.uav.y = world.uav.h = world.uav.phi = ms.filtered_lift = ms.target_bank = float(value)
+    for readings in ([], [(1.0, 0.0, 0.0), (float(value), 0.0, 0.0)]):
         assert mission._record_line(f, readings) == json.dumps(reference_record(f, readings)) + "\n"
-    # thermalling on a planning tick: a belief, and a plan whose scores are python floats, as choose_action makes them
+    # thermalling on a planning tick, with a belief and a plan
     ms.mode, ms.belief, ms.last_plan_t = FlightMode.THERMALLING, prior(), world.t
     ms.belief.mean[1:] = value
     ms.belief.cov[3, 3] = value
-    ms.plan = PlannerDecision(value, EXPLORE, [(-0.5, float(value)), (0.5, float(value))])
-    readings = [(value, 1.0, 2.0)]
+    ms.plan = PlannerDecision(float(value), EXPLORE, [(-0.5, float(value)), (0.5, float(value))])
+    readings = [(float(value), 1.0, 2.0)]
     assert mission._record_line(f, readings) == json.dumps(reference_record(f, readings)) + "\n"
 
 
