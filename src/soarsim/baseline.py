@@ -52,4 +52,4 @@ def baseline_choose_bank(
         r_rate = 0.0
     nominal = math.atan(uav.v * uav.v / (G * cfg.circle_radius))
     cmd = direction * (nominal + cfg.kp * err + cfg.kd * r_rate)
-    return float(max(-bank_limit, min(bank_limit, cmd)))  # a python float, as the flight's state holds
+    return float(max(-bank_limit, min(bank_limit, cmd)))  # not numpy's, which the roll state would carry on

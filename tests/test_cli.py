@@ -525,7 +525,8 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_telemetry_is_written_as_json_writes_it(self, tmp_path, capsys):
         site, out = tmp_path / "huge_vario.json", tmp_path / "t.jsonl"
-        site.write_text(json.dumps({**json.loads((REPO / "scenarios" / "field.json").read_text()), "vario_sigma": 1e308}))
+        field = json.loads((REPO / "scenarios" / "field.json").read_text())
+        site.write_text(json.dumps({**field, "vario_sigma": 1e308}))
         assert cli.main(["run", "--scenario", str(site), "--seed", "7", "--out", str(out)]) == 3
         capsys.readouterr()
         lines = out.read_text().splitlines()

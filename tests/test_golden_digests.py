@@ -2,15 +2,14 @@
 
 Each digest is the SHA-256 of one flight, capped at 900 s: the JSON line
 of every telemetry record, as the sink receives it, then the repr of the
-FlightRecord. Seeds 1-5
-of field.json, whose thermals random_thermals draws per seed, fly with
-both controllers, and seeds 1-3 of explicit_thermals.json, whose site
-file lists its thermals with each optional key given and left out, a
-null lifetime and an int-valued center. A change that claims byte-identical
-outputs must leave every digest as it is. A digest changes only with a
-stated reason (a new model, a fixed bug, a numpy kernel whose last bits
-differ), written in CHANGES.md with the new values, as for the benchmark's
-pinned outputs.
+FlightRecord. Seeds 1-5 of field.json, whose thermals random_thermals
+draws per seed, fly with both controllers, and seeds 1-3 of
+explicit_thermals.json, whose site file lists its thermals with each
+optional key given and left out, a null lifetime and an int-valued
+center. A change that claims byte-identical outputs must leave every
+digest as it is. A digest changes only with a stated reason (a new
+model, a fixed bug, a numpy kernel whose last bits differ), written in
+CHANGES.md with the new values, as for the benchmark's pinned outputs.
 
 Beside each digest is a decision digest: the SHA-256 of each tick's
 (t, mode, target_bank), as one JSON list per line. A re-pin that keeps the
