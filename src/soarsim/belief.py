@@ -87,8 +87,7 @@ def ekf_update(
     mean = b.mean + k * (observed_lift - predicted)
     cov = b.cov - np.outer(k, cov_h)
     cov = (cov + cov.T) * 0.5
-    if mean[IDX_R0] < R0_FLOOR:
-        mean = mean.copy()
+    if mean[IDX_R0] < R0_FLOOR:  # mean is this update's own array
         mean[IDX_R0] = R0_FLOOR
     return GaussianBelief(mean, cov)
 

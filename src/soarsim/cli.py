@@ -26,7 +26,7 @@ from .experiment import (
     summaries_to_json,
     write_report,
 )
-from .mission import BASELINE, POMDSOAR, run_flight
+from .mission import run_flight
 from .params import ConfigError
 
 
@@ -42,15 +42,14 @@ def _jsonl_sink(path: Path):
 
 def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
     world = materialize(sc, sc.seed)
-    cfg = bundle.mission if args.controller is None else replace(bundle.mission, controller=args.controller)
     sink = _jsonl_sink(Path(args.out)) if args.out else None
     try:
-        rec = run_flight(world, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline,
-                         seed=sc.seed, slot=args.slot, telemetry_sink=sink)
+        rec = run_flight(world, bundle.mission, bundle.airframe, bundle.noise, bundle.prior, bundle.planner,
+                         bundle.baseline, seed=sc.seed, slot=args.slot, telemetry_sink=sink)
     finally:
         if sink is not None:
             sink.close()
-    out = {"controller": cfg.controller, "seed": sc.seed, **asdict(rec)}
+    out = {"controller": bundle.mission.controller, "seed": sc.seed, **asdict(rec)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fly one mission")
     common(p)
-    p.add_argument("--controller", choices=[POMDSOAR, BASELINE], help="default: SOAR_POMDP_ON's choice")
     p.add_argument("--slot", type=int, choices=(0, 1), default=0, help="noise-stream slot (0 or 1)")
     p.add_argument("--out", help="telemetry JSONL path")
     p.set_defaults(func=cmd_run)

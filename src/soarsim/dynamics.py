@@ -33,16 +33,6 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-@dataclass(frozen=True)
-class PidGains:
-    """Roll-channel PID gains; output is aileron deflection in [-1, 1]."""
-
-    kp: float
-    ki: float
-    kd_gain: float
-    int_limit: float  # clamp on the accumulated integral term
-
-
 @dataclass
 class PidState:
     """Mutable PID memory, explicitly owned by the caller."""
@@ -53,7 +43,8 @@ class PidState:
 
 @dataclass(frozen=True)
 class AirframeParams:
-    """Roll-axis airframe constants plus bank limits and PID gains.
+    """Roll-axis airframe constants plus bank limits and the roll PID's
+    gains, whose output is aileron deflection in [-1, 1].
 
     stall_prevention tightens the bank clamp to STALL_BANK_LIMIT
     (autopilot behavior keyed by SOAR_NO_STALLPRV in the param file:
@@ -66,7 +57,10 @@ class AirframeParams:
     k_a: float  # aileron effectiveness coefficient
     max_bank: float  # rad
     stall_prevention: bool
-    pid: PidGains
+    kp: float
+    ki: float
+    kd_gain: float
+    int_limit: float  # clamp on the accumulated integral term
 
     @property
     def bank_limit(self) -> float:
@@ -80,8 +74,7 @@ class AirframeParams:
         """What step_kinematics reads, gathered once per (frozen) instance:
         (kp, ki, kd_gain, int_limit, k_a, i_x, -k_d*c_lp, bank_limit).
         The damping moment is then -k_d*c_lp * phi_dot / (2v)."""
-        p = self.pid
-        return (p.kp, p.ki, p.kd_gain, p.int_limit, self.k_a, self.i_x,
+        return (self.kp, self.ki, self.kd_gain, self.int_limit, self.k_a, self.i_x,
                 -self.k_d * self.c_lp, self.bank_limit)
 
 

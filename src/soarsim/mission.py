@@ -21,7 +21,7 @@ from . import baseline as baseline_mod
 from . import pomdsoar as planner_mod
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig, ekf_update, predict_shift
-from .dynamics import RECORD_DT, SIM_DT, AirframeParams, wrap_angle
+from .dynamics import RECORD_DT, SIM_DT, STEPS_PER_RECORD, AirframeParams, wrap_angle
 from .environment import NormalBlocks, Scenario, WorldState, env_tick, make_world
 from .params import BASELINE, POMDSOAR, ConfigError, Section, check
 
@@ -210,13 +210,15 @@ class Flight:
     normals: NormalBlocks  # the sensor and turbulence draws, a block at a time
     planner_rng: np.random.Generator
     sink: object  # called with one JSON line per tick, or None
-    mode_ticks: dict  # ticks flown in each mode, by its value
+    mode_ticks: dict  # ticks flown in each mode, by its value, a crash tick left out
 
     def record(self) -> FlightRecord:
         """The outcome so far: the mission's, once flight_tick has returned True."""
         w = self.world
-        return FlightRecord(w.t, self.sc.battery_j - w.battery_j, self.ms.thermal_encounters, w.crashed,
-                            {mode: n * RECORD_DT for mode, n in self.mode_ticks.items()})
+        seconds = {mode: n * RECORD_DT for mode, n in self.mode_ticks.items()}
+        if w.crashed:  # the uncounted crash tick flew only the steps up to the ground
+            seconds[self.ms.mode.value] += (w.step - STEPS_PER_RECORD * sum(self.mode_ticks.values())) * SIM_DT
+        return FlightRecord(w.t, self.sc.battery_j - w.battery_j, self.ms.thermal_encounters, w.crashed, seconds)
 
 
 def start_flight(sc: Scenario, bundle: ConfigBundle, seed: int, slot: int, sink) -> Flight:
@@ -267,9 +269,9 @@ def flight_tick(f: Flight, readings) -> bool:
     """
     b, world, ms = f.bundle, f.world, f.ms
     cfg, uav = b.mission, world.uav
-    f.mode_ticks[ms.mode.value] += 1
-    if world.crashed:
+    if world.crashed:  # Flight.record charges this tick the steps it flew
         return True
+    f.mode_ticks[ms.mode.value] += 1
     if not math.isfinite(uav.h):  # a diverging roll integration: NaN passes every termination test
         raise FloatingPointError(f"the flight diverged at t = {world.t:.1f} s: the roll channel set by SOAR_I_MOMENT, "
                                  "SOAR_ROLL_CLP, SOAR_K_ROLLDAMP, RLL2SRV_* and ARSPD_TRIM is unstable")
@@ -277,12 +279,12 @@ def flight_tick(f: Flight, readings) -> bool:
     dt_obs = f.sc.vario_period * SIM_DT
     for obs, x, y in readings:
         ms.filtered_lift = filter_lift(ms.filtered_lift, obs, dt_obs, cfg.detect_filter_tau)
-        if ms.mode is FlightMode.THERMALLING and ms.belief is not None:
+        if ms.mode is FlightMode.THERMALLING:  # entry set the belief and last_obs_pos
             dx = x - ms.last_obs_pos[0]
             dy = y - ms.last_obs_pos[1]
             ms.belief = predict_shift(ms.belief, (dx, dy), b.noise, dt_obs)
             ms.belief = ekf_update(ms.belief, obs, b.noise)
-        ms.last_obs_pos = (x, y)
+            ms.last_obs_pos = (x, y)
 
     prev_mode = ms.mode
     in_fence = point_in_convex_polygon(world.ground_pos, cfg.geofence)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .baseline import BaselineConfig
 from .belief import GaussianBelief, NoiseConfig
-from .dynamics import RECORD_DT, SIM_DT, AirframeParams, PidGains
+from .dynamics import RECORD_DT, SIM_DT, AirframeParams
 from .pomdsoar import PlannerConfig
 
 POMDSOAR = "pomdsoar"
@@ -249,12 +249,10 @@ def airframe_from_params(p: dict) -> AirframeParams:
         k_a=p["SOAR_K_AILERON"],
         max_bank=math.radians(p["SOAR_MAX_BANK"]),
         stall_prevention=not p["SOAR_NO_STALLPRV"],
-        pid=PidGains(
-            kp=p["RLL2SRV_P"],
-            ki=p["RLL2SRV_I"],
-            kd_gain=p["RLL2SRV_D"],
-            int_limit=p["RLL2SRV_IMAX"],
-        ),
+        kp=p["RLL2SRV_P"],
+        ki=p["RLL2SRV_I"],
+        kd_gain=p["RLL2SRV_D"],
+        int_limit=p["RLL2SRV_IMAX"],
     )
 
 

@@ -77,6 +77,18 @@ def _sampled_lift(samples: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return field_lift(w, r, cx, cy, x[:, None], y[:, None])
 
 
+def _finite_mean(values: np.ndarray, mode: str, what: str) -> np.ndarray:
+    """Mean per action of an (A, N) array over the samples finite for every
+    action; logs the count it drops, and raises when it drops them all."""
+    valid = np.isfinite(values).all(axis=0)
+    if not valid.all():
+        # the dropped count stays the first argument: perfbench's tracer adds up record.args[0]
+        log.warning(f"{mode}: dropped %d/%d belief samples", int((~valid).sum()), valid.size)
+        if not valid.any():
+            raise ValueError(f"all belief samples produced non-finite {what}")
+    return values[:, valid].mean(axis=1)
+
+
 def explore_score(
     cfg: PlannerConfig,
     uav: UavState,
@@ -156,12 +168,7 @@ def explore_score(
         covs[...] = cov_an
         weights = np.asarray(cfg.trace_weights)
         traces = np.einsum("anii,i->an", covs, weights)  # (A, N)
-    valid = np.isfinite(traces).all(axis=0)  # keep samples finite for every action
-    if not valid.all():
-        log.warning("explore: dropped %d/%d belief samples", int((~valid).sum()), n)
-        if not valid.any():
-            raise ValueError("all belief samples produced non-finite explore chains")
-    return traces[:, valid].mean(axis=1)
+    return _finite_mean(traces, EXPLORE, "explore chains")
 
 
 def exploit_score(
@@ -175,12 +182,7 @@ def exploit_score(
     x, y, phi, _ = _trajectories(cfg, uav, airframe, cfg.t_exploit)[:, :, 1:]  # start excluded
     lifts = _sampled_lift(samples, x, y)  # (A, N, T)
     gains = lifts.sum(axis=2) * RECORD_DT  # (A, N)
-    valid = np.isfinite(gains).all(axis=0)
-    if not valid.all():
-        log.warning("exploit: dropped %d/%d belief samples", int((~valid).sum()), len(samples))
-        if not valid.any():
-            raise ValueError("all belief samples produced non-finite altitude gains")
-    scores = gains[:, valid].mean(axis=1)
+    scores = _finite_mean(gains, EXPLOIT, "altitude gains")
     if cfg.sink_correction:
         sink = cfg.sink_s0 * (1.0 / np.cos(phi)) ** 1.5  # (A, T)
         scores = scores - sink.sum(axis=1) * RECORD_DT

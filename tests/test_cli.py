@@ -128,9 +128,15 @@ def test_soar_pomdp_on_0_flies_the_baseline(tmp_path, capsys):
     params.write_text("SOAR_POMDP_ON = 0\n")
     assert cli.main(["run", *site, "--params", str(params)]) == 0
     by_param = json.loads(capsys.readouterr().out)
-    assert cli.main(["run", *site, "--controller", "baseline"]) == 0
-    assert by_param == json.loads(capsys.readouterr().out)
     assert by_param["controller"] == "baseline" and by_param["thermal_encounters"] > 0
+    assert by_param["flight_time"] == pytest.approx(773.8)
+
+
+def test_run_has_no_controller_option(capsys):
+    # SOAR_POMDP_ON is the one switch between the controllers
+    site = ["--scenario", str(REPO / "scenarios" / "field.json")]
+    assert cli.main(["run", *site, "--controller", "baseline"]) == 2
+    assert "unrecognized arguments: --controller baseline" in capsys.readouterr().err
 
 
 def test_baseline_command(tmp_path, capsys):
@@ -344,7 +350,9 @@ class TestExitCodes:
          "mission.waypoints[0] must be two finite numbers, got [0, True]"),
         ("site", 5, "mission.site must be a string, got 5"),
         ("geofence", pentagram(300.0), "geofence polygon must be convex"),
-    ], ids=["alt-min-string", "alt-max-null", "waypoint-strings", "waypoint-bool", "site-int", "pentagram-fence"])
+        ("geofence", [[-300.0, 0.0], [300.0, 0.0]], "geofence needs at least 3 vertices"),
+    ], ids=["alt-min-string", "alt-max-null", "waypoint-strings", "waypoint-bool", "site-int", "pentagram-fence",
+            "two-vertex-fence"])
     def test_bad_mission_value_is_config_error(self, tmp_path, capsys, key, value, named):
         doc = json.loads(tiny_site(tmp_path).read_text())
         doc["mission"][key] = value

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from soarsim.dynamics import (
     SIM_DT,
-    PidGains,
     PidState,
     RollAction,
     UavState,
@@ -21,7 +20,7 @@ from conftest import AIRFRAME, param_error, turn_radius
 
 
 def kp_only(kp):
-    return replace(AIRFRAME, pid=replace(AIRFRAME.pid, kp=kp, ki=0.0, kd_gain=0.0))
+    return replace(AIRFRAME, kp=kp, ki=0.0, kd_gain=0.0)
 
 
 def aileron(af, bank_error):
@@ -44,14 +43,15 @@ class TestPidRoll:
         af = kp_only(1.0)
         assert aileron(af, 0.3) == pytest.approx(0.3, rel=1e-12)
 
-    def test_integrator_antiwindup(self):
-        # the commanded 1 rad lies beyond the 40 deg bank stop, so the error
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_integrator_antiwindup(self, sign):
+        # the commanded +-1 rad lies beyond the 40 deg bank stop, so the error
         # never falls below 0.3 rad and the integrator runs into its clamp
-        af = replace(AIRFRAME, pid=PidGains(kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3))
+        af = replace(AIRFRAME, kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3)
         state = PidState()
-        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 1.0, state, 200)
-        assert state.integrator == pytest.approx(0.3)
-        assert state.prev_error == pytest.approx(1.0 - af.bank_limit)
+        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, sign, state, 200)
+        assert state.integrator == pytest.approx(sign * 0.3)
+        assert state.prev_error == pytest.approx(sign * (1.0 - af.bank_limit))
 
 
 @pytest.mark.parametrize("target_deg", [-45.0, 0.0, 30.0])
@@ -88,7 +88,7 @@ class TestDynamicsStep:
         phi_dot = 1.0
         lp = -free_airframe.k_d * free_airframe.c_lp * phi_dot / (2.0 * 9.0)
         needed = lp / free_airframe.k_a
-        af = replace(free_airframe, pid=replace(AIRFRAME.pid, kp=1.0, ki=0.0, kd_gain=0.0))
+        af = replace(free_airframe, kp=1.0, ki=0.0, kd_gain=0.0)
         # error = needed, kp=1 -> aileron = needed
         *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState(), 1)
         assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
@@ -208,7 +208,7 @@ def test_stall_prevention_clamp():
 
 
 def test_step_constants_follow_the_fields():
-    changes = dict(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), pid=PidGains(0.1, 0.2, 0.3, 0.4))
+    changes = dict(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), kp=0.1, ki=0.2, kd_gain=0.3, int_limit=0.4)
     af = replace(AIRFRAME, **changes)
     assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, 1.0, math.radians(30.0))
     assert af == replace(AIRFRAME, **changes)

@@ -28,7 +28,7 @@ from soarsim.mission import (
 from soarsim.params import ConfigError, resolve_params
 from soarsim.pomdsoar import EXPLORE, PlannerDecision
 
-from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, mission_config, param_error, prior
+from conftest import AIRFRAME, BASELINE_CFG, NOISE, PLANNER, REPO, config_bundle, mission_config, param_error, prior
 
 
 def square(r):
@@ -236,6 +236,17 @@ def test_mode_ticks_add_up_to_a_capped_flights_ticks():
     assert sum(f.mode_ticks.values()) == ticks
     assert rec.mode_seconds == {mode: n * RECORD_DT for mode, n in f.mode_ticks.items()}
     assert sum(rec.mode_seconds.values()) == 120.0
+
+
+def test_a_crashed_flights_mode_seconds_add_up_to_its_flight_time():
+    # below a floor under the ground the motor never starts: the glide reaches the ground at 154.18 s, 9 steps into
+    # its last tick, which a whole tick's 0.2 s would charge as 154.20000000000002 s of AUTO_GLIDE
+    b = config_bundle(mission_config(alt_min=-20.0, soaring_enabled=False))
+    rec = run_flight(Scenario(turbulence_sigma=0.0), b.mission, b.airframe, b.noise, b.prior, b.planner, b.baseline,
+                     seed=1)
+    assert rec.crashed and rec.flight_time == pytest.approx(154.18)
+    assert sum(rec.mode_seconds.values()) == pytest.approx(rec.flight_time, abs=1e-9)
+    assert rec.mode_seconds[FlightMode.AUTO_GLIDE.value] == pytest.approx(154.18, abs=1e-9)
 
 
 def reference_record(f, readings) -> dict:

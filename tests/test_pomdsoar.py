@@ -255,6 +255,8 @@ def check_explore_case(case):
 
 
 @example(case=DIVERGING)
+# its diverging hypothesis alone: every chain is dropped, and both raise
+@example(case=(*DIVERGING[:2], hypotheses(Bell(1e200, 2.0, 0.0, 1.0))))
 # the prior r0 sits below R0_FLOOR: the first step linearizes at the floor,
 # while the mean's own r0 is floored only after that step's update
 @example(case=(north_uav(), make_belief([1.5, 0.5, 0.3, -0.2], [1.0, 4.0, 4.0, 4.0]),
@@ -390,8 +392,8 @@ def test_failed_samples_dropped_with_warning(free_airframe, noise, caplog):
     with caplog.at_level(logging.WARNING):
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(good, bad))
     assert np.isfinite(scores).all()
-    assert any("dropped" in rec.message for rec in caplog.records)
-    with pytest.raises(ValueError):
+    assert [rec.message for rec in caplog.records] == ["exploit: dropped 1/2 belief samples"]
+    with pytest.raises(ValueError, match="all belief samples produced non-finite altitude gains"):
         exploit_score(cfg, north_uav(), free_airframe, hypotheses(bad, bad))
 
 
