@@ -25,7 +25,6 @@ SIM_DT = 0.02  # s, fixed integration step (50 Hz loop)
 RECORD_DT = 0.2  # s, control tick and trajectory recording resolution
 STEPS_PER_RECORD = round(RECORD_DT / SIM_DT)
 G = 9.80665  # m/s^2
-STALL_BANK_LIMIT = math.radians(40.0)  # bank clamp while stall prevention is active
 
 
 def wrap_angle(a: float) -> float:
@@ -43,31 +42,18 @@ class PidState:
 
 @dataclass(frozen=True)
 class AirframeParams:
-    """Roll-axis airframe constants plus bank limits and the roll PID's
-    gains, whose output is aileron deflection in [-1, 1].
-
-    stall_prevention tightens the bank clamp to STALL_BANK_LIMIT
-    (autopilot behavior keyed by SOAR_NO_STALLPRV in the param file:
-    0 = prevention active).
-    """
+    """Roll-axis airframe constants plus the attained-bank clamp and the
+    roll PID's gains, whose output is aileron deflection in [-1, 1]."""
 
     i_x: float  # roll moment of inertia, kg m^2
     c_lp: float  # roll damping derivative (< 0)
     k_d: float  # roll damping coefficient
     k_a: float  # aileron effectiveness coefficient
-    max_bank: float  # rad
-    stall_prevention: bool
+    bank_limit: float  # rad, attained-bank clamp
     kp: float
     ki: float
     kd_gain: float
     int_limit: float  # clamp on the accumulated integral term
-
-    @property
-    def bank_limit(self) -> float:
-        """Effective bank clamp applied by the dynamics."""
-        if self.stall_prevention:
-            return min(self.max_bank, STALL_BANK_LIMIT)
-        return self.max_bank
 
     @cached_property
     def step_constants(self) -> tuple[float, ...]:

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import statistics
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -205,6 +206,14 @@ def sign_test_p(wins: int, decisive: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+def _winner(diff: float, margin: float) -> str | None:
+    """The controller a pair's pomdsoar-minus-baseline diff favours, or
+    None for a draw: a diff of 0 or of magnitude under margin."""
+    if diff == 0.0 or abs(diff) < margin:
+        return None
+    return POMDSOAR if diff > 0.0 else BASELINE
+
+
 def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
     """Per-flight rows plus the aggregate comparison.
 
@@ -227,10 +236,7 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
             raise ConfigError(f"flight {s.flight_id!r} has two {s.controller} summaries")
         pair[s.controller] = s
 
-    wins = {POMDSOAR: 0, BASELINE: 0}
-    raw_wins = {POMDSOAR: 0, BASELINE: 0}
-    draws = 0
-    raw_draws = 0
+    tally, raw_tally = Counter(), Counter()  # winner -> pairs; None counts the draws
     excluded = 0
     gains: dict[str, list[float]] = {POMDSOAR: [], BASELINE: []}
     for fid in sorted(by_flight):
@@ -244,29 +250,20 @@ def report(summaries: list[FlightSummary]) -> tuple[list[dict], dict]:
             continue
         gains[POMDSOAR].append(p.rel_gain)
         gains[BASELINE].append(b.rel_gain)
-        diff = p.gain_pct - b.gain_pct
-        if abs(diff) < DRAW_MARGIN_PP:
-            draws += 1
-        elif diff > 0:
-            wins[POMDSOAR] += 1
-        else:
-            wins[BASELINE] += 1
-        if p.flight_time == b.flight_time:
-            raw_draws += 1
-        elif p.flight_time > b.flight_time:
-            raw_wins[POMDSOAR] += 1
-        else:
-            raw_wins[BASELINE] += 1
+        tally[_winner(p.gain_pct - b.gain_pct, DRAW_MARGIN_PP)] += 1
+        raw_tally[_winner(p.flight_time - b.flight_time, 0.0)] += 1
 
+    wins = {c: tally[c] for c in (POMDSOAR, BASELINE)}
+    raw_wins = {c: raw_tally[c] for c in (POMDSOAR, BASELINE)}
     decisive = wins[POMDSOAR] + wins[BASELINE]
     aggregate = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "flights": len(by_flight),
         "excluded": excluded,
         "wins": wins,
-        "draws": draws,
+        "draws": tally[None],
         "raw_time_wins": raw_wins,
-        "raw_time_draws": raw_draws,
+        "raw_time_draws": raw_tally[None],
         "median_rel_gain": {c: statistics.median(g) if g else None for c, g in gains.items()},
         "sign_test_p": sign_test_p(wins[POMDSOAR], decisive) if decisive else None,
     }

@@ -55,8 +55,9 @@ class MissionConfig:
     max_duration: float = 14400.0  # s safety cap
 
     def __post_init__(self):
-        if not (self.alt_min < self.alt_cutoff < self.alt_max):
-            raise ConfigError("altitude bands must satisfy alt_min < alt_cutoff < alt_max")
+        # the ground is h = 0, where a flight ends: a floor at or below it never starts the motor
+        if not (0.0 < self.alt_min < self.alt_cutoff < self.alt_max):
+            raise ConfigError("altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max")
         if len(self.waypoints) < 3:
             raise ConfigError("mission needs at least 3 waypoints")
         if len(self.geofence) < 3:

@@ -29,6 +29,7 @@ from .pomdsoar import PlannerConfig
 
 POMDSOAR = "pomdsoar"
 BASELINE = "baseline"
+STALL_BANK_LIMIT = math.radians(40.0)  # bank clamp while stall prevention is active
 
 
 class ConfigError(Exception):
@@ -242,13 +243,15 @@ def resolve_params(overrides: dict | None = None) -> dict:
 
 
 def airframe_from_params(p: dict) -> AirframeParams:
+    bank_limit = math.radians(p["SOAR_MAX_BANK"])
+    if not p["SOAR_NO_STALLPRV"]:
+        bank_limit = min(bank_limit, STALL_BANK_LIMIT)
     return AirframeParams(
         i_x=p["SOAR_I_MOMENT"],
         c_lp=p["SOAR_ROLL_CLP"],
         k_d=p["SOAR_K_ROLLDAMP"],
         k_a=p["SOAR_K_AILERON"],
-        max_bank=math.radians(p["SOAR_MAX_BANK"]),
-        stall_prevention=not p["SOAR_NO_STALLPRV"],
+        bank_limit=bank_limit,
         kp=p["RLL2SRV_P"],
         ki=p["RLL2SRV_I"],
         kd_gain=p["RLL2SRV_D"],
@@ -273,7 +276,7 @@ def planner_from_params(p: dict, sink_s0: float) -> PlannerConfig:
     return PlannerConfig(
         bank_angles=tuple(math.radians(b) for b in p["SOAR_POMDP_BANKS"]),
         t_explore=p["SOAR_POMDP_HORI"],
-        exploit_extension=p["SOAR_POMDP_EXT"],
+        t_exploit=p["SOAR_POMDP_HORI"] * p["SOAR_POMDP_EXT"],
         n_samples=p["SOAR_POMDP_N"],
         confidence_thres=p["SOAR_CONF_THRES"],
         sink_correction=bool(p["SOAR_POMDP_SINKCOMP"]),

@@ -32,16 +32,12 @@ EXPLOIT = "exploit"
 class PlannerConfig:
     bank_angles: tuple[float, ...]  # rad, candidate actions
     t_explore: float  # s, exploration horizon
-    exploit_extension: float  # exploit horizon = t_explore * this
+    t_exploit: float  # s, exploitation horizon
     n_samples: int  # thermal hypotheses per cycle
     confidence_thres: float  # trace gate; unit-coupled to trace_weights
     sink_correction: bool  # charge tighter turns their extra sink
     sink_s0: float  # m/s, level-flight sink used by the correction
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-
-    @property
-    def t_exploit(self) -> float:
-        return self.t_explore * self.exploit_extension
 
 
 @dataclass

@@ -29,6 +29,8 @@ REPO = Path(__file__).resolve().parents[1]
 # param table's kinds, checked where the param file is read.
 PARAMS = resolve_params()
 AIRFRAME = airframe_from_params(PARAMS)
+# stall prevention off, so 45 deg banks are attainable
+FREE_AIRFRAME = airframe_from_params(PARAMS | {"SOAR_NO_STALLPRV": 1})
 NOISE = noise_from_params(PARAMS)
 PLANNER = planner_from_params(PARAMS, sink_s0=Scenario().sink_s0)
 BASELINE_CFG = baseline_from_params(PARAMS)
@@ -122,7 +124,7 @@ def airframe():
 @pytest.fixture
 def free_airframe():
     """Airframe with stall prevention off, so 45 deg banks are attainable."""
-    return replace(AIRFRAME, stall_prevention=False)
+    return FREE_AIRFRAME
 
 
 @pytest.fixture

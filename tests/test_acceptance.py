@@ -22,7 +22,7 @@ from soarsim.mission import BASELINE, POMDSOAR
 from soarsim.pomdsoar import EXPLOIT, EXPLORE, choose_action
 from soarsim.thermal import observe
 
-from conftest import AIRFRAME, NOISE, PLANNER, Bell, fine_trajectory, lift_at, turn_radius
+from conftest import FREE_AIRFRAME, NOISE, PLANNER, Bell, fine_trajectory, lift_at, turn_radius
 from test_cli import tiny_site
 
 REPO = Path(__file__).resolve().parents[1]
@@ -142,7 +142,7 @@ def test_c03_estimation_convergence_and_grid_oracle():
 
 def test_c04_trajectory_prediction_self_consistency():
     start = time.perf_counter()
-    airframe = replace(AIRFRAME, stall_prevention=False)
+    airframe = FREE_AIRFRAME
     sc = Scenario(thermals=(), wind=(0.0, 0.0), turbulence_sigma=0.0, vario_sigma=0.0)
     for bank_deg in (0.0, 15.0, -15.0, 30.0, -30.0, 45.0, -45.0):
         bank = math.radians(bank_deg)
@@ -160,7 +160,7 @@ def test_c04_trajectory_prediction_self_consistency():
 
 def test_c05_coordinated_turn_radius():
     start = time.perf_counter()
-    airframe = replace(AIRFRAME, stall_prevention=False)
+    airframe = FREE_AIRFRAME
     for bank_deg in (10.0, 15.0, 20.0, 30.0, 40.0, 45.0):
         phi = math.radians(bank_deg)
         radius = turn_radius(9.0, phi)

@@ -6,7 +6,7 @@ import pytest
 from soarsim.baseline import baseline_choose_bank, commit_direction
 from soarsim.dynamics import PidState, UavState, step_kinematics
 
-from conftest import AIRFRAME, BASELINE_CFG, make_belief, param_error
+from conftest import AIRFRAME, BASELINE_CFG, FREE_AIRFRAME, make_belief, param_error
 
 LIMIT = AIRFRAME.bank_limit
 
@@ -61,7 +61,7 @@ def test_invalid_radius(tmp_path, capsys):
 )
 def test_converges_to_commanded_circle(start, direction):
     cfg = BASELINE_CFG
-    af = replace(AIRFRAME, stall_prevention=False)
+    af = FREE_AIRFRAME
     uav, pid = replace(start), PidState()
     period = 2 * math.pi * cfg.circle_radius / 9.0
     t, target, errors = 0.0, 0.0, []

@@ -7,10 +7,8 @@ that would break the benchmark fails here. Nothing under perfbench/ is
 changed, and perfbench/ is not put on sys.path.
 """
 
-import importlib.util
 import inspect
 import logging
-import sys
 from dataclasses import replace
 
 import pytest
@@ -18,22 +16,14 @@ import pytest
 from soarsim import environment, mission, pomdsoar
 from soarsim.dynamics import SIM_DT
 from soarsim.experiment import ExperimentPlan
+from soarsim.pomdsoar import EXPLOIT, PlannerDecision
 
+import check_pinned
+from check_pinned import PERFBENCH, load, untimed, workloads
 from conftest import AIRFRAME, NOISE, PLANNER, REPO
 from test_pomdsoar import DIVERGING, Bell, hypotheses, north_uav
 
-PERFBENCH = REPO / "perfbench"
-
-
-def load(name: str):
-    """perfbench/<name>.py as a module of its own name, perfbench_<name>."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer, workloads = load("tracer"), load("workloads")
+tracer = load("tracer")
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +34,6 @@ def bench():
         out[name] = cls()
         out[name].setup(REPO)
     return out
-
-
-def untimed(fn, *args, **kwargs):
-    return fn(*args, **kwargs)
 
 
 def test_every_label_the_tracer_reports_is_a_traced_function():
@@ -120,3 +106,12 @@ def test_a_thermalling_flight_plans_through_the_pomdsoar_module_attribute(bench,
     rec = mission.run_flight(world, replace(b.mission, max_duration=40.0), b.airframe, b.noise, b.prior, b.planner,
                              b.baseline, seed=3)
     assert rec.thermal_encounters == 1 and cycles
+
+
+def test_check_pinned_names_the_units_whose_output_moved(monkeypatch, capsys):
+    monkeypatch.setattr(workloads.PlannerCycles, "pool", 2)
+    assert check_pinned.mismatched_units("planner_cycles") == []
+    monkeypatch.setattr(pomdsoar, "choose_action", lambda *args: PlannerDecision(0.125, EXPLOIT, []))
+    assert check_pinned.mismatched_units("planner_cycles") == [0, 1]
+    assert check_pinned.main(["planner_cycles"]) == 1
+    assert capsys.readouterr().out == "planner_cycles: 2 of 2 units differ from pinned.json: [0, 1]\n"

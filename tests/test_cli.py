@@ -351,8 +351,10 @@ class TestExitCodes:
         ("site", 5, "mission.site must be a string, got 5"),
         ("geofence", pentagram(300.0), "geofence polygon must be convex"),
         ("geofence", [[-300.0, 0.0], [300.0, 0.0]], "geofence needs at least 3 vertices"),
+        # the ground is h = 0: a floor below it never starts the motor, and every flight glides into the ground
+        ("alt_min", -20.0, "altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max"),
     ], ids=["alt-min-string", "alt-max-null", "waypoint-strings", "waypoint-bool", "site-int", "pentagram-fence",
-            "two-vertex-fence"])
+            "two-vertex-fence", "floor-below-ground"])
     def test_bad_mission_value_is_config_error(self, tmp_path, capsys, key, value, named):
         doc = json.loads(tiny_site(tmp_path).read_text())
         doc["mission"][key] = value
@@ -404,8 +406,10 @@ class TestExitCodes:
                                    "14403 s, longer than the 14400 s flight cap"),
         ("SOAR_POMDP_HORI=1e200\nSOAR_POMDP_EXT=1e200\n",
          "mission.param: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of inf s, longer than the 14400 s"),
+        # a floor at the ground, where a flight ends, is one the glide reaches before the motor can start
+        ("SOAR_ALT_MIN = 0\n", "mission.param: altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max"),
     ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan", "horizon-under-a-tick",
-            "horizon-past-the-cap", "horizon-overflows"])
+            "horizon-past-the-cap", "horizon-overflows", "floor-at-ground"])
     def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
         site = tiny_site(tmp_path)
         params = tmp_path / "mission.param"

@@ -16,7 +16,7 @@ from soarsim.dynamics import (
     wrap_angle,
 )
 
-from conftest import AIRFRAME, param_error, turn_radius
+from conftest import AIRFRAME, FREE_AIRFRAME, param_error, turn_radius
 
 
 def kp_only(kp):
@@ -194,7 +194,7 @@ def test_default_airframe_constants(airframe):
 
 
 def test_airframe_validation(tmp_path, capsys):
-    # i_x positive, c_lp negative (damping opposes roll rate), max_bank below 90 deg
+    # i_x positive, c_lp negative (damping opposes roll rate), SOAR_MAX_BANK below 90 deg
     for line, what in (("SOAR_I_MOMENT=0.0", "a finite positive number"),
                        ("SOAR_ROLL_CLP=0.5", "a finite negative number"),
                        ("SOAR_MAX_BANK=90", "an angle above 0 and below 90 deg")):
@@ -204,11 +204,11 @@ def test_airframe_validation(tmp_path, capsys):
 
 def test_stall_prevention_clamp():
     assert AIRFRAME.bank_limit == pytest.approx(math.radians(40.0))
-    assert replace(AIRFRAME, stall_prevention=False).bank_limit == pytest.approx(math.radians(45.0))
+    assert FREE_AIRFRAME.bank_limit == pytest.approx(math.radians(45.0))
 
 
 def test_step_constants_follow_the_fields():
-    changes = dict(k_d=0.5, c_lp=-2.0, max_bank=math.radians(30.0), kp=0.1, ki=0.2, kd_gain=0.3, int_limit=0.4)
+    changes = dict(k_d=0.5, c_lp=-2.0, bank_limit=math.radians(30.0), kp=0.1, ki=0.2, kd_gain=0.3, int_limit=0.4)
     af = replace(AIRFRAME, **changes)
     assert af.step_constants == (0.1, 0.2, 0.3, 0.4, af.k_a, af.i_x, 1.0, math.radians(30.0))
     assert af == replace(AIRFRAME, **changes)

@@ -91,6 +91,8 @@ class TestReport:
         rows, agg = report(self.make_pairs())
         assert agg["wins"] == {POMDSOAR: 1, BASELINE: 1}
         assert agg["draws"] == 1
+        assert agg["raw_time_wins"] == {POMDSOAR: 1, BASELINE: 1}
+        assert agg["raw_time_draws"] == 1
         assert agg["excluded"] == 1
         assert agg["flights"] == 4
         assert len(rows) == 8
@@ -340,6 +342,15 @@ class TestRunPaired:
         assert {a.controller, b.controller} == {POMDSOAR, BASELINE}
         assert a.rel_gain == a.flight_time / a.baseline_time
         assert not (a.excluded or b.excluded) or (a.excluded and b.excluded)
+
+    def test_a_pair_where_one_uav_thermalled_is_excluded(self):
+        # c07's flight 040: the baseline in slot 0 thermals once and pomdsoar never
+        sc, bundle = load_bundle(SITES[0])
+        a, b = run_paired(sc, bundle, seed=40, flight_id="040", swap=True, baseline_reps=1)
+        assert (a.controller, a.thermal_encounters) == (BASELINE, 1)
+        assert (b.controller, b.thermal_encounters) == (POMDSOAR, 0)
+        assert a.flight_time == pytest.approx(591.6) and b.flight_time == pytest.approx(586.6)
+        assert a.excluded and b.excluded
 
     def test_plan_alternates_slots(self, monkeypatch):
         monkeypatch.setattr(experiment, "run_flight", lambda *args, **kwargs: FlightRecord(400.0, 0.0, 0, False, {}))

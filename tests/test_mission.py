@@ -239,14 +239,14 @@ def test_mode_ticks_add_up_to_a_capped_flights_ticks():
 
 
 def test_a_crashed_flights_mode_seconds_add_up_to_its_flight_time():
-    # below a floor under the ground the motor never starts: the glide reaches the ground at 154.18 s, 9 steps into
-    # its last tick, which a whole tick's 0.2 s would charge as 154.20000000000002 s of AUTO_GLIDE
-    b = config_bundle(mission_config(alt_min=-20.0, soaring_enabled=False))
-    rec = run_flight(Scenario(turbulence_sigma=0.0), b.mission, b.airframe, b.noise, b.prior, b.planner, b.baseline,
-                     seed=1)
-    assert rec.crashed and rec.flight_time == pytest.approx(154.18)
+    # a 3 m/s sink wider than the course outsinks the motor: after 16.4 s of glide to the floor, the climb reaches
+    # the ground at 56.92 s, 6 steps into its last tick, which counts 0.12 s and not a whole tick's 0.2 s
+    b = config_bundle(mission_config(soaring_enabled=False))
+    sc = Scenario(thermals=(ThermalSpec(-3.0, 5000.0, (0.0, 0.0)),), turbulence_sigma=0.0)
+    rec = run_flight(sc, b.mission, b.airframe, b.noise, b.prior, b.planner, b.baseline, seed=1)
+    assert rec.crashed and rec.flight_time == pytest.approx(56.92)
     assert sum(rec.mode_seconds.values()) == pytest.approx(rec.flight_time, abs=1e-9)
-    assert rec.mode_seconds[FlightMode.AUTO_GLIDE.value] == pytest.approx(154.18, abs=1e-9)
+    assert rec.mode_seconds[FlightMode.AUTO_CLIMB.value] == pytest.approx(40.52, abs=1e-9)
 
 
 def reference_record(f, readings) -> dict:

@@ -102,14 +102,13 @@ def test_defaults_carry_airframe_constants():
 
 
 class TestBuilders:
-    def test_airframe(self):
-        p = resolve_params({"SOAR_NO_STALLPRV": 1, "SOAR_MAX_BANK": 50.0})
-        af = airframe_from_params(p)
-        assert not af.stall_prevention
-        assert af.bank_limit == pytest.approx(math.radians(50.0))
-        af2 = airframe_from_params(resolve_params())
-        assert af2.stall_prevention
-        assert af2.bank_limit == pytest.approx(math.radians(40.0))
+    @pytest.mark.parametrize("overrides, limit", [
+        ({"SOAR_NO_STALLPRV": 1, "SOAR_MAX_BANK": 50.0}, 50.0),
+        ({}, 40.0),  # stall prevention caps the default 45 deg
+        ({"SOAR_MAX_BANK": 30.0}, 30.0),  # and leaves a smaller limit alone
+    ], ids=["prevention-off", "capped", "under-the-cap"])
+    def test_airframe(self, overrides, limit):
+        assert airframe_from_params(resolve_params(overrides)).bank_limit == pytest.approx(math.radians(limit))
 
     def test_noise_and_prior(self):
         p = resolve_params({"SOAR_THML_Q_POS": 0.5, "SOAR_THML_R": 0.09, "SOAR_THML_W0": 2.0})
