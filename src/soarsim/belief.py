@@ -35,9 +35,9 @@ class GaussianBelief:
         self.mean = np.asarray(self.mean, dtype=float).reshape(4)
         self.cov = np.asarray(self.cov, dtype=float).reshape(4, 4)
         # exact symmetry, which the updates keep, is far cheaper to test than
-        # closeness; a NaN fails both tests
+        # closeness or finiteness; a NaN fails both symmetry tests
         if not ((self.cov == self.cov.T).all() or np.allclose(self.cov, self.cov.T, atol=1e-9)):
-            raise ValueError("covariance must be symmetric")
+            raise ValueError("covariance " + ("must be symmetric" if np.isfinite(self.cov).all() else "is not finite"))
 
     def copy(self) -> "GaussianBelief":
         return GaussianBelief(self.mean.copy(), self.cov.copy())
@@ -94,9 +94,9 @@ def ekf_update(
 
 def sample_thermal(b: GaussianBelief, n: int, rng: np.random.Generator) -> np.ndarray:
     """The n thermal hypotheses of one planning cycle (relative frame): an
-    (n, 4) array of rows (w0, r0, cx, cy), r0 floored at R0_FLOOR. Each row
-    is mean + chol @ z, one product per row: one (n, 4) matmul sums in
-    another order and moves last bits."""
+    (n, 4) array of rows (w0, r0, cx, cy), r0 floored at R0_FLOOR. Row k is
+    mean + chol @ z_k for the k-th row z_k of one (n, 4) normal block, the
+    product summed in the order chol @ z takes, (0 + 2) + (1 + 3)."""
     try:
         chol = np.linalg.cholesky(b.cov)
     except np.linalg.LinAlgError:
@@ -104,7 +104,8 @@ def sample_thermal(b: GaussianBelief, n: int, rng: np.random.Generator) -> np.nd
             chol = np.linalg.cholesky(b.cov + JITTER * np.eye(4))
         except np.linalg.LinAlgError as exc:
             raise ValueError("belief covariance is not positive definite") from exc
-    draws = np.array([b.mean + chol @ z for z in rng.standard_normal((n, 4))])
+    t = chol * rng.standard_normal((n, 4))[:, None, :]  # t[k, i, j] = chol_ij z_kj
+    draws = b.mean + ((t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3]))
     draws[:, IDX_R0] = np.maximum(draws[:, IDX_R0], R0_FLOOR)
     return draws
 

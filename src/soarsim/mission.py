@@ -273,9 +273,11 @@ def flight_tick(f: Flight, readings) -> bool:
     if world.crashed:  # Flight.record charges this tick the steps it flew
         return True
     f.mode_ticks[ms.mode.value] += 1
-    if not math.isfinite(uav.h):  # a diverging roll integration: NaN passes every termination test
-        raise FloatingPointError(f"the flight diverged at t = {world.t:.1f} s: the roll channel set by SOAR_I_MOMENT, "
-                                 "SOAR_ROLL_CLP, SOAR_K_ROLLDAMP, RLL2SRV_* and ARSPD_TRIM is unstable")
+    if not math.isfinite(uav.h):  # NaN passes every termination test
+        raise FloatingPointError(f"the flight diverged at t = {world.t:.1f} s: " + (
+            "the altitude overflowed on a lift too large: check turbulence_sigma and the thermals' w0"
+            if math.isfinite(uav.phi) else "the roll channel set by SOAR_I_MOMENT, SOAR_ROLL_CLP, SOAR_K_ROLLDAMP, "
+            "RLL2SRV_* and ARSPD_TRIM is unstable"))
 
     dt_obs = f.sc.vario_period * SIM_DT
     for obs, x, y in readings:

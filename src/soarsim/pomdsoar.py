@@ -107,29 +107,25 @@ def explore_score(
     # per step, the UAV displacement (2, A, 1), broadcast over samples, and the observations (A, N)
     steps = zip(np.moveaxis(np.diff(xy, axis=2), 2, 0)[..., None], np.moveaxis(obs, 2, 0).copy())
 
-    # Each step works in place on the buffers and views made here: elementwise ops on contiguous
-    # component-major (..., A, N) rows, the einsums on (A, N, ...) copies, h and covs. The pinned
-    # outputs hold while every product keeps thermal.observe's operands and association and both
-    # einsums their subscripts and operand layouts, which set their summation order.
+    # Each step works in place on contiguous component-major rows: cov (4, 4, A, N), the rest (..., A, N).
+    # The pinned outputs hold while every product keeps thermal.observe's operands and association and
+    # every sum the order written here.
     means = np.broadcast_to(b.mean[:, None, None], (4, a, n)).copy()
     cov = np.broadcast_to(b.cov[:, :, None, None], (4, 4, a, n)).copy()
-    q_step = np.broadcast_to((np.diag(noise.q_diag) * RECORD_DT)[:, :, None, None], (4, 4, a, n)).copy()
+    q_step = np.broadcast_to((np.diag(noise.q_diag) * RECORD_DT)[:, :, None, None], (4, 4, a, n))
     w0, r0_mean, cxy = means[0], means[1], means[2:]
     r03, r2, inv_r02, e, w, innov, s = np.empty((7, a, n))
     cx2, cy2 = cxy2 = np.empty((2, a, n))
-    jac, ch, k, dmean = np.empty((4, 4, a, n))
+    jac, ch, q, k, dmean = np.empty((5, 4, a, n))
     jac_e, jac_r0, jac_c, jac_rc = jac[0], jac[1], jac[2:], jac[1:]
-    h, cov_h = np.empty((2, a, n, 4))
-    covs, outer = np.empty((a, n, 4, 4)), np.empty((4, 4, a, n))
-    jac_h, cov_h_t, k_col, ch_row = jac.transpose(1, 2, 0), cov_h.transpose(2, 0, 1), k[:, None], ch[None, :]
-    cov_an, cov_t = cov.transpose(2, 3, 0, 1), cov.transpose(1, 0, 2, 3)
+    prod = np.empty((4, 4, a, n))
+    k_col, ch_row, cov_t = k[:, None], ch[None, :], cov.transpose(1, 0, 2, 3)
     r0 = np.maximum(r0_mean, R0_FLOOR)  # later steps linearize at r0_mean, floored by the step before
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging chain is dropped below
         for delta, obs_t in steps:
             # shift: relative center moves opposite the UAV displacement
             cxy -= delta
             cov += q_step
-            covs[...] = cov_an
             # linearized observation map at the current means
             np.multiply(cxy, cxy, out=cxy2)
             np.add(cx2, cy2, out=r2)
@@ -145,25 +141,26 @@ def explore_score(
             jac_rc *= w
             jac_r0 /= r03
             jac_c *= inv_r02
-            h[...] = jac_h
-            np.einsum("anij,anj->ani", covs, h, out=cov_h)
-            np.einsum("ani,ani->an", h, cov_h, out=s)
+            # P h and s = h.P h + r, each sum (0 + 2) + (1 + 3)
+            np.multiply(cov, jac, out=prod)  # prod[i, j] = P_ij h_j
+            prod[:, :2] += prod[:, 2:]
+            np.add(prod[:, 0], prod[:, 1], out=ch)
+            np.multiply(jac, ch, out=q)
+            q[:2] += q[2:]
+            np.add(q[0], q[1], out=s)
             s += noise.r_obs
-            ch[...] = cov_h_t
             np.divide(ch, s, out=k)
             np.subtract(obs_t, w, out=innov)
             np.multiply(k, innov, out=dmean)
             means += dmean
-            np.multiply(k_col, ch_row, out=outer)
-            cov -= outer
-            np.add(cov, cov_t, out=outer)
-            np.multiply(outer, 0.5, out=cov)
+            np.multiply(k_col, ch_row, out=prod)
+            cov -= prod
+            np.add(cov, cov_t, out=prod)
+            np.multiply(prod, 0.5, out=cov)
             np.maximum(r0_mean, R0_FLOOR, out=r0_mean)
             r0 = r0_mean
 
-        covs[...] = cov_an
-        weights = np.asarray(cfg.trace_weights)
-        traces = np.einsum("anii,i->an", covs, weights)  # (A, N)
+        traces = sum(cov[i, i] * wt for i, wt in enumerate(cfg.trace_weights))  # (A, N), in index order
     return _finite_mean(traces, EXPLORE, "explore chains")
 
 

@@ -6,10 +6,10 @@ Runs every unit of each named workload (all of them by default) once,
 untimed, against this checkout's src/, and compares each unit's output
 digest with perfbench/pinned.json. Prints, per workload, the ids of the
 units whose digest differs or that raise, and exits 1 if there are any.
-The Tier-1 suite checks unit 0 of two workloads only; a change that
-claims byte-identical outputs runs this over all of them (about 2 minutes on
-a 2-core Xeon). perfbench's files are read, not changed, and perfbench/
-is not put on sys.path.
+The Tier-1 suite checks 16 planner_cycles units and one paired_telemetry
+unit; a change that claims byte-identical outputs runs this over all of
+them (about 2 minutes on a 2-core Xeon). perfbench's files are read, not
+changed, and perfbench/ is not put on sys.path.
 """
 
 from __future__ import annotations

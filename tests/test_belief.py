@@ -115,7 +115,42 @@ def test_convergence_on_circling_observer(noise):
     assert abs(b.mean[0] - 2.5) < 0.2
 
 
+def reference_sample_thermal(b, n, rng):
+    """sample_thermal as it was written with one chol @ z product per row,
+    the draws it must equal bit for bit."""
+    try:
+        chol = np.linalg.cholesky(b.cov)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(b.cov + belief_mod.JITTER * np.eye(4))
+    draws = np.array([b.mean + chol @ z for z in rng.standard_normal((n, 4))])
+    draws[:, 1] = np.maximum(draws[:, 1], R0_FLOOR)
+    return draws
+
+
 class TestSampleThermal:
+    def test_draws_are_bit_identical_to_the_per_row_product(self):
+        # a third each: well-conditioned, near-singular (a low-rank root: the jitter retry), r0 below the floor
+        rng = np.random.default_rng(25)
+        jittered = floored = 0
+        for case in range(201):
+            kind = case % 3
+            root = rng.standard_normal((4, int(rng.integers(1, 4)) if kind == 1 else 4))
+            sd = 10.0 ** rng.uniform(-1.0, 1.0 if kind == 1 else 3.0, (4, 1))
+            cov = (sd * root) @ (sd * root).T + (0.0 if kind == 1 else 1e-3) * np.eye(4)
+            mean = rng.uniform(-50.0, 150.0, 4)
+            if kind == 2:
+                mean[1] = rng.uniform(-2.0, 2.0)
+            b = GaussianBelief(mean, (cov + cov.T) * 0.5)
+            n, seed = int(rng.integers(1, 17)), int(rng.integers(1 << 30))
+            draws = sample_thermal(b, n, np.random.default_rng(seed))
+            assert draws.tobytes() == reference_sample_thermal(b, n, np.random.default_rng(seed)).tobytes()
+            try:
+                np.linalg.cholesky(b.cov)
+            except np.linalg.LinAlgError:
+                jittered += 1
+            floored += bool((draws[:, 1] == R0_FLOOR).any())
+        assert jittered > 30 and floored > 30
+
     def test_degenerate_covariance_returns_mean(self, rng):
         b = make_belief([2.0, 60.0, 5.0, -5.0], [1e-18, 1e-18, 1e-18, 1e-18])
         (w0, r0, _, _), = sample_thermal(b, 1, rng)
@@ -210,15 +245,16 @@ def test_noise_config_validation(tmp_path, capsys):
         tmp_path, capsys, "SOAR_THML_R=0.0")
 
 
-@pytest.mark.parametrize("off, accepted", [(0.0, True), (5e-10, True), (1e-9, True), (2e-9, False),
-                                           (0.5, False), (math.nan, False)])
-def test_covariance_symmetry_check(off, accepted):
+@pytest.mark.parametrize("off, error", [(0.0, None), (5e-10, None), (1e-9, None), (2e-9, "must be symmetric"),
+                                        (0.5, "must be symmetric"), (math.nan, "is not finite"),
+                                        (math.inf, "is not finite")])
+def test_covariance_symmetry_check(off, error):
     # against a zero mirror entry allclose allows exactly its atol, 1e-9;
-    # a NaN is never symmetric
+    # a NaN is never symmetric, and a non-finite entry is named as such
     cov = np.diag([1.0, 400.0, 400.0, 400.0])
     cov[2, 0] = off
-    if accepted:
+    if error is None:
         assert GaussianBelief(np.zeros(4), cov).cov[2, 0] == off
     else:
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match=f"^covariance {error}$"):
             GaussianBelief(np.zeros(4), cov)

@@ -531,6 +531,17 @@ class TestExitCodes:
         assert text and "NaN" not in text
         assert all(math.isfinite(json.loads(rec)["h"]) for rec in text.splitlines())
 
+    # a turbulence draw overflows the lift, and so the altitude, while the roll channel is steady
+    # (phi = 1.8e-6 rad at that tick on field.json seed 1)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_altitude_overflow_is_blamed_on_the_lift_not_the_roll_channel(self, tmp_path, capsys):
+        site = tmp_path / "huge_turbulence.json"
+        field = json.loads((REPO / "scenarios" / "field.json").read_text())
+        site.write_text(json.dumps({**field, "turbulence_sigma": 1e308}))
+        assert cli.main(["run", "--scenario", str(site), "--seed", "1", "--out", str(tmp_path / "t.jsonl")]) == 3
+        assert capsys.readouterr().err == ("simulation error: the flight diverged at t = 0.6 s: the altitude overflowed "
+                                           "on a lift too large: check turbulence_sigma and the thermals' w0\n")
+
     # a vario noise of 1e308 m/s overflows the readings and then the detection filter; the flight fails at its
     # 26th tick, and the last two records hold Infinity and NaN. The digest is of the bytes that json.dumps of
     # each record wrote before the line writer.
@@ -540,7 +551,7 @@ class TestExitCodes:
         field = json.loads((REPO / "scenarios" / "field.json").read_text())
         site.write_text(json.dumps({**field, "vario_sigma": 1e308}))
         assert cli.main(["run", "--scenario", str(site), "--seed", "7", "--out", str(out)]) == 3
-        capsys.readouterr()
+        assert capsys.readouterr().err == "simulation error: covariance is not finite\n"
         lines = out.read_text().splitlines()
         assert len(lines) == 26
         assert '"vario": Infinity, "filtered_lift": Infinity' in lines[24] and '"filtered_lift": NaN' in lines[25]
