@@ -326,46 +326,29 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
     thermals = sc.thermals
     if sc.random_thermals is not None:
         spec = sc.random_thermals
-
-        def anchor():
-            if "ring" in spec:
-                # annulus around the course center, where the waypoint laps fly
-                radius = rng.uniform(*spec["ring"]["radius"])
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                return radius * math.cos(angle), radius * math.sin(angle)
-            (x0, y0), (x1, y1) = spec["box"]
-            return rng.uniform(x0, x1), rng.uniform(y0, y1)
-
-        def bell(cx, cy):
-            w0 = rng.uniform(*spec["w0"])
-            r_lo, r_hi = spec["r0"]
-            if spec.get("r0_log"):
-                r0 = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-            else:
-                r0 = rng.uniform(r_lo, r_hi)
-            birth = rng.uniform(*spec.get("birth", [0.0, 0.0]))
-            life = rng.uniform(*spec.get("lifetime", [600.0, 600.0]))
-            speed = rng.uniform(*spec.get("drift", [0.0, 0.0]))
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            drift = (speed * math.cos(angle), speed * math.sin(angle))
-            # no kind rules out an anchor + offset_sigma * z that overflows, or exp(log(r_lo)) squaring to 0.0
-            if not (math.isfinite(cx) and math.isfinite(cy) and r0 * r0 > 0.0):
-                raise ConfigError(f"random_thermals drew a bell at ({cx}, {cy}) with r0 {r0}; "
-                                  "its center must be finite and r0 * r0 above 0")
-            return ThermalSpec(w0, r0, (cx, cy), birth, life, drift)
-
+        # irregular multi-core lift: each cluster is a few offset bells about an
+        # anchor on an annulus around the course center, where the waypoint laps fly
+        lo, hi = spec.get("bells", [1, 3])
+        sigma = spec.get("offset_sigma", 40.0)
         drawn = []
-        if "clusters" in spec:
-            # irregular multi-core lift: each cluster is a few offset bells
-            lo, hi = spec.get("bells", [1, 3])
-            sigma = spec.get("offset_sigma", 40.0)
-            for _ in range(int(spec["clusters"])):
-                ax, ay = anchor()
-                for _ in range(rng.integers(lo, hi + 1)):
-                    drawn.append(bell(ax + sigma * rng.standard_normal(), ay + sigma * rng.standard_normal()))
-        else:
-            for _ in range(int(spec["count"])):
-                drawn.append(bell(*anchor()))
+        for _ in range(spec["clusters"]):
+            radius = rng.uniform(*spec["ring"]["radius"])
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            ax, ay = radius * math.cos(angle), radius * math.sin(angle)
+            for _ in range(rng.integers(lo, hi + 1)):
+                cx = ax + sigma * rng.standard_normal()
+                cy = ay + sigma * rng.standard_normal()
+                # no kind rules out an offset that overflows; r0 >= its range's low end, whose square is above 0
+                if not (math.isfinite(cx) and math.isfinite(cy)):
+                    raise ConfigError(f"random_thermals drew a bell at ({cx}, {cy}); its center must be finite")
+                w0 = rng.uniform(*spec["w0"])
+                r0 = rng.uniform(*spec["r0"])
+                birth = rng.uniform(*spec.get("birth", [0.0, 0.0]))
+                life = rng.uniform(*spec.get("lifetime", [600.0, 600.0]))
+                speed = rng.uniform(*spec.get("drift", [0.0, 0.0]))
+                heading = rng.uniform(0.0, 2.0 * math.pi)
+                drift = (speed * math.cos(heading), speed * math.sin(heading))
+                drawn.append(ThermalSpec(w0, r0, (cx, cy), birth, life, drift))
         thermals = sc.thermals + tuple(drawn)
     return replace(sc, thermals=thermals, wind=wind, random_thermals=None, random_wind=None, seed=seed)
 
@@ -379,10 +362,9 @@ def calm_variant(sc: Scenario) -> Scenario:
 # reads the random blocks, whose draws lie in their ranges, _thermal_spec a thermal entry
 RING = Section({"radius": "range"}, required=("radius",))
 RANDOM_THERMALS = Section(
-    {"w0": "range", "r0": "radius range", "r0_log": "bool", "count": "count", "clusters": "count",
-     "bells": "count range", "offset_sigma": "number", "box": "box", "ring": RING,
-     "birth": "range", "lifetime": "positive range", "drift": "range"},
-    required=("w0", "r0", ("count", "clusters"), ("box", "ring")),
+    {"w0": "range", "r0": "radius range", "clusters": "count", "bells": "count range", "offset_sigma": "number",
+     "ring": RING, "birth": "range", "lifetime": "positive range", "drift": "range"},
+    required=("w0", "r0", "clusters", "ring"),
 )
 RANDOM_WIND = Section({"speed": "range"}, required=("speed",))
 THERMAL = Section(
@@ -410,6 +392,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"unsupported scenario schema_version {data.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
     check(data, SITE, "")
+    if "wind" in data and "random_wind" in data:
+        raise ConfigError("wind and random_wind are both given; random_wind draws each seed's wind, "
+                          "so the file's wind would never blow")
     given = {f.name: data[f.name] for f in fields(Scenario) if f.init and f.name in data}
     if "wind" in given:
         given["wind"] = tuple(given["wind"])

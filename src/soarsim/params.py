@@ -81,8 +81,6 @@ KINDS = {
     "radius range": (_ordered(_radius), "a [low, high] range with low above 0 and low * low above 0"),
     # materialize draws rng.integers(low, high + 1), whose bounds numpy holds to int64
     "count range": (lambda v: _ordered(_count)(v) and v[1] < 2**63, "a [low, high] range of ints from 0 to 2**63 - 1"),
-    "box": (lambda v: _two(_two(_number))(v) and all(map(_ordered(_number), zip(*v))),
-            "two points [x, y], low corner first"),
     # null, or 1e400 (which JSON reads as inf), is a thermal that never fades
     "lifetime": (lambda v: v is None or v == math.inf or _number(v) and v > 0.0, "a positive number or null"),
     "vario rate": (lambda v: _number(v) and v * SIM_DT > 0.0 and math.isfinite(1.0 / (v * SIM_DT)),
@@ -96,8 +94,7 @@ KINDS = {
 
 
 class Section(NamedTuple):
-    """The schema of a JSON object: key -> kind, and the keys it must
-    hold; a tuple in required is a group of keys, one of which it must hold."""
+    """The schema of a JSON object: key -> kind, and the keys it must hold."""
 
     keys: dict
     required: tuple = ()
@@ -118,10 +115,9 @@ def check(value, kind, where: str):
         for key in value:
             if key not in kind.keys:
                 raise ConfigError(f"unknown key {key!r} in {name}")
-        for group in kind.required:
-            group = group if isinstance(group, tuple) else (group,)
-            if not any(key in value for key in group):
-                raise ConfigError(f"{name} is missing {' or '.join(map(repr, group))}")
+        for key in kind.required:
+            if key not in value:
+                raise ConfigError(f"{name} is missing {key!r}")
         for key, item in value.items():
             check(item, kind.keys[key], f"{where}.{key}" if where else key)
     elif isinstance(kind, list):

@@ -60,9 +60,8 @@ def test_every_constrained_param_has_a_bad_value_case():
     assert set(BAD_PARAM_VALUES) == {key for key, (kind, _) in PARAM_SPEC.items() if kind not in wide}
 
 
-# a complete random_thermals block: three bells anywhere in a 200 m box
-RANDOM_BOX = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
-CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+# a complete random_thermals block: one cluster of 1-3 bells about an anchor 140-215 m out
+CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radius": [140.0, 215.0]}}
 
 
 def tiny_site(tmp_path, **overrides) -> Path:
@@ -92,6 +91,8 @@ def tiny_site(tmp_path, **overrides) -> Path:
         },
     }
     doc.update(overrides)
+    if "random_wind" in overrides:
+        del doc["wind"]  # random_wind draws each seed's wind, so a site may not give both
     path = tmp_path / "site.json"
     path.write_text(json.dumps(doc))
     return path
@@ -215,17 +216,31 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["run", "--scenario", str(bad)]) == 2
 
-    @pytest.mark.parametrize("drop, named", [(("w0",), "'w0'"), (("r0",), "'r0'"),
-                                             (("count", "clusters"), "'count' or 'clusters'"),
-                                             (("box",), "'box' or 'ring'")])
-    def test_incomplete_random_thermals_is_config_error(self, tmp_path, capsys, drop, named):
-        block = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
-        for key in drop:
-            block.pop(key, None)
+    @pytest.mark.parametrize("drop", ["w0", "r0", "clusters", "ring"])
+    def test_incomplete_random_thermals_is_config_error(self, tmp_path, capsys, drop):
+        block = {key: value for key, value in CLUSTERS.items() if key != drop}
         site = tiny_site(tmp_path, random_thermals=block)
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and f"random_thermals is missing {named}" in err
+        assert err.startswith("config error:") and f"random_thermals is missing {drop!r}" in err
+
+    @pytest.mark.parametrize("key, value", [("count", 3), ("box", [[-100.0, -100.0], [100.0, 100.0]]),
+                                            ("r0_log", True)])
+    def test_a_removed_random_thermals_key_is_config_error(self, tmp_path, capsys, key, value):
+        # a field is drawn one way: clusters on a ring, r0 uniform in its range
+        site = tiny_site(tmp_path, random_thermals={**CLUSTERS, key: value})
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {site}: unknown key {key!r} in random_thermals")
+
+    def test_wind_with_random_wind_is_config_error(self, tmp_path, capsys):
+        # materialize replaces wind with each seed's draw, so the file's wind would never blow
+        doc = json.loads(tiny_site(tmp_path).read_text())
+        site = tmp_path / "both.json"
+        site.write_text(json.dumps({**doc, "random_wind": {"speed": [0.5, 5.5]}}))
+        assert cli.main(["run", "--scenario", str(site)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {site}: wind and random_wind are both given")
 
     @pytest.mark.parametrize("section, key, where", [
         (None, "turbulance_sigma", "the scenario"),
@@ -244,26 +259,25 @@ class TestExitCodes:
         assert err.startswith("config error:") and f"unknown key {key!r} in {where}" in err
 
     @pytest.mark.parametrize("overrides, named", [
-        (dict(random_thermals={"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radus": [140.0, 215.0]}}),
+        (dict(random_thermals={**CLUSTERS, "ring": {"radus": [140.0, 215.0]}}),
          "unknown key 'radus' in random_thermals.ring"),
-        (dict(random_thermals={**RANDOM_BOX, "w0": [1.5]}), "random_thermals.w0 must be a [low, high] range"),
-        (dict(random_thermals={**RANDOM_BOX, "w0": [3.0, 1.0]}), "random_thermals.w0 must be a [low, high] range"),
+        (dict(random_thermals={**CLUSTERS, "w0": [1.5]}), "random_thermals.w0 must be a [low, high] range"),
+        (dict(random_thermals={**CLUSTERS, "w0": [3.0, 1.0]}), "random_thermals.w0 must be a [low, high] range"),
         (dict(random_wind={"speed": "fast"}), "random_wind.speed must be a [low, high] range"),
         (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0]}]), "thermals[0].center must be two finite numbers"),
         (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0], "drift": [0.1]}]),
          "thermals[0].drift must be two finite numbers"),
         (dict(wind=[1.0]), "wind must be two finite numbers"),
         (dict(wind=[1.0, 0.0, 0.0]), "wind must be two finite numbers"),
-        (dict(random_thermals={**RANDOM_BOX, "r0_log": "false"}), "random_thermals.r0_log must be a bool, got 'false'"),
         (dict(thermals={}), "thermals must be a JSON list, got {}"),
         (dict(thermals=""), "thermals must be a JSON list, got ''"),
         (dict(thermals=None), "thermals must be a JSON list, got None"),
         (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0]}, {"w0": 2.0, "r0": 50.0, "center": [0.0, 0.0],
                                                                          "lifetime": -3}]),
          "thermals[1].lifetime must be a positive number or null, got -3"),
-        (dict(random_thermals={**RANDOM_BOX, "lifetime": [-5, 1000]}),
+        (dict(random_thermals={**CLUSTERS, "lifetime": [-5, 1000]}),
          "random_thermals.lifetime must be a [low, high] range with low above 0, got [-5, 1000]"),
-        (dict(random_thermals={**RANDOM_BOX, "r0": [1e-170, 80.0]}),
+        (dict(random_thermals={**CLUSTERS, "r0": [1e-170, 80.0]}),
          "random_thermals.r0 must be a [low, high] range with low above 0 and low * low above 0, got [1e-170, 80.0]"),
         (dict(random_wind={"speed": [-1e308, 1e308]}), "random_wind.speed must be a [low, high] range"),
         # materialize draws rng.integers(low, high + 1), which numpy bounds to int64
@@ -271,7 +285,7 @@ class TestExitCodes:
          "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, "
          "got [1, 9223372036854775808]"),
     ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
-            "wind-one-number", "wind-three-numbers", "r0-log-string", "thermals-object", "thermals-string",
+            "wind-one-number", "wind-three-numbers", "thermals-object", "thermals-string",
             "thermals-null", "second-thermal-lifetime", "random-lifetime-low", "random-r0-squares-to-zero",
             "speed-width-overflows", "bells-beyond-int64"])
     def test_malformed_site_value_is_config_error(self, tmp_path, capsys, overrides, named):
@@ -336,7 +350,7 @@ class TestExitCodes:
 
     def test_a_random_lifetime_at_or_below_0_stops_a_sweep_before_its_first_flight(self, tmp_path, capsys):
         # drawn per seed, such a lifetime once failed only at the seed that drew it
-        site = tiny_site(tmp_path, random_thermals={**RANDOM_BOX, "lifetime": [-5, 1000]})
+        site = tiny_site(tmp_path, random_thermals={**CLUSTERS, "lifetime": [-5, 1000]})
         assert cli.main(["sweep", "--scenario", str(site), "--count", "14", "--out", str(tmp_path / "out")]) == 2
         assert "random_thermals.lifetime must be a [low, high] range with low above 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -52,8 +52,8 @@ def quiet(**kw) -> Scenario:
     return Scenario(**defaults)
 
 
-# a complete random_thermals block: two bells anywhere in a 200 m box
-RANDOM_BLOCK = {"count": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
+# a complete random_thermals block: two clusters of 1-3 bells about anchors 100-200 m out
+RANDOM_BLOCK = {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radius": [100.0, 200.0]}}
 # the least r0 whose square is above 0.0
 R0_EDGE = 1.5717277847026619e-162
 
@@ -227,11 +227,15 @@ class TestScenarioFiles:
         ({"thermals": [{"w0": 2.0, "r0": 60.0, "center": [0.0, 0.0], "lifetim": 100.0}]},
          "unknown key 'lifetim' in thermals[0]"),
         ({"thermals": [[2.0, 60.0]]}, "thermals[0] must be a JSON object"),
-        ({"random_thermals": {"count": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[0, 0], [1, 1]],
-                              "lifetimes": [1.0, 2.0]}}, "unknown key 'lifetimes' in random_thermals"),
+        ({"random_thermals": {**RANDOM_BLOCK, "lifetimes": [1.0, 2.0]}}, "unknown key 'lifetimes' in random_thermals"),
+        # clusters on a ring, r0 drawn uniformly, is the one way a field is drawn
+        ({"random_thermals": {**RANDOM_BLOCK, "count": 2}}, "unknown key 'count' in random_thermals"),
+        ({"random_thermals": {**RANDOM_BLOCK, "box": [[0, 0], [1, 1]]}}, "unknown key 'box' in random_thermals"),
+        ({"random_thermals": {**RANDOM_BLOCK, "r0_log": False}}, "unknown key 'r0_log' in random_thermals"),
         ({"random_wind": {"speed": [0.0, 1.0], "angle": 0.0}}, "unknown key 'angle' in random_wind"),
         ({"random_wind": [0.0, 1.0]}, "random_wind must be a JSON object"),
-    ], ids=["top-level", "thermal", "thermal-not-object", "random-thermals", "random-wind", "block-not-object"])
+    ], ids=["top-level", "thermal", "thermal-not-object", "random-thermals", "random-thermals-count",
+            "random-thermals-box", "random-thermals-r0-log", "random-wind", "block-not-object"])
     def test_unknown_keys_rejected(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "site": "s", "mission": {}, **change})
@@ -242,24 +246,21 @@ class TestScenarioFiles:
         ({"lifetime": [900.0, 400.0]}, "random_thermals.lifetime must be a [low, high] range"),
         ({"birth": [0.0, math.nan]}, "random_thermals.birth must be a [low, high] range"),
         ({"drift": [0.0, True]}, "random_thermals.drift must be a [low, high] range"),
-        ({"count": -1}, "random_thermals.count must be a non-negative int, got -1"),
-        ({"count": 2.5}, "random_thermals.count must be a non-negative int, got 2.5"),
-        ({"count": None, "clusters": True}, "random_thermals.clusters must be a non-negative int, got True"),
+        ({"clusters": -1}, "random_thermals.clusters must be a non-negative int, got -1"),
+        ({"clusters": 2.5}, "random_thermals.clusters must be a non-negative int, got 2.5"),
+        ({"clusters": True}, "random_thermals.clusters must be a non-negative int, got True"),
         ({"bells": [1.5, 3]}, "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, got [1.5, 3]"),
         ({"bells": [3, 1]}, "random_thermals.bells must be a [low, high] range"),
-        ({"box": [[0.0, 0.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0]]"),
-        ({"box": [[0.0, 0.0], [1.0]]}, "random_thermals.box must be two points [x, y], low corner first, got [[0.0, 0.0], [1.0]]"),
-        ({"box": [[100.0, -100.0], [-100.0, 100.0]]}, "random_thermals.box must be two points [x, y], low corner first"),
-        ({"box": None, "ring": {}}, "random_thermals.ring is missing 'radius'"),
-        ({"box": None, "ring": {"radius": [215.0, 140.0]}}, "random_thermals.ring.radius must be a [low, high]"),
-        ({"r0_log": "false"}, "random_thermals.r0_log must be a bool, got 'false'"),
-        ({"r0_log": 0.0}, "random_thermals.r0_log must be a bool, got 0.0"),
-    ], ids=["r0-at-zero", "lifetime-reversed", "birth-nan", "drift-bool", "count-negative", "count-float",
-            "clusters-bool", "bells-float", "bells-reversed", "box-one-point", "box-short-point",
-            "box-reversed", "ring-without-radius", "ring-reversed", "r0-log-string", "r0-log-float"])
+        ({"ring": {}}, "random_thermals.ring is missing 'radius'"),
+        ({"ring": {"radius": [215.0, 140.0]}}, "random_thermals.ring.radius must be a [low, high]"),
+        ({"ring": [[-100.0, -100.0], [100.0, 100.0]]}, "random_thermals.ring must be a JSON object"),
+        ({"clusters": None}, "random_thermals is missing 'clusters'"),
+        ({"ring": None}, "random_thermals is missing 'ring'"),
+    ], ids=["r0-at-zero", "lifetime-reversed", "birth-nan", "drift-bool", "clusters-negative", "clusters-float",
+            "clusters-bool", "bells-float", "bells-reversed", "ring-without-radius", "ring-reversed",
+            "ring-a-box", "clusters-missing", "ring-missing"])
     def test_malformed_random_thermals_rejected(self, change, message):
-        block = {"count": 3, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "box": [[-100.0, -100.0], [100.0, 100.0]]}
-        block = {k: v for k, v in {**block, **change}.items() if v is not None}
+        block = {k: v for k, v in {**RANDOM_BLOCK, **change}.items() if v is not None}
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "random_thermals": block})
 
@@ -364,17 +365,23 @@ class TestMaterialize:
 
     @pytest.mark.parametrize("change, seed, drawn", [
         # 1e308 * z overflows for |z| above 1.8: seed 2 draws a center at x = -inf
-        ({"count": None, "clusters": 1, "bells": [3, 3], "offset_sigma": 1e308}, 2, "(-inf, "),
-        # R0_EDGE squares to the least subnormal, but exp(log(R0_EDGE)) rounds below it
-        ({"r0": [R0_EDGE, R0_EDGE], "r0_log": True}, 1, "with r0 1.5717277847026172e-162"),
-    ], ids=["cluster-center-overflows", "log-r0-squares-to-zero"])
+        ({"clusters": 1, "bells": [3, 3], "offset_sigma": 1e308}, 2, "(-inf, "),
+    ], ids=["cluster-center-overflows"])
     def test_a_drawn_bell_no_kind_rules_out_is_config_error(self, change, seed, drawn):
-        # unchecked, near_rows would drop the bell at inf, and true_lift divide by an r0^2 of 0.0
+        # unchecked, near_rows would silently drop the bell at inf
         block = {k: v for k, v in {**RANDOM_BLOCK, **change}.items() if v is not None}
         sc = scenario_from_dict({"schema_version": 1, "random_thermals": block})
         with pytest.raises(ConfigError, match="^random_thermals drew a bell at ") as err:
             materialize(sc, seed)
         assert drawn in str(err.value)
+
+    @pytest.mark.parametrize("r0", [[R0_EDGE, R0_EDGE], [R0_EDGE, 1e-150], [R0_EDGE, 80.0]])
+    def test_a_drawn_r0_squares_above_0(self, r0):
+        # a uniform draw low + (high - low) * u is never below low, whose square the kind holds above 0
+        sc = scenario_from_dict({"schema_version": 1, "random_thermals": {**RANDOM_BLOCK, "clusters": 20, "r0": r0}})
+        for seed in range(1, 6):
+            rows = materialize(sc, seed).lift_rows
+            assert rows and all(row[1] > 0.0 for row in rows)
 
 
 # lows at and past the edges of the kinds: below 0, -0.0, 0, the least subnormal, r0s squaring to 0.0 or not
@@ -396,18 +403,11 @@ def site_documents(draw):
         return draw(st.one_of(st.sampled_from(edges), typical))
 
     positive = st.floats(1e-3, 1e3)
-    block = {"w0": span([-3.0, 0.0]), "r0": span(LOWS, positive), "r0_log": draw(st.booleans()),
-             "birth": span([0.0]), "lifetime": span(LOWS, positive), "drift": span([0.0])}
-    if draw(st.booleans()):
-        block["ring"] = {"radius": span([0.0, 140.0])}
-    else:
-        block["box"] = [[-100.0, -100.0], [100.0, draw(st.floats(-100.0, 500.0))]]
-    if draw(st.booleans()):
-        block["count"] = draw(st.integers(0, 5))
-    else:
-        lo = draw(st.integers(0, 3))
-        block |= {"clusters": draw(st.integers(0, 3)), "bells": [lo, lo + draw(st.integers(0, 2))],
-                  "offset_sigma": draw(st.floats(-100.0, 100.0))}
+    lo = draw(st.integers(0, 3))
+    block = {"w0": span([-3.0, 0.0]), "r0": span(LOWS, positive), "birth": span([0.0]),
+             "lifetime": span(LOWS, positive), "drift": span([0.0]), "ring": {"radius": span([0.0, 140.0])},
+             "clusters": draw(st.integers(0, 3)), "bells": [lo, lo + draw(st.integers(0, 2))],
+             "offset_sigma": draw(st.floats(-100.0, 100.0))}
     return {"schema_version": 1, "random_thermals": block, "vario_rate": scalar(VARIO_RATES, st.floats(0.5, 50.0)),
             "turbulence_sigma": scalar(SIGMAS, st.floats(0.0, 1.0)), "vario_sigma": scalar(SIGMAS, st.floats(0.0, 1.0))}
 
@@ -437,7 +437,7 @@ def test_calm_variant_strips_lift():
     sc = Scenario(
         thermals=(ThermalSpec(2.0, 60.0, (0.0, 0.0)),),
         turbulence_sigma=0.3,
-        random_thermals={"count": 3},
+        random_thermals=RANDOM_BLOCK,
     )
     calm = calm_variant(sc)
     assert calm.thermals == ()

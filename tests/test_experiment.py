@@ -2,7 +2,6 @@ import csv
 import json
 import math
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +23,9 @@ from soarsim.experiment import (
     write_report,
 )
 from soarsim.mission import BASELINE, POMDSOAR, FlightRecord, run_flight
-from soarsim.params import ConfigError
+from soarsim.params import PARAM_SPEC, ConfigError, parse_param_file
 
-from conftest import config_bundle, mission_config
+from conftest import REPO, config_bundle, mission_config
 
 
 def summary(fid, controller, t, base, airframe="A", excluded=False, enc=1):
@@ -281,7 +280,18 @@ def reference_run_baseline(sc, bundle, repetitions, seed):
     return sum(times) / len(times)
 
 
-SITES = [Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json" for name in ("field", "valley")]
+SITES = sorted((REPO / "scenarios").glob("*.json"))
+PARAM_FILE = REPO / "scenarios" / "radian.param"
+
+
+def test_the_shipped_files_load_and_the_param_file_sets_only_defaults():
+    # radian.param's header says its values are the built-in defaults
+    set_values = parse_param_file(PARAM_FILE)
+    assert set_values and set_values == {key: PARAM_SPEC[key][1] for key in set_values}
+    assert SITES
+    for site in SITES:
+        (sc, bundle), (sc_default, bundle_default) = load_bundle(site, PARAM_FILE), load_bundle(site)
+        assert sc == sc_default and repr(bundle) == repr(bundle_default)
 
 
 @pytest.mark.parametrize("site", SITES, ids=lambda p: p.stem)
@@ -345,7 +355,7 @@ class TestRunPaired:
 
     def test_a_pair_where_one_uav_thermalled_is_excluded(self):
         # c07's flight 040: the baseline in slot 0 thermals once and pomdsoar never
-        sc, bundle = load_bundle(SITES[0])
+        sc, bundle = load_bundle(REPO / "scenarios" / "field.json")
         a, b = run_paired(sc, bundle, seed=40, flight_id="040", swap=True, baseline_reps=1)
         assert (a.controller, a.thermal_encounters) == (BASELINE, 1)
         assert (b.controller, b.thermal_encounters) == (POMDSOAR, 0)
