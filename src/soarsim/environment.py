@@ -372,10 +372,10 @@ THERMAL = Section(
     required=("w0", "r0", "center"),
 )
 SITE = Section({
-    "schema_version": "count", "site": "string", "mission": "object",  # mission_from_dict checks the mission
+    "schema_version": "count", "mission": "object",  # mission_from_dict checks the mission
     "thermals": [THERMAL], "wind": "pair", "turbulence_sigma": "non-negative", "vario_sigma": "non-negative",
-    "vario_rate": "vario rate", "sink_s0": "number", "seed": "count", "battery_j": "number",
-    "motor_power_w": "number", "motor_climb_rate": "number", "avionics_power_w": "number",
+    "vario_rate": "vario rate", "sink_s0": "non-negative", "seed": "count", "battery_j": "non-negative",
+    "motor_power_w": "non-negative", "motor_climb_rate": "non-negative", "avionics_power_w": "non-negative",
     "random_thermals": RANDOM_THERMALS, "random_wind": RANDOM_WIND,
 })
 

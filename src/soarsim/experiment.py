@@ -84,8 +84,8 @@ def load_bundle(
 ) -> tuple[Scenario, ConfigBundle]:
     """The scenario of a site file and the configs its mission flies with,
     built from the param file's values or, without one, the defaults. A
-    mission that the two files reject together (say, altitude bands out
-    of order) is a config error naming both files."""
+    mission the site file holds out of order (say, its altitude bands) is
+    a config error naming that file."""
     data = load_scenario_file(scenario_path)
     try:
         sc = scenario_from_dict(data)
@@ -97,8 +97,7 @@ def load_bundle(
     try:
         mission = mission_from_dict(data["mission"], params)
     except ConfigError as exc:
-        source = f"{scenario_path} with {params_path}" if params_path else scenario_path
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise ConfigError(f"{scenario_path}: {exc}") from exc
     # a sensor period beyond the flight cap would fly the whole mission blind
     period, cap = sc.vario_period * SIM_DT, mission.max_duration
     if period > cap:

@@ -63,15 +63,15 @@ class MissionConfig:
         if len(self.geofence) < 3:
             raise ConfigError("geofence needs at least 3 vertices")
         if not _is_convex(self.geofence):
-            raise ConfigError("geofence polygon must be convex")
+            raise ConfigError("geofence polygon must be convex and enclose an area")
         for wp in self.waypoints:
             if not point_in_convex_polygon(wp, self.geofence):
                 raise ConfigError(f"waypoint {wp} lies outside the geofence")
 
 
 def _is_convex(poly) -> bool:
-    """The edges turn one way only and wind once around: a pentagram's
-    turn one way too, but wind twice."""
+    """The edges turn one way only, at least once, and wind once around: a
+    pentagram's turn one way too, but wind twice."""
     n = len(poly)
     sign = 0.0
     turning = 0.0
@@ -85,7 +85,8 @@ def _is_convex(poly) -> bool:
             if sign != 0.0 and (cross > 0) != (sign > 0):
                 return False
             sign = cross
-    return abs(turning) < 3.0 * math.pi  # a closed polygon turns 2 pi per winding
+    # a closed polygon turns 2 pi per winding; with every cross 0 it lies on a line, enclosing no area
+    return sign != 0.0 and abs(turning) < 3.0 * math.pi
 
 
 def point_in_convex_polygon(pt, poly) -> bool:
@@ -346,20 +347,15 @@ MISSION = Section(
 
 
 def mission_from_dict(data: dict, p: dict) -> MissionConfig:
-    """Build a MissionConfig from the mission section of a site file and
-    the resolved params p. An altitude band set in p overrides the file's.
-    """
+    """Build a MissionConfig from the mission section of a site file, which
+    sets the altitude band, and the resolved params p."""
     check(data, MISSION, "mission")
-
-    def over(key, value):
-        return value if p[key] is None else p[key]
-
     return MissionConfig(
         waypoints=tuple((float(x), float(y)) for x, y in data["waypoints"]),
         geofence=tuple((float(x), float(y)) for x, y in data["geofence"]),
-        alt_min=over("SOAR_ALT_MIN", data["alt_min"]),
-        alt_cutoff=over("SOAR_ALT_CUTOFF", data["alt_cutoff"]),
-        alt_max=over("SOAR_ALT_MAX", data["alt_max"]),
+        alt_min=data["alt_min"],
+        alt_cutoff=data["alt_cutoff"],
+        alt_max=data["alt_max"],
         detect_threshold=p["SOAR_VSPEED"],
         detect_filter_tau=p["SOAR_FILT_TAU"],
         exit_threshold=p["SOAR_EXIT_VSPEED"],

@@ -29,7 +29,6 @@ from .pomdsoar import PlannerConfig
 
 POMDSOAR = "pomdsoar"
 BASELINE = "baseline"
-STALL_BANK_LIMIT = math.radians(40.0)  # bank clamp while stall prevention is active
 
 
 class ConfigError(Exception):
@@ -70,8 +69,6 @@ KINDS = {
     # a horizon under one control tick rolls out no waypoint, so every action scores the same
     "horizon": (lambda v: _number(v) and v >= RECORD_DT, f"a finite number of at least {RECORD_DT} s"),
     "bank angle": (lambda v: _number(v) and 0.0 < math.radians(v) < math.pi / 2, "an angle above 0 and below 90 deg"),
-    # None, a param's default, takes the altitude band from the mission file
-    "altitude": (lambda v: v is None or _number(v), "a finite number"),
     "count": (_count, "a non-negative int"),
     "positive int": (lambda v: _count(v) and v > 0, "a positive int"),
     "pair": (_two(_number), "two finite numbers"),
@@ -147,8 +144,7 @@ PARAM_SPEC: dict = {
     "SOAR_ROLL_CLP": ("negative", -1.12808704),
     "SOAR_K_ROLLDAMP": ("number", 0.41073588),
     "SOAR_K_AILERON": ("positive", 1.448331),
-    "SOAR_NO_STALLPRV": ("count", 0),  # 1 disables the 40 deg stall-prevention clamp
-    "SOAR_MAX_BANK": ("bank angle", 45.0),  # deg
+    "SOAR_MAX_BANK": ("bank angle", 40.0),  # deg, the attained-bank clamp
     "RLL2SRV_P": ("number", 0.04),
     "RLL2SRV_I": ("number", 0.006),
     "RLL2SRV_D": ("number", 0.01),
@@ -179,13 +175,10 @@ PARAM_SPEC: dict = {
     "SOAR_LOITER_KD": ("number", 2.0),  # deg of bank per m/s of radial rate
     # mission / soaring state machine
     "SOAR_ENABLE": ("count", 1),
-    "SOAR_ALT_MIN": ("altitude", None),  # m; None = take from the mission file
-    "SOAR_ALT_CUTOFF": ("altitude", None),
-    "SOAR_ALT_MAX": ("altitude", None),
     "SOAR_VSPEED": ("number", 0.5),  # m/s filtered-lift detection threshold
     "SOAR_EXIT_VSPEED": ("number", 0.0),
     "SOAR_EXIT_HOLD": ("number", 8.0),  # s below exit threshold before giving up
-    "SOAR_REENTRY_M": ("number", 10.0),  # m below SOAR_ALT_MAX before re-arming detection
+    "SOAR_REENTRY_M": ("number", 10.0),  # m below the mission's alt_max before re-arming detection
     "SOAR_FILT_TAU": ("positive", 2.0),  # s low-pass for detection/exit
     "NAV_BANK_LIM": ("bank angle", 30.0),  # deg bank limit for waypoint guidance
     "NAV_GAIN": ("number", 1.5),  # bank per rad of heading error
@@ -239,15 +232,12 @@ def resolve_params(overrides: dict | None = None) -> dict:
 
 
 def airframe_from_params(p: dict) -> AirframeParams:
-    bank_limit = math.radians(p["SOAR_MAX_BANK"])
-    if not p["SOAR_NO_STALLPRV"]:
-        bank_limit = min(bank_limit, STALL_BANK_LIMIT)
     return AirframeParams(
         i_x=p["SOAR_I_MOMENT"],
         c_lp=p["SOAR_ROLL_CLP"],
         k_d=p["SOAR_K_ROLLDAMP"],
         k_a=p["SOAR_K_AILERON"],
-        bank_limit=bank_limit,
+        bank_limit=math.radians(p["SOAR_MAX_BANK"]),
         kp=p["RLL2SRV_P"],
         ki=p["RLL2SRV_I"],
         kd_gain=p["RLL2SRV_D"],

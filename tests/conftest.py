@@ -29,8 +29,8 @@ REPO = Path(__file__).resolve().parents[1]
 # param table's kinds, checked where the param file is read.
 PARAMS = resolve_params()
 AIRFRAME = airframe_from_params(PARAMS)
-# stall prevention off, so 45 deg banks are attainable
-FREE_AIRFRAME = airframe_from_params(PARAMS | {"SOAR_NO_STALLPRV": 1})
+# a 45 deg bank limit, so 45 deg banks are attainable
+FREE_AIRFRAME = airframe_from_params(PARAMS | {"SOAR_MAX_BANK": 45.0})
 NOISE = noise_from_params(PARAMS)
 PLANNER = planner_from_params(PARAMS, sink_s0=Scenario().sink_s0)
 BASELINE_CFG = baseline_from_params(PARAMS)
@@ -123,7 +123,7 @@ def airframe():
 
 @pytest.fixture
 def free_airframe():
-    """Airframe with stall prevention off, so 45 deg banks are attainable."""
+    """Airframe with a 45 deg bank limit, so 45 deg banks are attainable."""
     return FREE_AIRFRAME
 
 

@@ -183,7 +183,7 @@ def string_constants(function) -> set[str]:
 def test_each_input_schema_has_one_entry_per_key_read():
     # a Scenario field the schema misses could not be set; a key the schema
     # misses would be rejected, and one the builder ignores would load unread
-    assert set(SITE.keys) == {f.name for f in fields(Scenario) if f.init} | {"mission", "schema_version", "site"}
+    assert set(SITE.keys) == {f.name for f in fields(Scenario) if f.init} | {"mission", "schema_version"}
     assert set(RANDOM_THERMALS.keys) | set(RANDOM_WIND.keys) | set(RING.keys) == string_constants(environment.materialize)
     # _thermal_spec passes a thermal entry to ThermalSpec key for key
     assert set(THERMAL.keys) == {f.name for f in fields(ThermalSpec)}
@@ -213,3 +213,13 @@ def test_readme_parameter_table_names_every_key():
     section = (REPO / "README.md").read_text().split("## Parameter file", 1)[1].split("\n## ", 1)[0]
     table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
     assert [key for key in PARAM_SPEC if f"`{key}`" not in table] == []
+    # each row's Default cell begins with the default that flies: its number, or the bank list
+    shown = {}
+    for row in table.splitlines():
+        _, key, default = (cell.strip() for cell in row.strip("|").split("|")[:3])
+        try:
+            shown[key.strip("`")] = tuple(float(v) for v in default.split(" (")[0].split(","))
+        except ValueError:
+            shown[key.strip("`")] = default
+    assert [key for key, (_, default) in PARAM_SPEC.items()
+            if shown[key] != tuple(map(float, default if isinstance(default, tuple) else (default,)))] == []

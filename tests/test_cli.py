@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import soarsim.cli as cli
+from soarsim.experiment import load_bundle
 from soarsim.params import PARAM_SPEC
 
 from conftest import REPO, param_error
@@ -30,7 +31,6 @@ BAD_PARAM_VALUES = {
     "SOAR_I_MOMENT": ("0", "a finite positive number, got 0.0"),
     "SOAR_ROLL_CLP": ("0.5", "a finite negative number, got 0.5"),
     "SOAR_K_AILERON": ("-1.4", "a finite positive number, got -1.4"),
-    "SOAR_NO_STALLPRV": ("-1", "a non-negative int, got -1"),
     "SOAR_MAX_BANK": ("-10", "an angle above 0 and below 90 deg, got -10.0"),
     "ARSPD_TRIM": ("0", "a finite positive number, got 0.0"),
     "SOAR_THML_VAR_W0": ("0", "a finite positive number, got 0.0"),
@@ -56,7 +56,7 @@ BAD_PARAM_VALUES = {
 
 
 def test_every_constrained_param_has_a_bad_value_case():
-    wide = ("number", ["number"], "altitude")
+    wide = ("number", ["number"])
     assert set(BAD_PARAM_VALUES) == {key for key, (kind, _) in PARAM_SPEC.items() if kind not in wide}
 
 
@@ -67,7 +67,6 @@ CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radiu
 def tiny_site(tmp_path, **overrides) -> Path:
     doc = {
         "schema_version": 1,
-        "site": "mini",
         "thermals": [
             {"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0], "birth": 0.0, "lifetime": 600.0, "drift": [0.0, 0.0]}
         ],
@@ -200,6 +199,19 @@ class TestExitCodes:
         params.write_text("NOT_A_KEY=1\n")
         assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
 
+    @pytest.mark.parametrize("key", ["SOAR_NO_STALLPRV", "SOAR_ALT_MIN", "SOAR_ALT_CUTOFF", "SOAR_ALT_MAX"])
+    def test_a_removed_param_is_an_unknown_parameter(self, tmp_path, capsys, key):
+        # the bank limit is SOAR_MAX_BANK alone, and the altitude band is the site file's
+        assert f"bad.param:1: unknown parameter {key!r}" in param_error(tmp_path, capsys, f"{key}=1\n")
+
+    @pytest.mark.parametrize("key", ["sink_s0", "battery_j", "motor_power_w", "motor_climb_rate", "avionics_power_w"])
+    def test_a_negative_energy_value_is_config_error(self, tmp_path, capsys, key):
+        # a negative sink climbs in still air, and a negative motor power charges the battery
+        assert cli.main(["run", "--scenario", str(tiny_site(tmp_path, **{key: -1.0}))]) == 2
+        assert f"{key} must be a finite non-negative number, got -1.0" in capsys.readouterr().err
+        # a sign rule, not a magnitude bound: zero loads
+        load_bundle(tiny_site(tmp_path, **{key: 0.0}))
+
     def test_bad_schema_version_is_config_error(self, tmp_path):
         site = tiny_site(tmp_path, schema_version=99)
         assert cli.main(["run", "--scenario", str(site)]) == 2
@@ -323,8 +335,8 @@ class TestExitCodes:
         ('"r0": 60.0', '"r0": 0', "thermals[0].r0 must be a finite positive number whose square is above 0, got 0"),
         ('"birth": 0.0', '"birth": "soon"', "thermals[0].birth must be a finite number, got 'soon'"),
         ('"lifetime": 600.0', '"lifetime": "long"', "thermals[0].lifetime must be a positive number or null, got 'long'"),
-        ('"battery_j": 2500.0', '"battery_j": "full"', "battery_j must be a finite number, got 'full'"),
-        ('"battery_j": 2500.0', '"battery_j": ' + "9" * 401, "battery_j must be a finite number, got 999"),
+        ('"battery_j": 2500.0', '"battery_j": "full"', "battery_j must be a finite non-negative number, got 'full'"),
+        ('"battery_j": 2500.0', '"battery_j": ' + "9" * 401, "battery_j must be a finite non-negative number, got 999"),
         ('"vario_rate": 5.0', '"vario_rate": NaN', "vario_rate must be a positive number with a finite sensor period"),
         ('"vario_rate": 5.0', '"vario_rate": 1e-320',
          "vario_rate must be a positive number with a finite sensor period 1 / (rate * 0.02 s), got 1e-320"),
@@ -365,10 +377,15 @@ class TestExitCodes:
         ("site", 5, "mission.site must be a string, got 5"),
         ("geofence", pentagram(300.0), "geofence polygon must be convex"),
         ("geofence", [[-300.0, 0.0], [300.0, 0.0]], "geofence needs at least 3 vertices"),
+        # a fence with no area holds only the points on its segment, or every point
+        ("geofence", [[-300.0, -300.0], [0.0, 0.0], [300.0, 300.0]], "must be convex and enclose an area"),
+        ("geofence", [[0.0, 0.0]] * 3, "must be convex and enclose an area"),
         # the ground is h = 0: a floor below it never starts the motor, and every flight glides into the ground
         ("alt_min", -20.0, "altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max"),
+        # a floor at the ground, where a flight ends, is one the glide reaches before the motor can start
+        ("alt_min", 0.0, "altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max"),
     ], ids=["alt-min-string", "alt-max-null", "waypoint-strings", "waypoint-bool", "site-int", "pentagram-fence",
-            "two-vertex-fence", "floor-below-ground"])
+            "two-vertex-fence", "segment-fence", "point-fence", "floor-below-ground", "floor-at-ground"])
     def test_bad_mission_value_is_config_error(self, tmp_path, capsys, key, value, named):
         doc = json.loads(tiny_site(tmp_path).read_text())
         doc["mission"][key] = value
@@ -420,10 +437,8 @@ class TestExitCodes:
                                    "14403 s, longer than the 14400 s flight cap"),
         ("SOAR_POMDP_HORI=1e200\nSOAR_POMDP_EXT=1e200\n",
          "mission.param: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of inf s, longer than the 14400 s"),
-        # a floor at the ground, where a flight ends, is one the glide reaches before the motor can start
-        ("SOAR_ALT_MIN = 0\n", "mission.param: altitude bands must satisfy 0 < alt_min < alt_cutoff < alt_max"),
     ], ids=["max-bank", "max-bank-among-others", "filter-tau", "prior-variance", "bank-nan", "horizon-under-a-tick",
-            "horizon-past-the-cap", "horizon-overflows", "floor-at-ground"])
+            "horizon-past-the-cap", "horizon-overflows"])
     def test_rejected_param_value_is_named_by_key(self, tmp_path, capsys, text, named):
         site = tiny_site(tmp_path)
         params = tmp_path / "mission.param"

@@ -224,6 +224,8 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize("change, message", [
         ({"turbulance_sigma": 0.0}, "unknown key 'turbulance_sigma' in the scenario"),
+        # the site is named once, by the mission section's site
+        ({"site": "s"}, "unknown key 'site' in the scenario"),
         ({"thermals": [{"w0": 2.0, "r0": 60.0, "center": [0.0, 0.0], "lifetim": 100.0}]},
          "unknown key 'lifetim' in thermals[0]"),
         ({"thermals": [[2.0, 60.0]]}, "thermals[0] must be a JSON object"),
@@ -234,11 +236,11 @@ class TestScenarioFiles:
         ({"random_thermals": {**RANDOM_BLOCK, "r0_log": False}}, "unknown key 'r0_log' in random_thermals"),
         ({"random_wind": {"speed": [0.0, 1.0], "angle": 0.0}}, "unknown key 'angle' in random_wind"),
         ({"random_wind": [0.0, 1.0]}, "random_wind must be a JSON object"),
-    ], ids=["top-level", "thermal", "thermal-not-object", "random-thermals", "random-thermals-count",
+    ], ids=["top-level", "top-level-site", "thermal", "thermal-not-object", "random-thermals", "random-thermals-count",
             "random-thermals-box", "random-thermals-r0-log", "random-wind", "block-not-object"])
     def test_unknown_keys_rejected(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            scenario_from_dict({"schema_version": 1, "site": "s", "mission": {}, **change})
+            scenario_from_dict({"schema_version": 1, "mission": {}, **change})
 
     @pytest.mark.parametrize("change, message", [
         ({"r0": [0.0, 80.0]},

@@ -67,6 +67,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="geofence polygon must be convex"):
             mission_config(waypoints=waypoints, geofence=fence)
 
+    @pytest.mark.parametrize("fence, waypoints", [
+        (((-300.0, 0.0), (0.0, 0.0), (300.0, 0.0)), ((-200.0, 0.0), (0.0, 0.0), (200.0, 0.0))),
+        (((0.0, 0.0),) * 3, ((0.0, 200.0), (-190.0, 62.0), (118.0, -162.0))),
+        (((0.0, 0.0), (0.0, 0.0), (100.0, 100.0), (100.0, 100.0)), ((10.0, 10.0), (50.0, 50.0), (90.0, 90.0))),
+    ], ids=["segment", "point", "repeated-vertices"])
+    def test_fence_without_area_rejected(self, fence, waypoints):
+        # a segment fence holds only the points on it, and a point fence holds every point
+        with pytest.raises(ConfigError, match="geofence polygon must be convex and enclose an area"):
+            mission_config(waypoints=waypoints, geofence=fence)
+
     @pytest.mark.parametrize("site", ["field", "valley"])
     def test_shipped_octagons_and_a_square_are_convex(self, site):
         assert len(load_bundle(REPO / "scenarios" / f"{site}.json")[1].mission.geofence) == 8
@@ -389,9 +399,9 @@ def test_mission_from_dict_param_overrides():
         "alt_max": 160.0,
         "site": "field",
     }
-    p = resolve_params({"SOAR_ALT_MIN": 40.0, "SOAR_POMDP_ON": 0, "SOAR_ENABLE": 0})
+    p = resolve_params({"SOAR_POMDP_ON": 0, "SOAR_ENABLE": 0})
     cfg = mission_from_dict(data, p)
-    assert cfg.alt_min == 40.0 and cfg.alt_cutoff == 110.0
+    assert cfg.alt_min == 50.0 and cfg.alt_cutoff == 110.0
     assert cfg.controller == BASELINE
     assert not cfg.soaring_enabled
     with pytest.raises(ConfigError):

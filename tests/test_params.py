@@ -58,7 +58,7 @@ SOAR_POMDP_BANKS = -30, 0, 30
             parse_param_file(path)
         assert ":3:" in str(err.value)
 
-    @pytest.mark.parametrize("line", ["SOAR_VSPEED=nan", "SOAR_THML_W0=NaN", "NAV_GAIN=inf", "SOAR_ALT_MIN=-inf"])
+    @pytest.mark.parametrize("line", ["SOAR_VSPEED=nan", "SOAR_THML_W0=NaN", "NAV_GAIN=inf"])
     def test_non_finite_value_reports_line_and_key(self, tmp_path, line):
         path = write(tmp_path, "SOAR_POMDP_N=12\n" + line + "\n")
         key, value = line.split("=")
@@ -71,10 +71,6 @@ SOAR_POMDP_BANKS = -30, 0, 30
         with pytest.raises(ConfigError, match=rf":2: SOAR_POMDP_BANKS\[{where}\] must be a finite number, got {value}$"):
             parse_param_file(path)
 
-    def test_altitude_bands_default_to_the_mission_file(self, tmp_path):
-        p = resolve_params(parse_param_file(write(tmp_path, "SOAR_ALT_MAX=170\n")))
-        assert (p["SOAR_ALT_MIN"], p["SOAR_ALT_CUTOFF"], p["SOAR_ALT_MAX"]) == (None, None, 170.0)
-
     def test_missing_equals(self, tmp_path):
         path = write(tmp_path, "SOAR_POMDP_HORI 4\n")
         with pytest.raises(ConfigError):
@@ -86,7 +82,6 @@ SOAR_POMDP_BANKS = -30, 0, 30
 
 
 def test_every_default_passes_its_own_kind():
-    # the altitude bands' None, which takes the band from the mission file, included
     for key, (kind, default) in PARAM_SPEC.items():
         assert check(default, kind, key) is default
 
@@ -103,12 +98,12 @@ def test_defaults_carry_airframe_constants():
 
 class TestBuilders:
     @pytest.mark.parametrize("overrides, limit", [
-        ({"SOAR_NO_STALLPRV": 1, "SOAR_MAX_BANK": 50.0}, 50.0),
-        ({}, 40.0),  # stall prevention caps the default 45 deg
-        ({"SOAR_MAX_BANK": 30.0}, 30.0),  # and leaves a smaller limit alone
-    ], ids=["prevention-off", "capped", "under-the-cap"])
+        ({}, 40.0),  # the same float as the min(45 deg, 40 deg) that stall prevention once took
+        ({"SOAR_MAX_BANK": 45.0}, 45.0),  # a limit above the default flies as set
+        ({"SOAR_MAX_BANK": 30.0}, 30.0),
+    ], ids=["default", "above-the-default", "under-the-default"])
     def test_airframe(self, overrides, limit):
-        assert airframe_from_params(resolve_params(overrides)).bank_limit == pytest.approx(math.radians(limit))
+        assert airframe_from_params(resolve_params(overrides)).bank_limit == math.radians(limit)
 
     def test_noise_and_prior(self):
         p = resolve_params({"SOAR_THML_Q_POS": 0.5, "SOAR_THML_R": 0.09, "SOAR_THML_W0": 2.0})
@@ -134,10 +129,10 @@ class TestBuilders:
         assert cfg.sink_s0 == 0.6
         assert cfg.t_exploit == pytest.approx(12.0)
 
-    def test_baseline_respects_stall_prevention(self):
+    def test_baseline_respects_the_bank_limit(self):
         # 440 m outside its circle the loiter saturates at the airframe's clamp
         uav = UavState(0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 100.0)
-        for overrides, limit in (({}, 40.0), ({"SOAR_NO_STALLPRV": 1}, 45.0)):
+        for overrides, limit in (({"SOAR_MAX_BANK": 40.0}, 40.0), ({"SOAR_MAX_BANK": 45.0}, 45.0)):
             p = resolve_params(overrides)
             b, far = baseline_from_params(p), prior_from_params(p)
             far.mean[2] = 500.0
