@@ -1,5 +1,5 @@
-"""Command-line harness: single missions, baselines, paired flights,
-seed sweeps, and report emission.
+"""Command-line harness: single missions, paired flights, seed sweeps,
+and report emission.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error.
 """
@@ -19,7 +19,6 @@ from .experiment import (
     ConfigBundle,
     ExperimentPlan,
     load_bundle,
-    run_baseline,
     run_paired,
     run_sweep,
     summaries_from_json,
@@ -45,7 +44,7 @@ def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
     sink = _jsonl_sink(Path(args.out)) if args.out else None
     try:
         rec = run_flight(world, bundle.mission, bundle.airframe, bundle.noise, bundle.prior, bundle.planner,
-                         bundle.baseline, seed=sc.seed, slot=args.slot, telemetry_sink=sink)
+                         bundle.baseline, seed=sc.seed, telemetry_sink=sink)
     finally:
         if sink is not None:
             sink.close()
@@ -54,23 +53,11 @@ def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
     return 0
 
 
-def cmd_baseline(args, sc: Scenario, bundle: ConfigBundle) -> int:
-    world = materialize(sc, sc.seed)
-    time = run_baseline(world, bundle, repetitions=args.reps)
-    out = {"baseline_time": time, "repetitions": args.reps, "seed": sc.seed}
-    if args.out:
-        Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
     sc = materialize(sc, sc.seed)  # before any output exists; run_paired flies this world as drawn
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sinks = [None, None]
-    if not args.no_telemetry:
-        sinks = [_jsonl_sink(out_dir / f"flight_slot{slot}.jsonl") for slot in (0, 1)]
+    sinks = tuple(_jsonl_sink(out_dir / f"flight_slot{slot}.jsonl") for slot in (0, 1))
     try:
         a, b = run_paired(
             sc,
@@ -79,12 +66,11 @@ def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
             flight_id=args.flight_id,
             swap=args.swap,
             baseline_reps=args.baseline_reps,
-            telemetry_sinks=tuple(sinks),
+            telemetry_sinks=sinks,
         )
     finally:
         for s in sinks:
-            if s is not None:
-                s.close()
+            s.close()
     summaries_to_json([a, b], out_dir / "summaries.json")
     print((out_dir / "summaries.json").read_text(), end="")
     return 0
@@ -97,7 +83,7 @@ def cmd_sweep(args, sc: Scenario, bundle: ConfigBundle) -> int:
     blocker = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not blocker.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, f"{blocker} is not a directory", args.out)
-    plan = ExperimentPlan(seeds=seeds, baseline_reps=args.baseline_reps)
+    plan = ExperimentPlan(seeds=seeds, baseline_reps=BASELINE_REPS)
     summaries = run_sweep(sc, bundle, plan)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries_to_json(summaries, out_dir / "summaries.json")
@@ -143,15 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="fly one mission")
     common(p)
-    p.add_argument("--slot", type=int, choices=(0, 1), default=0, help="noise-stream slot (0 or 1)")
     p.add_argument("--out", help="telemetry JSONL path")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("baseline", help="measure the no-soaring baseline time")
-    common(p)
-    p.add_argument("--reps", type=_int_at_least(1), default=BASELINE_REPS)
-    p.add_argument("--out", help="JSON output path")
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("paired", help="fly both controllers against one world")
     common(p)
@@ -159,14 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flight-id", default="001")
     p.add_argument("--swap", action="store_true", help="give the baseline slot 0")
     p.add_argument("--baseline-reps", type=_int_at_least(1), default=BASELINE_REPS)
-    p.add_argument("--no-telemetry", action="store_true")
     p.set_defaults(func=cmd_paired)
 
     p = sub.add_parser("sweep", help="paired missions over a seed range")
     common(p, seed=False)
     p.add_argument("--seed-start", type=_int_at_least(0), default=1)
     p.add_argument("--count", type=_int_at_least(1), default=50)
-    p.add_argument("--baseline-reps", type=_int_at_least(1), default=BASELINE_REPS)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

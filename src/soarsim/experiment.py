@@ -103,6 +103,10 @@ def load_bundle(
     if period > cap:
         raise ConfigError(f"{scenario_path}: vario_rate {sc.vario_rate} gives one variometer reading every "
                           f"{period:g} s, longer than the {cap:g} s flight cap")
+    # filter_lift blends each reading in with weight period / tau: above 1 it overshoots, from 2 on it diverges
+    if period > mission.detect_filter_tau:
+        raise ConfigError(f"{scenario_path}: vario_rate {sc.vario_rate} gives one variometer reading every "
+                          f"{period:g} s, longer than SOAR_FILT_TAU = {mission.detect_filter_tau:g} s")
     # an exploit rollout past the cap records round(horizon / RECORD_DT) waypoints: it never ends, or overflows
     planner = planner_from_params(params, sink_s0=sc.sink_s0)
     if planner.t_exploit > cap:

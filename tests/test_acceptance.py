@@ -310,8 +310,7 @@ def test_c09_cli_determinism(tmp_path, capsys):
     for tag in ("a", "b"):
         out_dir = tmp_path / f"sweep_{tag}"
         assert cli.main([
-            "sweep", "--scenario", str(site), "--seed-start", "2", "--count", "2",
-            "--baseline-reps", "1", "--out", str(out_dir),
+            "sweep", "--scenario", str(site), "--seed-start", "2", "--count", "2", "--out", str(out_dir),
         ]) == 0
         capsys.readouterr()
         sweeps.append(

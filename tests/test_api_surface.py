@@ -13,17 +13,21 @@ No field that a param builder always sets may have a default of its own:
 params.PARAM_SPEC is the one copy of those defaults. Each input schema
 has one entry for each key its builder reads, and no other, and names
 only kinds that params.KINDS declares. README's parameter table names
-every key of params.PARAM_SPEC.
+every key of params.PARAM_SPEC, and its CLI section names exactly the
+flags of the CLI's subcommands.
 """
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from soarsim import environment
+from soarsim.cli import build_parser
 from soarsim.environment import RANDOM_THERMALS, RANDOM_WIND, RING, SITE, THERMAL, Scenario, ThermalSpec
 from soarsim.experiment import SUMMARY, FlightSummary
 from soarsim.mission import MISSION, mission_from_dict
@@ -223,3 +227,11 @@ def test_readme_parameter_table_names_every_key():
             shown[key.strip("`")] = default
     assert [key for key, (_, default) in PARAM_SPEC.items()
             if shown[key] != tuple(map(float, default if isinstance(default, tuple) else (default,)))] == []
+
+
+def test_readme_cli_section_names_exactly_the_parsers_flags():
+    section = (REPO / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {flag for command in commands.values() for action in command._actions
+             if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == flags

@@ -139,14 +139,18 @@ def test_run_has_no_controller_option(capsys):
     assert "unrecognized arguments: --controller baseline" in capsys.readouterr().err
 
 
-def test_baseline_command(tmp_path, capsys):
-    site = tiny_site(tmp_path)
-    out = tmp_path / "baseline.json"
-    code = cli.main(["baseline", "--scenario", str(site), "--reps", "2", "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["baseline_time"] > 60.0
-    assert json.loads(capsys.readouterr().out) == payload
+@pytest.mark.parametrize("argv, message", [
+    (["baseline"], "argument command: invalid choice: 'baseline'"),
+    (["run", "--slot", "1"], "unrecognized arguments: --slot 1"),
+    (["paired", "--out", "out", "--no-telemetry"], "unrecognized arguments: --no-telemetry"),
+    (["sweep", "--out", "out", "--baseline-reps", "1"], "unrecognized arguments: --baseline-reps 1"),
+], ids=["baseline", "run-slot", "paired-no-telemetry", "sweep-baseline-reps"])
+def test_a_removed_command_or_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    # paired writes the calm baseline time and both slots' telemetry; sweep averages paired's 3 repetitions
+    argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
+    assert cli.main([*argv, "--scenario", str(REPO / "scenarios" / "field.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_paired_and_report_commands(tmp_path, capsys):
@@ -175,8 +179,7 @@ def test_sweep_command(tmp_path, capsys):
     site = tiny_site(tmp_path)
     out_dir = tmp_path / "sweep"
     code = cli.main([
-        "sweep", "--scenario", str(site), "--seed-start", "1", "--count", "2",
-        "--baseline-reps", "1", "--out", str(out_dir),
+        "sweep", "--scenario", str(site), "--seed-start", "1", "--count", "2", "--out", str(out_dir),
     ])
     assert code == 0
     agg = json.loads(capsys.readouterr().out)
@@ -308,10 +311,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "2"],
-        ["baseline", "--seed", "2"],
         ["paired", "--seed", "2", "--out", "out"],
         ["sweep", "--seed-start", "2", "--count", "1", "--out", "out"],
-    ], ids=["run", "baseline", "paired", "sweep"])
+    ], ids=["run", "paired", "sweep"])
     def test_a_drawn_bell_no_kind_rules_out_names_the_site_file(self, tmp_path, capsys, argv):
         # 1e308 * z overflows for |z| above 1.8: seed 2 draws a center at x = -inf
         site = tiny_site(tmp_path, random_thermals={**CLUSTERS, "bells": [3, 3], "offset_sigma": 1e308})
@@ -342,6 +344,9 @@ class TestExitCodes:
          "vario_rate must be a positive number with a finite sensor period 1 / (rate * 0.02 s), got 1e-320"),
         ('"vario_rate": 5.0', '"vario_rate": 1e-300',
          "vario_rate 1e-300 gives one variometer reading every 1e+300 s, longer than the 14400 s flight cap"),
+        # the detection filter's weight 5 s / 2 s is past 2: it grew to 9e19 m/s on field.json seed 3
+        ('"vario_rate": 5.0', '"vario_rate": 0.2',
+         "vario_rate 0.2 gives one variometer reading every 5 s, longer than SOAR_FILT_TAU = 2 s"),
         ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
         ('"vario_sigma": 0.2', '"vario_sigma": -0.1', "vario_sigma must be a finite non-negative number, got -0.1"),
         ('"r0": 60.0', '"r0": 1e-170', "thermals[0].r0 must be a finite positive number whose square is above 0, got 1e-170"),
@@ -350,6 +355,7 @@ class TestExitCodes:
          "random_thermals.offset_sigma must be a finite number, got 'wide'"),
     ], ids=["w0-string", "w0-inf", "r0-null", "r0-negative", "r0-zero", "birth-string", "lifetime-string",
             "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "vario-rate-blind",
+            "vario-period-past-the-filter",
             "seed-float", "vario-sigma-negative", "r0-squares-to-zero", "offset-sigma-string"])
     def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
         site = tiny_site(tmp_path)
@@ -359,6 +365,19 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(site) in err and named in err
+
+    @pytest.mark.parametrize("rate, tau", [(0.5, None), (0.2, "5")])
+    def test_a_vario_period_up_to_the_filter_time_constant_flies(self, tmp_path, capsys, rate, tau):
+        # at a period of at most SOAR_FILT_TAU each filtered value lies between the last one and the reading
+        out = tmp_path / "t.jsonl"
+        argv = ["run", "--scenario", str(tiny_site(tmp_path, vario_rate=rate)), "--seed", "3", "--out", str(out)]
+        if tau is not None:
+            (tmp_path / "tau.param").write_text(f"SOAR_FILT_TAU = {tau}\n")
+            argv += ["--params", str(tmp_path / "tau.param")]
+        assert cli.main(argv) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        readings = [abs(rec["vario"]) for rec in records if rec["vario"] is not None]
+        assert max(abs(rec["filtered_lift"]) for rec in records) <= max(readings) + 1e-9
 
     def test_a_random_lifetime_at_or_below_0_stops_a_sweep_before_its_first_flight(self, tmp_path, capsys):
         # drawn per seed, such a lifetime once failed only at the seed that drew it
@@ -454,22 +473,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
-        (["run", "--slot", "-1"], "argument --slot: invalid choice: -1"),
-        (["run", "--slot", "2"], "argument --slot: invalid choice: 2"),
         (["paired", "--seed", "-2", "--out", "o"], "argument --seed: must be at least 0, got -2"),
         (["sweep", "--seed-start", "-1", "--out", "o"], "argument --seed-start: must be at least 0, got -1"),
         (["sweep", "--count", "0", "--out", "o"], "argument --count: must be at least 1, got 0"),
-    ], ids=["run-seed", "run-slot-minus-1", "run-slot-2", "paired-seed", "sweep-seed-start", "sweep-count"])
-    def test_bad_seed_slot_or_count_is_config_error(self, tmp_path, capsys, argv, message):
+    ], ids=["run-seed", "paired-seed", "sweep-seed-start", "sweep-count"])
+    def test_bad_seed_or_count_is_config_error(self, tmp_path, capsys, argv, message):
         site = tiny_site(tmp_path)
         assert cli.main(argv + ["--scenario", str(site)]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, flag", [(["baseline", "--reps", "0"], "--reps"),
-                                            (["paired", "--baseline-reps", "-1", "--out", "o"], "--baseline-reps"),
-                                            (["sweep", "--baseline-reps", "0", "--out", "o"], "--baseline-reps"),
-                                            (["baseline", "--reps", "x"], "--reps")],
-                             ids=["baseline-0", "paired-minus-1", "sweep-0", "not-an-int"])
+    @pytest.mark.parametrize("argv, flag", [(["paired", "--baseline-reps", "-1", "--out", "o"], "--baseline-reps"),
+                                            (["paired", "--baseline-reps", "x", "--out", "o"], "--baseline-reps")],
+                             ids=["paired-minus-1", "not-an-int"])
     def test_bad_repetition_count_is_config_error(self, tmp_path, capsys, argv, flag):
         site = tiny_site(tmp_path)
         assert cli.main(argv + ["--scenario", str(site)]) == 2
@@ -517,10 +532,9 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: flight '002' has no baseline summary\n"
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("command, name", [("run", "t.jsonl"), ("baseline", "b.json")])
-    def test_an_output_that_cannot_be_written_is_config_error(self, tmp_path, capsys, command, name):
-        out = tmp_path / "missing" / name
-        assert cli.main([command, "--scenario", str(tiny_site(tmp_path)), "--out", str(out)]) == 2
+    def test_an_output_that_cannot_be_written_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.jsonl"
+        assert cli.main(["run", "--scenario", str(tiny_site(tmp_path)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: cannot write {out}: No such file or directory\n"
 
     @pytest.mark.parametrize("out, blocker", [("taken", "taken"), ("taken/sub", "taken")])

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soarsim.environment as environment
@@ -747,7 +747,10 @@ def skips(near, x, y, t) -> int:
 def absorbed_cases(draw):
     """A strong bell at the UAV, listed first, and weak bells 5 to 7 radii
     out, where the sum starts to absorb their terms. A large r0 and a slow
-    UAV keep the near set's bound within a few percent of the terms."""
+    UAV keep the near set's bound within a few percent of the terms. One
+    more weak bell lies 6.5 to 7 radii out, where ABSORB times its bound is
+    at most about 0.1 m/s and the strong bell alone keeps |total| above
+    about 0.3 m/s through the window: every case skips a row."""
     v = draw(st.floats(5.0, 8.0))
     step = draw(st.integers(0, 5000))
     t = step * SIM_DT
@@ -756,9 +759,9 @@ def absorbed_cases(draw):
     offset, bearing = r0 * draw(st.floats(0.0, 0.5)), draw(ANGLE)
     strength = draw(st.one_of(st.floats(0.5, 4.0), st.floats(-3.0, -0.5)))
     thermals = [ThermalSpec(strength, r0, (x + offset * math.sin(bearing), y + offset * math.cos(bearing)))]
-    for _ in range(draw(st.integers(1, 5))):
+    for low in [6.5] + [5.0] * draw(st.integers(1, 5)):
         r0 = draw(st.floats(500.0, 3000.0))
-        distance, bearing = r0 * draw(st.floats(5.0, 7.0)), draw(ANGLE)
+        distance, bearing = r0 * draw(st.floats(low, 7.0)), draw(ANGLE)
         speed, drift_angle = draw(st.floats(0.0, 0.3)), draw(ANGLE)
         drift = (speed * math.sin(drift_angle), speed * math.cos(drift_angle))
         thermals.append(ThermalSpec(
@@ -774,24 +777,17 @@ def absorbed_cases(draw):
     return sc, w, [psi + turn * k for k in range(1, NEAR_STEPS + 1)]
 
 
-def test_the_near_set_skips_only_terms_the_sum_absorbs():
+@given(case=absorbed_cases())
+@settings(max_examples=150, deadline=None)
+def test_the_near_set_skips_only_terms_the_sum_absorbs(case):
     # with 2^52 in place of ABSORB's 2^55, 8 of 8 runs of this test failed; with 2^53, 5 of 8
-    skipped = []
-
-    @given(case=absorbed_cases())
-    @settings(max_examples=150, deadline=None)
-    def check(case):
-        sc, w, headings = case
-        near = near_rows(sc, w)
-        n = 0
-        for x, y, t in walk(w, headings):
-            assert true_lift(near, x, y, t) == true_lift(sc.lift_rows, x, y, t)
-            n += skips(near, x, y, t)
-        event("skips rows" if n else "skips none")
-        skipped.append(n)
-
-    check()
-    assert sum(map(bool, skipped)) > len(skipped) // 2
+    sc, w, headings = case
+    near = near_rows(sc, w)
+    n = 0
+    for x, y, t in walk(w, headings):
+        assert true_lift(near, x, y, t) == true_lift(sc.lift_rows, x, y, t)
+        n += skips(near, x, y, t)
+    assert n > 0
 
 
 STRONG = ThermalSpec(2.5, 150.0, (0.0, 30.0))  # the UAV flies north through its core
