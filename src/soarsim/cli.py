@@ -10,7 +10,7 @@ import argparse
 import errno
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .environment import Scenario, materialize
@@ -40,21 +40,21 @@ def _jsonl_sink(path: Path):
 
 
 def cmd_run(args, sc: Scenario, bundle: ConfigBundle) -> int:
-    world = materialize(sc, sc.seed)
+    world = materialize(sc, args.seed)
     sink = _jsonl_sink(Path(args.out)) if args.out else None
     try:
         rec = run_flight(world, bundle.mission, bundle.airframe, bundle.noise, bundle.prior, bundle.planner,
-                         bundle.baseline, seed=sc.seed, telemetry_sink=sink)
+                         bundle.baseline, seed=args.seed, telemetry_sink=sink)
     finally:
         if sink is not None:
             sink.close()
-    out = {"controller": bundle.mission.controller, "seed": sc.seed, **asdict(rec)}
+    out = {"controller": bundle.mission.controller, "seed": args.seed, **asdict(rec)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
-    sc = materialize(sc, sc.seed)  # before any output exists; run_paired flies this world as drawn
+    sc = materialize(sc, args.seed)  # before any output exists; run_paired flies this world as drawn
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sinks = tuple(_jsonl_sink(out_dir / f"flight_slot{slot}.jsonl") for slot in (0, 1))
@@ -62,7 +62,7 @@ def cmd_paired(args, sc: Scenario, bundle: ConfigBundle) -> int:
         a, b = run_paired(
             sc,
             bundle,
-            seed=sc.seed,
+            seed=args.seed,
             flight_id=args.flight_id,
             swap=args.swap,
             baseline_reps=args.baseline_reps,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario/mission JSON file")
         p.add_argument("--params", help="KEY=VALUE param file")
         if seed:
-            p.add_argument("--seed", type=_int_at_least(0), help="override the scenario seed")
+            p.add_argument("--seed", type=_int_at_least(0), default=1, help="the world and noise seed")
 
     p = sub.add_parser("run", help="fly one mission")
     common(p)
@@ -168,8 +168,6 @@ def main(argv=None) -> int:
         if args.func is cmd_report:
             return cmd_report(args)
         sc, bundle = load_bundle(args.scenario, args.params)
-        if getattr(args, "seed", None) is not None:
-            sc = replace(sc, seed=args.seed)
         site = f"{args.scenario}: "  # load_bundle names the file; materialize's checks of a seed's draws do not
         return args.func(args, sc, bundle)
     except ConfigError as exc:

@@ -69,13 +69,12 @@ class Scenario:
     vario_sigma: float = 0.2  # m/s sensor noise
     vario_rate: float = 5.0  # Hz
     sink_s0: float = 0.7  # m/s still-air sink at reference airspeed
-    seed: int = 0
     battery_j: float = 15600.0
     motor_power_w: float = 90.0
     motor_climb_rate: float = 2.5  # m/s added while the motor runs
     avionics_power_w: float = 3.0
     random_thermals: dict | None = None  # sampled per mission seed
-    random_wind: dict | None = None
+    random_wind: tuple[float, float] | None = None  # m/s, speed range; heading drawn too
     # derived once per scenario for the 50 Hz loop: one flat row per thermal,
     # (w0, r0^2, cx, cy, birth, lifetime, drift_x, drift_y, inf: no skip bound),
     # and the SIM_DT steps between variometer readings (3 Hz reads at 2.94 Hz)
@@ -309,7 +308,7 @@ def gen_observation(sc: Scenario, lift: float, rng: np.random.Generator | Normal
 # scenario files and per-seed materialization
 
 def materialize(sc: Scenario, seed: int) -> Scenario:
-    """Resolve random_thermals / random_wind blocks into concrete values.
+    """Resolve random_thermals and random_wind into concrete values.
 
     Deterministic per seed; the result is the shared world realization
     for a paired mission (both UAVs fly the identical field).
@@ -319,8 +318,7 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     wind = sc.wind
     if sc.random_wind is not None:
-        lo, hi = sc.random_wind["speed"]
-        speed = rng.uniform(lo, hi)
+        speed = rng.uniform(*sc.random_wind)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         wind = (speed * math.sin(angle), speed * math.cos(angle))
     thermals = sc.thermals
@@ -332,7 +330,7 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
         sigma = spec.get("offset_sigma", 40.0)
         drawn = []
         for _ in range(spec["clusters"]):
-            radius = rng.uniform(*spec["ring"]["radius"])
+            radius = rng.uniform(*spec["ring"])
             angle = rng.uniform(0.0, 2.0 * math.pi)
             ax, ay = radius * math.cos(angle), radius * math.sin(angle)
             for _ in range(rng.integers(lo, hi + 1)):
@@ -350,7 +348,7 @@ def materialize(sc: Scenario, seed: int) -> Scenario:
                 drift = (speed * math.cos(heading), speed * math.sin(heading))
                 drawn.append(ThermalSpec(w0, r0, (cx, cy), birth, life, drift))
         thermals = sc.thermals + tuple(drawn)
-    return replace(sc, thermals=thermals, wind=wind, random_thermals=None, random_wind=None, seed=seed)
+    return replace(sc, thermals=thermals, wind=wind, random_thermals=None, random_wind=None)
 
 
 def calm_variant(sc: Scenario) -> Scenario:
@@ -359,14 +357,12 @@ def calm_variant(sc: Scenario) -> Scenario:
 
 
 # the schema of a site file, checked before anything is built from it; materialize
-# reads the random blocks, whose draws lie in their ranges, _thermal_spec a thermal entry
-RING = Section({"radius": "range"}, required=("radius",))
+# reads the random keys, whose draws lie in their ranges, _thermal_spec a thermal entry
 RANDOM_THERMALS = Section(
     {"w0": "range", "r0": "radius range", "clusters": "count", "bells": "count range", "offset_sigma": "number",
-     "ring": RING, "birth": "range", "lifetime": "positive range", "drift": "range"},
+     "ring": "range", "birth": "range", "lifetime": "positive range", "drift": "range"},
     required=("w0", "r0", "clusters", "ring"),
 )
-RANDOM_WIND = Section({"speed": "range"}, required=("speed",))
 THERMAL = Section(
     {"w0": "number", "r0": "radius", "center": "pair", "birth": "number", "lifetime": "lifetime", "drift": "pair"},
     required=("w0", "r0", "center"),
@@ -374,9 +370,9 @@ THERMAL = Section(
 SITE = Section({
     "schema_version": "count", "mission": "object",  # mission_from_dict checks the mission
     "thermals": [THERMAL], "wind": "pair", "turbulence_sigma": "non-negative", "vario_sigma": "non-negative",
-    "vario_rate": "vario rate", "sink_s0": "non-negative", "seed": "count", "battery_j": "non-negative",
+    "vario_rate": "vario rate", "sink_s0": "non-negative", "battery_j": "non-negative",
     "motor_power_w": "non-negative", "motor_climb_rate": "non-negative", "avionics_power_w": "non-negative",
-    "random_thermals": RANDOM_THERMALS, "random_wind": RANDOM_WIND,
+    "random_thermals": RANDOM_THERMALS, "random_wind": "range",
 })
 
 
@@ -396,8 +392,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError("wind and random_wind are both given; random_wind draws each seed's wind, "
                           "so the file's wind would never blow")
     given = {f.name: data[f.name] for f in fields(Scenario) if f.init and f.name in data}
-    if "wind" in given:
-        given["wind"] = tuple(given["wind"])
+    given.update({pair: tuple(given[pair]) for pair in ("wind", "random_wind") if pair in given})
     given["thermals"] = tuple(map(_thermal_spec, given.get("thermals", ())))
     return Scenario(**given)
 

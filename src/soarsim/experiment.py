@@ -112,7 +112,13 @@ def load_bundle(
     if planner.t_exploit > cap:
         raise ConfigError(f"{params_path}: SOAR_POMDP_HORI * SOAR_POMDP_EXT gives an exploit horizon of "
                           f"{planner.t_exploit:g} s, longer than the {cap:g} s flight cap")
-    return sc, ConfigBundle(mission, airframe_from_params(params), noise_from_params(params),
+    # step_kinematics scales the roll rate by 1 - a * SIM_DT a step, which from a * SIM_DT = 2 on never contracts
+    airframe = airframe_from_params(params)
+    a_dt = -airframe.k_d * airframe.c_lp / (2.0 * mission.airspeed) / airframe.i_x * SIM_DT
+    if not a_dt < 2.0:
+        raise ConfigError(f"{params_path}: SOAR_K_ROLLDAMP * -SOAR_ROLL_CLP / (2 * ARSPD_TRIM * SOAR_I_MOMENT) * "
+                          f"{SIM_DT} s is {a_dt:g}; from 2 on, the roll rate's Euler step no longer damps it")
+    return sc, ConfigBundle(mission, airframe, noise_from_params(params),
                             prior_from_params(params), planner, baseline_from_params(params))
 
 
@@ -127,7 +133,7 @@ def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int) -> float:
 
     Uses the calm variant of the scenario (thermals and turbulence
     removed) with soaring disabled, mirroring baseline measurement
-    flights on still days. The flight is flown once, because its
+    flights on still days. The flight is flown once, at seed 0, because its
     repetitions would be identical copies whatever their noise seed:
     with turbulence_sigma at 0, env_step draws nothing from the noise
     stream; with soaring off, the vario readings feed only
@@ -141,7 +147,7 @@ def run_baseline(sc: Scenario, bundle: ConfigBundle, repetitions: int) -> float:
     calm = calm_variant(sc)
     cfg = replace(bundle.mission, soaring_enabled=False)
     rec = run_flight(
-        calm, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline, slot=0
+        calm, cfg, bundle.airframe, bundle.noise, bundle.prior, bundle.planner, bundle.baseline, seed=0, slot=0
     )
     return sum([rec.flight_time] * repetitions) / repetitions
 

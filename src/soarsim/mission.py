@@ -278,7 +278,7 @@ def flight_tick(f: Flight, readings) -> bool:
         raise FloatingPointError(f"the flight diverged at t = {world.t:.1f} s: " + (
             "the altitude overflowed on a lift too large: check turbulence_sigma and the thermals' w0"
             if math.isfinite(uav.phi) else "the roll channel set by SOAR_I_MOMENT, SOAR_ROLL_CLP, SOAR_K_ROLLDAMP, "
-            "RLL2SRV_* and ARSPD_TRIM is unstable"))
+            "SOAR_K_AILERON, RLL2SRV_* and ARSPD_TRIM is unstable"))
 
     dt_obs = f.sc.vario_period * SIM_DT
     for obs, x, y in readings:
@@ -327,12 +327,11 @@ def flight_tick(f: Flight, readings) -> bool:
 
 
 def run_flight(sc: Scenario, cfg: MissionConfig, airframe: AirframeParams, noise: NoiseConfig, prior: GaussianBelief,
-               planner_cfg: planner_mod.PlannerConfig, baseline_cfg: BaselineConfig, seed: int | None = None,
+               planner_cfg: planner_mod.PlannerConfig, baseline_cfg: BaselineConfig, seed: int,
                slot: int = 0, telemetry_sink=None) -> FlightRecord:
-    """Simulate one mission to its termination event; the seed defaults
-    to the scenario's, and telemetry_sink gets flight_tick's JSON lines."""
+    """Simulate one mission to its termination event; telemetry_sink gets flight_tick's JSON lines."""
     bundle = ConfigBundle(cfg, airframe, noise, prior, planner_cfg, baseline_cfg)
-    f = start_flight(sc, bundle, sc.seed if seed is None else seed, slot, telemetry_sink)
+    f = start_flight(sc, bundle, seed, slot, telemetry_sink)
     while not flight_tick(f, env_tick(sc, airframe, f.world, f.ms.target_bank, f.normals)):
         pass
     return f.record()

@@ -142,7 +142,7 @@ PARAM_SPEC: dict = {
     # airframe (roll-axis constants of the Radian Pro 2 m sailplane) and roll PID
     "SOAR_I_MOMENT": ("positive", 0.00257482),
     "SOAR_ROLL_CLP": ("negative", -1.12808704),
-    "SOAR_K_ROLLDAMP": ("number", 0.41073588),
+    "SOAR_K_ROLLDAMP": ("non-negative", 0.41073588),
     "SOAR_K_AILERON": ("positive", 1.448331),
     "SOAR_MAX_BANK": ("bank angle", 40.0),  # deg, the attained-bank clamp
     "RLL2SRV_P": ("number", 0.04),
@@ -167,7 +167,6 @@ PARAM_SPEC: dict = {
     "SOAR_POMDP_N": ("positive int", 10),
     "SOAR_CONF_THRES": ("number", 150.0),
     "SOAR_POMDP_BANKS": (["number"], (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)),  # deg
-    "SOAR_POMDP_SINKCOMP": ("count", 1),
     "SOAR_POMDP_REPLAN": ("number", 1.0),  # s between planning cycles
     # fixed-circle baseline
     "SOAR_THML_RADIUS": ("positive", 60.0),  # m
@@ -265,7 +264,6 @@ def planner_from_params(p: dict, sink_s0: float) -> PlannerConfig:
         t_exploit=p["SOAR_POMDP_HORI"] * p["SOAR_POMDP_EXT"],
         n_samples=p["SOAR_POMDP_N"],
         confidence_thres=p["SOAR_CONF_THRES"],
-        sink_correction=bool(p["SOAR_POMDP_SINKCOMP"]),
         sink_s0=sink_s0,
     )
 

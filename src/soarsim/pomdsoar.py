@@ -35,8 +35,7 @@ class PlannerConfig:
     t_exploit: float  # s, exploitation horizon
     n_samples: int  # thermal hypotheses per cycle
     confidence_thres: float  # trace gate; unit-coupled to trace_weights
-    sink_correction: bool  # charge tighter turns their extra sink
-    sink_s0: float  # m/s, level-flight sink used by the correction
+    sink_s0: float  # m/s, level-flight sink; exploit charges tighter turns their extra sink
     trace_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
 
@@ -171,15 +170,13 @@ def exploit_score(
     samples: np.ndarray,
 ) -> np.ndarray:
     """Expected altitude gain per action, m, integrating hypothesis lift
-    along each trajectory (minus bank-dependent sink when enabled)."""
+    along each trajectory, minus its bank-dependent sink."""
     x, y, phi, _ = _trajectories(cfg, uav, airframe, cfg.t_exploit)[:, :, 1:]  # start excluded
     lifts = _sampled_lift(samples, x, y)  # (A, N, T)
     gains = lifts.sum(axis=2) * RECORD_DT  # (A, N)
     scores = _finite_mean(gains, EXPLOIT, "altitude gains")
-    if cfg.sink_correction:
-        sink = cfg.sink_s0 * (1.0 / np.cos(phi)) ** 1.5  # (A, T)
-        scores = scores - sink.sum(axis=1) * RECORD_DT
-    return scores
+    sink = cfg.sink_s0 * (1.0 / np.cos(phi)) ** 1.5  # (A, T)
+    return scores - sink.sum(axis=1) * RECORD_DT
 
 
 def choose_action(

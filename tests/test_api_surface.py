@@ -13,8 +13,9 @@ No field that a param builder always sets may have a default of its own:
 params.PARAM_SPEC is the one copy of those defaults. Each input schema
 has one entry for each key its builder reads, and no other, and names
 only kinds that params.KINDS declares. README's parameter table names
-every key of params.PARAM_SPEC, and its CLI section names exactly the
-flags of the CLI's subcommands.
+every key of params.PARAM_SPEC, its site-file table exactly the keys of
+each section's schema, and its CLI section exactly the flags of the
+CLI's subcommands.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from soarsim import environment
 from soarsim.cli import build_parser
-from soarsim.environment import RANDOM_THERMALS, RANDOM_WIND, RING, SITE, THERMAL, Scenario, ThermalSpec
+from soarsim.environment import RANDOM_THERMALS, SITE, THERMAL, Scenario, ThermalSpec
 from soarsim.experiment import SUMMARY, FlightSummary
 from soarsim.mission import MISSION, mission_from_dict
 from soarsim.params import KINDS, PARAM_SPEC, Section
@@ -188,7 +189,7 @@ def test_each_input_schema_has_one_entry_per_key_read():
     # a Scenario field the schema misses could not be set; a key the schema
     # misses would be rejected, and one the builder ignores would load unread
     assert set(SITE.keys) == {f.name for f in fields(Scenario) if f.init} | {"mission", "schema_version"}
-    assert set(RANDOM_THERMALS.keys) | set(RANDOM_WIND.keys) | set(RING.keys) == string_constants(environment.materialize)
+    assert set(RANDOM_THERMALS.keys) == string_constants(environment.materialize)
     # _thermal_spec passes a thermal entry to ThermalSpec key for key
     assert set(THERMAL.keys) == {f.name for f in fields(ThermalSpec)}
     assert set(MISSION.keys) <= string_constants(mission_from_dict)
@@ -227,6 +228,17 @@ def test_readme_parameter_table_names_every_key():
             shown[key.strip("`")] = default
     assert [key for key, (_, default) in PARAM_SPEC.items()
             if shown[key] != tuple(map(float, default if isinstance(default, tuple) else (default,)))] == []
+
+
+def test_readme_site_table_names_exactly_the_schema_keys():
+    section = (REPO / "README.md").read_text().split("## Scenario / mission files", 1)[1].split("\n## ", 1)[0]
+    schemas = {"top level": SITE, "thermal entry": THERMAL, "`random_thermals`": RANDOM_THERMALS, "`mission`": MISSION}
+    shown = {}
+    for row in section.splitlines():
+        if row.startswith("| ") and not row.startswith(("| Section", "| ---")):
+            name, keys = (cell.strip() for cell in row.strip("|").split("|")[:2])
+            shown.setdefault(name, set()).update(re.findall(r"`(\w+)`", keys))
+    assert shown == {name: set(schema.keys) for name, schema in schemas.items()}
 
 
 def test_readme_cli_section_names_exactly_the_parsers_flags():

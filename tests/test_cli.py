@@ -7,7 +7,7 @@ import pytest
 
 import soarsim.cli as cli
 from soarsim.experiment import load_bundle
-from soarsim.params import PARAM_SPEC
+from soarsim.params import PARAM_SPEC, ConfigError
 
 from conftest import REPO, param_error
 
@@ -30,6 +30,8 @@ def pentagram(radius):
 BAD_PARAM_VALUES = {
     "SOAR_I_MOMENT": ("0", "a finite positive number, got 0.0"),
     "SOAR_ROLL_CLP": ("0.5", "a finite negative number, got 0.5"),
+    # below 0 the roll channel is anti-damped: the bank swings between the limits
+    "SOAR_K_ROLLDAMP": ("-0.4", "a finite non-negative number, got -0.4"),
     "SOAR_K_AILERON": ("-1.4", "a finite positive number, got -1.4"),
     "SOAR_MAX_BANK": ("-10", "an angle above 0 and below 90 deg, got -10.0"),
     "ARSPD_TRIM": ("0", "a finite positive number, got 0.0"),
@@ -44,7 +46,6 @@ BAD_PARAM_VALUES = {
     "SOAR_POMDP_HORI": ("0.1", "a finite number of at least 0.2 s, got 0.1"),
     "SOAR_POMDP_EXT": ("0.99", "a finite number of at least 1, got 0.99"),
     "SOAR_POMDP_N": ("-3", "a positive int, got -3"),
-    "SOAR_POMDP_SINKCOMP": ("-1", "a non-negative int, got -1"),
     "SOAR_THML_RADIUS": ("-60", "a finite positive number, got -60.0"),
     "SOAR_ENABLE": ("-1", "a non-negative int, got -1"),
     "SOAR_FILT_TAU": ("-2", "a finite positive number, got -2.0"),
@@ -61,7 +62,7 @@ def test_every_constrained_param_has_a_bad_value_case():
 
 
 # a complete random_thermals block: one cluster of 1-3 bells about an anchor 140-215 m out
-CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radius": [140.0, 215.0]}}
+CLUSTERS = {"clusters": 1, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": [140.0, 215.0]}
 
 
 def tiny_site(tmp_path, **overrides) -> Path:
@@ -75,7 +76,6 @@ def tiny_site(tmp_path, **overrides) -> Path:
         "vario_sigma": 0.2,
         "vario_rate": 5.0,
         "sink_s0": 0.7,
-        "seed": 7,
         "battery_j": 2500.0,
         "motor_power_w": 90.0,
         "motor_climb_rate": 2.5,
@@ -109,6 +109,16 @@ def test_run_writes_summary_and_telemetry(tmp_path, capsys):
     assert len(lines) > 100
     rec = json.loads(lines[0])
     assert {"t", "ground", "air", "h", "mode", "phi", "vario"} <= set(rec)
+
+
+def test_run_without_a_seed_flies_seed_1(tmp_path, capsys):
+    # the seed is the CLI's --seed alone; a site file holds none
+    site = tiny_site(tmp_path)
+    assert cli.main(["run", "--scenario", str(site)]) == 0
+    unseeded = json.loads(capsys.readouterr().out)
+    assert unseeded["seed"] == 1
+    assert cli.main(["run", "--scenario", str(site), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == unseeded
 
 
 def test_run_respects_param_file(tmp_path, capsys):
@@ -202,9 +212,11 @@ class TestExitCodes:
         params.write_text("NOT_A_KEY=1\n")
         assert cli.main(["run", "--scenario", str(site), "--params", str(params)]) == 2
 
-    @pytest.mark.parametrize("key", ["SOAR_NO_STALLPRV", "SOAR_ALT_MIN", "SOAR_ALT_CUTOFF", "SOAR_ALT_MAX"])
+    @pytest.mark.parametrize("key", ["SOAR_NO_STALLPRV", "SOAR_ALT_MIN", "SOAR_ALT_CUTOFF", "SOAR_ALT_MAX",
+                                     "SOAR_POMDP_SINKCOMP"])
     def test_a_removed_param_is_an_unknown_parameter(self, tmp_path, capsys, key):
-        # the bank limit is SOAR_MAX_BANK alone, and the altitude band is the site file's
+        # the bank limit is SOAR_MAX_BANK alone, the altitude band is the site file's,
+        # and the planner always charges its turns their sink
         assert f"bad.param:1: unknown parameter {key!r}" in param_error(tmp_path, capsys, f"{key}=1\n")
 
     @pytest.mark.parametrize("key", ["sink_s0", "battery_j", "motor_power_w", "motor_climb_rate", "avionics_power_w"])
@@ -252,7 +264,7 @@ class TestExitCodes:
         # materialize replaces wind with each seed's draw, so the file's wind would never blow
         doc = json.loads(tiny_site(tmp_path).read_text())
         site = tmp_path / "both.json"
-        site.write_text(json.dumps({**doc, "random_wind": {"speed": [0.5, 5.5]}}))
+        site.write_text(json.dumps({**doc, "random_wind": [0.5, 5.5]}))
         assert cli.main(["run", "--scenario", str(site)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {site}: wind and random_wind are both given")
@@ -261,10 +273,10 @@ class TestExitCodes:
         (None, "turbulance_sigma", "the scenario"),
         ("thermals", "lifetim", "thermals[0]"),
         ("mission", "alt_maxx", "mission"),
-        ("random_wind", "sped", "random_wind"),
-    ], ids=["top-level", "thermal", "mission", "random-wind"])
+        ("random_thermals", "rign", "random_thermals"),
+    ], ids=["top-level", "thermal", "mission", "random-thermals"])
     def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, section, key, where):
-        doc = json.loads(tiny_site(tmp_path, random_wind={"speed": [0.0, 1.0]}).read_text())
+        doc = json.loads(tiny_site(tmp_path, random_thermals=CLUSTERS).read_text())
         target = doc if section is None else doc[section]
         (target[0] if isinstance(target, list) else target)[key] = 0.0
         bad = tmp_path / "misspelt.json"
@@ -274,11 +286,9 @@ class TestExitCodes:
         assert err.startswith("config error:") and f"unknown key {key!r} in {where}" in err
 
     @pytest.mark.parametrize("overrides, named", [
-        (dict(random_thermals={**CLUSTERS, "ring": {"radus": [140.0, 215.0]}}),
-         "unknown key 'radus' in random_thermals.ring"),
         (dict(random_thermals={**CLUSTERS, "w0": [1.5]}), "random_thermals.w0 must be a [low, high] range"),
         (dict(random_thermals={**CLUSTERS, "w0": [3.0, 1.0]}), "random_thermals.w0 must be a [low, high] range"),
-        (dict(random_wind={"speed": "fast"}), "random_wind.speed must be a [low, high] range"),
+        (dict(random_wind="fast"), "random_wind must be a [low, high] range"),
         (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0]}]), "thermals[0].center must be two finite numbers"),
         (dict(thermals=[{"w0": 2.5, "r0": 60.0, "center": [0.0, 200.0], "drift": [0.1]}]),
          "thermals[0].drift must be two finite numbers"),
@@ -294,12 +304,12 @@ class TestExitCodes:
          "random_thermals.lifetime must be a [low, high] range with low above 0, got [-5, 1000]"),
         (dict(random_thermals={**CLUSTERS, "r0": [1e-170, 80.0]}),
          "random_thermals.r0 must be a [low, high] range with low above 0 and low * low above 0, got [1e-170, 80.0]"),
-        (dict(random_wind={"speed": [-1e308, 1e308]}), "random_wind.speed must be a [low, high] range"),
+        (dict(random_wind=[-1e308, 1e308]), "random_wind must be a [low, high] range"),
         # materialize draws rng.integers(low, high + 1), which numpy bounds to int64
         (dict(random_thermals={**CLUSTERS, "bells": [1, 2**63]}),
          "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, "
          "got [1, 9223372036854775808]"),
-    ], ids=["ring-key", "w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
+    ], ids=["w0-one-number", "w0-reversed", "speed-not-a-range", "thermal-center", "thermal-drift",
             "wind-one-number", "wind-three-numbers", "thermals-object", "thermals-string",
             "thermals-null", "second-thermal-lifetime", "random-lifetime-low", "random-r0-squares-to-zero",
             "speed-width-overflows", "bells-beyond-int64"])
@@ -347,16 +357,15 @@ class TestExitCodes:
         # the detection filter's weight 5 s / 2 s is past 2: it grew to 9e19 m/s on field.json seed 3
         ('"vario_rate": 5.0', '"vario_rate": 0.2',
          "vario_rate 0.2 gives one variometer reading every 5 s, longer than SOAR_FILT_TAU = 2 s"),
-        ('"seed": 7', '"seed": 7.5', "seed must be a non-negative int, got 7.5"),
         ('"vario_sigma": 0.2', '"vario_sigma": -0.1', "vario_sigma must be a finite non-negative number, got -0.1"),
         ('"r0": 60.0', '"r0": 1e-170', "thermals[0].r0 must be a finite positive number whose square is above 0, got 1e-170"),
         ('"mission"', '"random_thermals": {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], '
-                      '"ring": {"radius": [140.0, 215.0]}, "offset_sigma": "wide"}, "mission"',
+                      '"ring": [140.0, 215.0], "offset_sigma": "wide"}, "mission"',
          "random_thermals.offset_sigma must be a finite number, got 'wide'"),
     ], ids=["w0-string", "w0-inf", "r0-null", "r0-negative", "r0-zero", "birth-string", "lifetime-string",
             "battery-string", "battery-401-digits", "vario-rate-nan", "vario-rate-tiny", "vario-rate-blind",
             "vario-period-past-the-filter",
-            "seed-float", "vario-sigma-negative", "r0-squares-to-zero", "offset-sigma-string"])
+            "vario-sigma-negative", "r0-squares-to-zero", "offset-sigma-string"])
     def test_bad_scalar_site_value_is_config_error(self, tmp_path, capsys, old, new, named):
         site = tiny_site(tmp_path)
         text = site.read_text()
@@ -427,10 +436,16 @@ class TestExitCodes:
         key, value = line.split("=")
         assert f"bad_value.param:1: {key} must be a finite number, got {value}" in capsys.readouterr().err
 
-    def test_random_wind_without_speed_is_config_error(self, tmp_path, capsys):
-        site = tiny_site(tmp_path, random_wind={})
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(random_thermals={**CLUSTERS, "ring": {"radius": [140.0, 215.0]}}),
+         "random_thermals.ring must be a [low, high] range, got {'radius': [140.0, 215.0]}"),
+        (dict(random_wind={"speed": [0.5, 5.5]}), "random_wind must be a [low, high] range, got {'speed': [0.5, 5.5]}"),
+    ], ids=["ring", "random-wind"])
+    def test_a_range_nested_in_an_object_is_config_error(self, tmp_path, capsys, overrides, named):
+        # ring and random_wind are each one range; their old {"radius": ...} and {"speed": ...} forms are gone
+        site = tiny_site(tmp_path, **overrides)
         assert cli.main(["run", "--scenario", str(site)]) == 2
-        assert "random_wind is missing 'speed'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {site}: {named}\n"
 
     @pytest.mark.parametrize("line", ["SOAR_POMDP_N=0", "SOAR_THML_R=0", "SOAR_MAX_BANK=95",
                                       "SOAR_THML_RADIUS=0", "SOAR_FILT_TAU=0", "ARSPD_TRIM=0"])
@@ -557,19 +572,36 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_flight", boom)
         assert cli.main(["run", "--scenario", str(site)]) == 3
 
-    # each value passes its kind, yet the roll integration diverges: the pose
-    # is NaN from t = 15.2 s and 15.6 s on field.json seed 3
-    @pytest.mark.parametrize("line, t", [("ARSPD_TRIM=0.5", "15.2"), ("SOAR_ROLL_CLP=-20", "15.6")])
-    def test_a_diverging_flight_is_a_simulation_error(self, tmp_path, capsys, line, t):
+    # a * 0.02 s with a = SOAR_K_ROLLDAMP * -SOAR_ROLL_CLP / (2 ARSPD_TRIM SOAR_I_MOMENT) is 0.2 at the defaults;
+    # from 2 on the Euler step no longer damps the roll rate: at 3.6 and 3.54 the pose was NaN from t = 15.2 s
+    # and 15.6 s on field.json seed 3 (exit 3). BAD_PARAM_VALUES holds the anti-damped SOAR_K_ROLLDAMP below 0.
+    @pytest.mark.parametrize("line, a_dt", [("ARSPD_TRIM=0.5", "3.59905"), ("SOAR_ROLL_CLP=-20", "3.54489")])
+    def test_a_roll_channel_the_euler_step_cannot_damp_is_config_error(self, tmp_path, capsys, line, a_dt):
+        err = param_error(tmp_path, capsys, line + "\n")
+        assert err == (f"config error: {tmp_path / 'bad.param'}: SOAR_K_ROLLDAMP * -SOAR_ROLL_CLP / (2 * ARSPD_TRIM * "
+                       f"SOAR_I_MOMENT) * 0.02 s is {a_dt}; from 2 on, the roll rate's Euler step no longer damps it\n")
+
+    def test_the_roll_damping_rule_starts_at_2(self, tmp_path):
+        # SOAR_ROLL_CLP = -c gives a * 0.02 s = 0.17726 c: 1.985 at c = 11.2, 2.003 at c = 11.3
+        below, above = tmp_path / "below.param", tmp_path / "above.param"
+        below.write_text("SOAR_ROLL_CLP=-11.2\n")
+        above.write_text("SOAR_ROLL_CLP=-11.3\n")
+        load_bundle(REPO / "scenarios" / "field.json", below)
+        with pytest.raises(ConfigError, match="is 2.00287;"):
+            load_bundle(REPO / "scenarios" / "field.json", above)
+
+    # each value passes its kind and a * 0.02 s is 1.25e-05, yet the aileron term overflows the roll
+    # channel: the pose is NaN from t = 0.4 s on field.json seed 3
+    def test_a_diverging_flight_is_a_simulation_error(self, tmp_path, capsys):
         params, out = tmp_path / "unstable.param", tmp_path / "t.jsonl"
-        params.write_text(line + "\n")
+        params.write_text("SOAR_K_AILERON=1e300\nSOAR_I_MOMENT=1e-10\nSOAR_K_ROLLDAMP=1e-12\n")
         code = cli.main(["run", "--scenario", str(REPO / "scenarios" / "field.json"), "--seed", "3",
                          "--params", str(params), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"simulation error: the flight diverged at t = {t} s")
-        assert all(key in err for key in ("SOAR_I_MOMENT", "SOAR_ROLL_CLP", "SOAR_K_ROLLDAMP", "RLL2SRV_*",
-                                          "ARSPD_TRIM"))
+        assert err.startswith("simulation error: the flight diverged at t = 0.4 s")
+        assert all(key in err for key in ("SOAR_I_MOMENT", "SOAR_ROLL_CLP", "SOAR_K_ROLLDAMP", "SOAR_K_AILERON",
+                                          "RLL2SRV_*", "ARSPD_TRIM"))
         text = out.read_text()
         assert text and "NaN" not in text
         assert all(math.isfinite(json.loads(rec)["h"]) for rec in text.splitlines())

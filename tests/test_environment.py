@@ -53,7 +53,7 @@ def quiet(**kw) -> Scenario:
 
 
 # a complete random_thermals block: two clusters of 1-3 bells about anchors 100-200 m out
-RANDOM_BLOCK = {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": {"radius": [100.0, 200.0]}}
+RANDOM_BLOCK = {"clusters": 2, "w0": [1.0, 2.0], "r0": [40.0, 80.0], "ring": [100.0, 200.0]}
 # the least r0 whose square is above 0.0
 R0_EDGE = 1.5717277847026619e-162
 
@@ -130,7 +130,6 @@ def test_frame_consistency_with_wind(airframe):
         thermals=(ThermalSpec(2.0, 80.0, (30.0, 40.0)),),
         turbulence_sigma=0.15,
         vario_sigma=0.2,
-        seed=5,
     )
     sc_wind = Scenario(wind=(5.0, -3.0), **base)
     sc_calm = Scenario(wind=(0.0, 0.0), **base)
@@ -211,7 +210,6 @@ class TestScenarioFiles:
                 {"w0": 1.0, "r0": 40.0, "center": [-3.0, 4.0], "lifetime": None},
             ],
             "wind": [3.0, 1.0],
-            "seed": 9,
         }
         assert scenario_from_dict(data) == Scenario(
             thermals=(
@@ -219,11 +217,16 @@ class TestScenarioFiles:
                 ThermalSpec(1.0, 40.0, (-3.0, 4.0)),
             ),
             wind=(3.0, 1.0),
-            seed=9,
         )
+
+    def test_random_wind_is_a_speed_range(self):
+        sc = scenario_from_dict({"schema_version": 1, "random_wind": [0.5, 5.5]})
+        assert sc.random_wind == (0.5, 5.5)
 
     @pytest.mark.parametrize("change, message", [
         ({"turbulance_sigma": 0.0}, "unknown key 'turbulance_sigma' in the scenario"),
+        # the seed is the CLI's --seed alone
+        ({"seed": 1}, "unknown key 'seed' in the scenario"),
         # the site is named once, by the mission section's site
         ({"site": "s"}, "unknown key 'site' in the scenario"),
         ({"thermals": [{"w0": 2.0, "r0": 60.0, "center": [0.0, 0.0], "lifetim": 100.0}]},
@@ -234,10 +237,9 @@ class TestScenarioFiles:
         ({"random_thermals": {**RANDOM_BLOCK, "count": 2}}, "unknown key 'count' in random_thermals"),
         ({"random_thermals": {**RANDOM_BLOCK, "box": [[0, 0], [1, 1]]}}, "unknown key 'box' in random_thermals"),
         ({"random_thermals": {**RANDOM_BLOCK, "r0_log": False}}, "unknown key 'r0_log' in random_thermals"),
-        ({"random_wind": {"speed": [0.0, 1.0], "angle": 0.0}}, "unknown key 'angle' in random_wind"),
-        ({"random_wind": [0.0, 1.0]}, "random_wind must be a JSON object"),
-    ], ids=["top-level", "top-level-site", "thermal", "thermal-not-object", "random-thermals", "random-thermals-count",
-            "random-thermals-box", "random-thermals-r0-log", "random-wind", "block-not-object"])
+        ({"random_thermals": [0.0, 1.0]}, "random_thermals must be a JSON object"),
+    ], ids=["top-level", "top-level-seed", "top-level-site", "thermal", "thermal-not-object", "random-thermals",
+            "random-thermals-count", "random-thermals-box", "random-thermals-r0-log", "block-not-object"])
     def test_unknown_keys_rejected(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "mission": {}, **change})
@@ -253,13 +255,12 @@ class TestScenarioFiles:
         ({"clusters": True}, "random_thermals.clusters must be a non-negative int, got True"),
         ({"bells": [1.5, 3]}, "random_thermals.bells must be a [low, high] range of ints from 0 to 2**63 - 1, got [1.5, 3]"),
         ({"bells": [3, 1]}, "random_thermals.bells must be a [low, high] range"),
-        ({"ring": {}}, "random_thermals.ring is missing 'radius'"),
-        ({"ring": {"radius": [215.0, 140.0]}}, "random_thermals.ring.radius must be a [low, high]"),
-        ({"ring": [[-100.0, -100.0], [100.0, 100.0]]}, "random_thermals.ring must be a JSON object"),
+        ({"ring": [215.0, 140.0]}, "random_thermals.ring must be a [low, high]"),
+        ({"ring": [[-100.0, -100.0], [100.0, 100.0]]}, "random_thermals.ring must be a [low, high] range"),
         ({"clusters": None}, "random_thermals is missing 'clusters'"),
         ({"ring": None}, "random_thermals is missing 'ring'"),
     ], ids=["r0-at-zero", "lifetime-reversed", "birth-nan", "drift-bool", "clusters-negative", "clusters-float",
-            "clusters-bool", "bells-float", "bells-reversed", "ring-without-radius", "ring-reversed",
+            "clusters-bool", "bells-float", "bells-reversed", "ring-reversed",
             "ring-a-box", "clusters-missing", "ring-missing"])
     def test_malformed_random_thermals_rejected(self, change, message):
         block = {k: v for k, v in {**RANDOM_BLOCK, **change}.items() if v is not None}
@@ -286,8 +287,7 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict({"schema_version": 1, "thermals": [entry]})
 
-    @pytest.mark.parametrize("key, value", [("battery_j", "full"), ("sink_s0", math.inf), ("turbulence_sigma", True),
-                                            ("seed", -1), ("seed", 1.0), ("seed", True)])
+    @pytest.mark.parametrize("key, value", [("battery_j", "full"), ("sink_s0", math.inf), ("turbulence_sigma", True)])
     def test_non_number_scenario_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a"):
             scenario_from_dict({"schema_version": 1, key: value})
@@ -340,9 +340,9 @@ class TestMaterialize:
                 "birth": [0.0, 100.0],
                 "lifetime": [300.0, 600.0],
                 "drift": [0.0, 0.5],
-                "ring": {"radius": [100.0, 200.0]},
+                "ring": [100.0, 200.0],
             },
-            random_wind={"speed": [0.0, 7.0]},
+            random_wind=(0.0, 7.0),
         )
 
     def test_deterministic_per_seed(self):
@@ -362,7 +362,7 @@ class TestMaterialize:
                 assert math.hypot(*th.drift) <= 0.5 + 1e-9
 
     def test_without_random_blocks_is_identity(self):
-        sc = quiet(seed=3)
+        sc = quiet()
         assert materialize(sc, 42) is sc
 
     @pytest.mark.parametrize("change, seed, drawn", [
@@ -407,7 +407,7 @@ def site_documents(draw):
     positive = st.floats(1e-3, 1e3)
     lo = draw(st.integers(0, 3))
     block = {"w0": span([-3.0, 0.0]), "r0": span(LOWS, positive), "birth": span([0.0]),
-             "lifetime": span(LOWS, positive), "drift": span([0.0]), "ring": {"radius": span([0.0, 140.0])},
+             "lifetime": span(LOWS, positive), "drift": span([0.0]), "ring": span([0.0, 140.0]),
              "clusters": draw(st.integers(0, 3)), "bells": [lo, lo + draw(st.integers(0, 2))],
              "offset_sigma": draw(st.floats(-100.0, 100.0))}
     return {"schema_version": 1, "random_thermals": block, "vario_rate": scalar(VARIO_RATES, st.floats(0.5, 50.0)),

@@ -322,12 +322,11 @@ def paired_scenario():
             "birth": [0.0, 60.0],
             "lifetime": [400.0, 900.0],
             "drift": [0.0, 0.4],
-            "ring": {"radius": [165.0, 235.0]},
+            "ring": [165.0, 235.0],
         },
-        random_wind={"speed": [0.5, 4.0]},
+        random_wind=(0.5, 4.0),
         turbulence_sigma=0.2,
         battery_j=4000.0,
-        seed=12,
     )
 
 

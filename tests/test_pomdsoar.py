@@ -58,8 +58,7 @@ def exploit_oracle_bank(cfg, uav, th, airframe):
         gain = 0.0
         for t in range(1, len(x)):
             gain += lift_at(th, (x[t], y[t])) * 0.02
-            if cfg.sink_correction:
-                gain -= sink_rate(cfg.sink_s0, phi[t]) * 0.02
+            gain -= sink_rate(cfg.sink_s0, phi[t]) * 0.02
         if gain > best:
             best, best_bank = gain, bank
     return best_bank
@@ -112,30 +111,42 @@ def test_sampled_lift_is_bit_identical_to_the_reference_bell():
     assert values > 300_000
 
 
+def sink_charge(cfg, uav, airframe) -> np.ndarray:
+    """The sink exploit_score charges each action: the sink polar at each
+    0.2 s waypoint of its rollout, times RECORD_DT. Adding it back to the
+    scores leaves the lift the samples give along the rollouts."""
+    return np.array([sum(sink_rate(cfg.sink_s0, phi) * RECORD_DT
+                         for phi in predict_trajectory(airframe, uav, RollAction(bank, cfg.t_exploit))[2, 1:])
+                     for bank in cfg.bank_angles])
+
+
 class TestExploitScore:
     def test_zero_strength_thermal_scores_zero(self, free_airframe):
-        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
+        cfg = replace(PLANNER, n_samples=1)
         samples = hypotheses(Bell(0.0, 50.0, 10.0, 10.0))
         scores = exploit_score(cfg, north_uav(), free_airframe, samples)
-        assert np.all(scores == 0.0)
+        lift = scores + sink_charge(cfg, north_uav(), free_airframe)
+        assert np.all(np.abs(lift) <= 1e-12)
 
     def test_centered_wide_thermal_prefers_tightest_turn(self, free_airframe):
-        # no sink correction: hugging the core wins, so max |bank| is best
-        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
+        # in lift alone, hugging the core wins, so max |bank| is best
+        cfg = replace(PLANNER, n_samples=1)
         th = Bell(2.5, 200.0, 0.0, 0.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
-        best = cfg.bank_angles[int(np.argmax(scores))]
+        lift = scores + sink_charge(cfg, north_uav(), free_airframe)
+        best = cfg.bank_angles[int(np.argmax(lift))]
         assert abs(best) == pytest.approx(math.radians(45.0))
 
     def test_coarse_matches_fine_integration(self, free_airframe):
-        cfg = replace(PLANNER, n_samples=1, sink_correction=False)
+        cfg = replace(PLANNER, n_samples=1)
         th = Bell(2.5, 80.0, -30.0, 20.0)
         scores = exploit_score(cfg, north_uav(), free_airframe, hypotheses(th))
+        lift = scores + sink_charge(cfg, north_uav(), free_airframe)
         s0 = north_uav()
         for i, bank in enumerate(cfg.bank_angles):
             x, y, _, _ = fine_trajectory(free_airframe, s0, RollAction(bank, cfg.t_exploit))
             fine = sum(lift_at(th, (x[t], y[t])) * 0.02 for t in range(1, len(x)))
-            assert abs(scores[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
+            assert abs(lift[i] - fine) <= abs(th.w0) * cfg.t_exploit * 0.02
 
     def test_argmax_invariant_to_resolution_scaling(self, free_airframe):
         th = Bell(2.0, 60.0, -35.0, 10.0)
