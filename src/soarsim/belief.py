@@ -20,8 +20,8 @@ from .thermal import observe
 R0_FLOOR = 1.0  # m; the observation model is singular at r0 = 0
 JITTER = 1e-9
 
-# state vector ordering used everywhere
-IDX_W0, IDX_R0, IDX_CX, IDX_CY = 0, 1, 2, 3
+# indices into the state vector (w0, r0, cx, cy)
+IDX_R0, IDX_CX, IDX_CY = 1, 2, 3
 
 
 @dataclass

@@ -32,14 +32,6 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-@dataclass
-class PidState:
-    """Mutable PID memory, explicitly owned by the caller."""
-
-    integrator: float = 0.0
-    prev_error: float | None = None
-
-
 @dataclass(frozen=True)
 class AirframeParams:
     """Roll-axis airframe constants plus the attained-bank clamp and the
@@ -99,14 +91,18 @@ def step_kinematics(
     psi: float,
     phi: float,
     phi_dot: float,
+    integrator: float,
+    prev_error: float | None,
     target_bank: float,
-    pid_state: PidState,
     steps: int,
-) -> tuple[float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float, float | None]:
     """steps explicit-Euler SIM_DT steps of the roll PID and the
-    roll/turn/position equations toward target_bank; updates pid_state.
+    roll/turn/position equations toward target_bank.
 
-    Returns (x, y, psi, phi, phi_dot). Each step evaluates every
+    The PID's memory comes in and goes out by value: integrator and
+    prev_error, where prev_error None is a fresh PID, whose first
+    derivative is 0.0. Returns (x, y, psi, phi, phi_dot, integrator,
+    prev_error) and writes no argument. Each step evaluates every
     derivative at the current state. The PID output (aileron deflection)
     is clamped to [-1, 1] and its integral term to +-int_limit; the
     attained bank is clamped to the airframe's bank limit and the outward
@@ -115,7 +111,6 @@ def step_kinematics(
     kp, ki, kd, int_limit, k_a, i_x, damping, limit = params.step_constants
     dt, g = SIM_DT, G  # locals: the 50 Hz loop reads them every step
     two_v, two_pi = 2.0 * v, 2.0 * pi
-    integrator, prev_error = pid_state.integrator, pid_state.prev_error
     # Scalar math.* on purpose: np.tan differs from math.tan in the last bit
     # on about 0.6% of bank angles (5,871 of 1,000,000 uniform in [-0.8, 0.8]
     # with numpy 2.4 on an AVX-512 Xeon), so a numpy rollout would change
@@ -150,8 +145,7 @@ def step_kinematics(
             phi = -limit
             if phi_dot < 0.0:
                 phi_dot = 0.0
-    pid_state.integrator, pid_state.prev_error = integrator, prev_error
-    return x, y, psi, phi, phi_dot
+    return x, y, psi, phi, phi_dot, integrator, prev_error
 
 
 def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction) -> np.ndarray:
@@ -162,13 +156,12 @@ def predict_trajectory(params: AirframeParams, s0: UavState, action: RollAction)
     whose rows are x, y, phi and psi.
     """
     n_rec = round(action.duration / RECORD_DT)
-    pid = PidState()
-
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
+    integrator, prev_error = 0.0, None
     xs, ys, phis, psis = [x], [y], [phi], [psi]
     for _ in range(n_rec):
-        x, y, psi, phi, phi_dot = step_kinematics(
-            params, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, STEPS_PER_RECORD
+        x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+            params, x, y, s0.v, psi, phi, phi_dot, integrator, prev_error, action.target_bank, STEPS_PER_RECORD
         )
         xs.append(x)
         ys.append(y)

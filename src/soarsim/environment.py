@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, PidState, UavState, step_kinematics
+from .dynamics import SIM_DT, STEPS_PER_RECORD, AirframeParams, UavState, step_kinematics
 from .params import ConfigError, Section, check, read_json
 
 SCHEMA_VERSION = 1
@@ -187,7 +187,8 @@ class WorldState:
 
     uav: UavState
     battery_j: float
-    pid: PidState = field(default_factory=PidState)
+    integrator: float = 0.0  # the roll PID's memory, passed through step_kinematics
+    prev_error: float | None = None
     t: float = 0.0
     step: int = 0
     gx: float = 0.0  # integrated wind drift, m
@@ -213,7 +214,7 @@ def env_step(
     target_bank: float,
     rng: np.random.Generator | NormalBlocks,
 ) -> float:
-    """Advance the world one SIM_DT step; mutates w, w.uav and w.pid and
+    """Advance the world one SIM_DT step; mutates w and w.uav and
     returns the lift at the new pose, turbulence included.
 
     Kinematics advance in the air-mass frame, then lift/sink/motor set
@@ -228,8 +229,8 @@ def env_step(
     if w.step >= w.near_until:
         w.near = near_rows(sc, w)
         w.near_until = w.step + NEAR_STEPS
-    x, y, u.psi, phi, u.phi_dot = step_kinematics(
-        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, w.pid, 1
+    x, y, u.psi, phi, u.phi_dot, w.integrator, w.prev_error = step_kinematics(
+        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, w.integrator, w.prev_error, target_bank, 1
     )
     u.x, u.y, u.phi = x, y, phi
     w.step = step = w.step + 1

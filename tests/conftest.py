@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soarsim import cli
-from soarsim.dynamics import G, SIM_DT, PidState, step_kinematics
+from soarsim.dynamics import G, SIM_DT, step_kinematics
 from soarsim.belief import GaussianBelief
 from soarsim.environment import Scenario
 from soarsim.experiment import ConfigBundle
@@ -156,11 +156,13 @@ def fine_trajectory(airframe, s0, action) -> np.ndarray:
     RECORD_DT: the kernel stepped once at a time from a fresh PID, as a
     (4, n+1) array of x, y, phi and psi rows. The 0.02 s integration oracles
     that check the planner's 0.2 s scoring run on it."""
-    pid = PidState()
     x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
+    integrator, prev_error = 0.0, None
     poses = [(x, y, phi, psi)]
     for _ in range(round(action.duration / SIM_DT)):
-        x, y, psi, phi, phi_dot = step_kinematics(airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1)
+        x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+            airframe, x, y, s0.v, psi, phi, phi_dot, integrator, prev_error, action.target_bank, 1
+        )
         poses.append((x, y, phi, psi))
     return np.array(poses, dtype=float).T
 

@@ -2,7 +2,9 @@
 
 Every public module-level function or class in src/soarsim and scripts/,
 and every public method or property of such a class, must be named
-somewhere in src/ or scripts/ outside its own definition.
+somewhere in src/ or scripts/ outside its own definition, and every
+public module-level constant (a name a module-level assignment binds)
+in src/soarsim must be read there outside its own assignment.
 Every field of a dataclass in src/soarsim must be read, as an attribute
 or through asdict of a whole record, somewhere in src/ or scripts/: a
 field that is only ever written is dead. The check matches names, not
@@ -78,6 +80,32 @@ def unused_names() -> set[str]:
 
 def test_every_public_name_is_used_by_production_code():
     assert sorted(unused_names()) == []
+
+
+def constants(tree: ast.Module):
+    """(name, first line, last line) of each public name a module-level
+    assignment binds, tuple targets included."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node.lineno, node.end_lineno
+
+
+def test_every_public_constant_is_read_by_production_code():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in FILES}
+    reads = {path: [(node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+             for path, tree in trees.items()}
+    found = [(path, name, first, last) for path, tree in trees.items() if path.parent.name == "soarsim"
+             for name, first, last in constants(tree)]
+    assert {"SIM_DT", "PARAM_SPEC", "R0_FLOOR"} <= {name for _, name, _, _ in found}
+    unread = [f"{path.stem}.{name}" for path, name, first, last in found
+              if not any(read == name and (other != path or not first <= line <= last)
+                         for other, names in reads.items() for read, line in names)]
+    assert unread == []
 
 
 def test_importing_the_package_imports_none_of_its_modules():

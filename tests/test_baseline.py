@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from soarsim.baseline import baseline_choose_bank, commit_direction
-from soarsim.dynamics import PidState, UavState, step_kinematics
+from soarsim.dynamics import UavState, step_kinematics
 
 from conftest import AIRFRAME, BASELINE_CFG, FREE_AIRFRAME, make_belief, param_error
 
@@ -62,15 +62,15 @@ def test_invalid_radius(tmp_path, capsys):
 def test_converges_to_commanded_circle(start, direction):
     cfg = BASELINE_CFG
     af = FREE_AIRFRAME
-    uav, pid = replace(start), PidState()
+    uav, integrator, prev_error = replace(start), 0.0, None
     period = 2 * math.pi * cfg.circle_radius / 9.0
     t, target, errors = 0.0, 0.0, []
     while t < 3 * period:
         if round(t / 0.02) % 10 == 0:
             b = belief_for_center(uav, 0.0, 0.0)
             target = baseline_choose_bank(cfg, uav, b, direction, af.bank_limit)
-        uav.x, uav.y, uav.psi, uav.phi, uav.phi_dot = step_kinematics(
-            af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, target, pid, 1
+        uav.x, uav.y, uav.psi, uav.phi, uav.phi_dot, integrator, prev_error = step_kinematics(
+            af, uav.x, uav.y, uav.v, uav.psi, uav.phi, uav.phi_dot, integrator, prev_error, target, 1
         )
         t += 0.02
         if t > 2 * period:

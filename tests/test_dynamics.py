@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from soarsim.dynamics import (
     SIM_DT,
-    PidState,
     RollAction,
     UavState,
     predict_trajectory,
@@ -26,7 +25,7 @@ def kp_only(kp):
 def aileron(af, bank_error):
     """The roll PID's aileron deflection for a bank error, read back from one
     kernel step out of wings-level rest, where phi_ddot = k_a * aileron / i_x."""
-    *_, phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, bank_error, PidState(), 1)
+    phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, None, bank_error, 1)[4]
     return phi_dot * af.i_x / (af.k_a * SIM_DT)
 
 
@@ -48,29 +47,46 @@ class TestPidRoll:
         # the commanded +-1 rad lies beyond the 40 deg bank stop, so the error
         # never falls below 0.3 rad and the integrator runs into its clamp
         af = replace(AIRFRAME, kp=0.0, ki=10.0, kd_gain=0.0, int_limit=0.3)
-        state = PidState()
-        step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, sign, state, 200)
-        assert state.integrator == pytest.approx(sign * 0.3)
-        assert state.prev_error == pytest.approx(sign * (1.0 - af.bank_limit))
+        *_, integrator, prev_error = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, None, sign, 200)
+        assert integrator == pytest.approx(sign * 0.3)
+        assert prev_error == pytest.approx(sign * (1.0 - af.bank_limit))
 
 
 @pytest.mark.parametrize("target_deg", [-45.0, 0.0, 30.0])
 def test_multi_step_kernel_equals_single_steps(free_airframe, target_deg):
+    # each one-step call hands the PID memory it returned to the next
     state = (1.0, -2.0, 9.0, 2.9, 0.2, -0.4)
-    pid_many, pid_one = PidState(), PidState()
-    many = step_kinematics(free_airframe, *state, math.radians(target_deg), pid_many, 137)
+    many = step_kinematics(free_airframe, *state, 0.0, None, math.radians(target_deg), 137)
     x, y, v, psi, phi, phi_dot = state
+    integrator, prev_error = 0.0, None
     for _ in range(137):
-        x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, v, psi, phi, phi_dot, math.radians(target_deg), pid_one, 1
+        x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+            free_airframe, x, y, v, psi, phi, phi_dot, integrator, prev_error, math.radians(target_deg), 1
         )
-    assert many == (x, y, psi, phi, phi_dot)
-    assert pid_many == pid_one
+    assert many == (x, y, psi, phi, phi_dot, integrator, prev_error)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+@pytest.mark.parametrize("prev_error", [None, 0.05])
+def test_step_kinematics_is_pure(airframe, prev_error, steps):
+    # the kernel's state goes in and out by value: equal arguments, equal tuples
+    args = (airframe, 1.0, -2.0, 9.0, 2.9, 0.2, -0.4, 0.01, prev_error, math.radians(30.0), steps)
+    first = step_kinematics(*args)
+    assert len(first) == 7 and first[-1] is not None
+    assert step_kinematics(*args) == first
+
+
+def test_a_fresh_pid_has_zero_first_derivative(airframe):
+    # prev_error None equals a previous error equal to this step's error
+    start = (1.0, -2.0, 9.0, 2.9, 0.2, -0.4, 0.01)
+    bank = math.radians(30.0)
+    assert (step_kinematics(airframe, *start, None, bank, 1)
+            == step_kinematics(airframe, *start, bank - 0.2, bank, 1))
 
 
 class TestDynamicsStep:
     def test_straight_flight(self, airframe):
-        x, y, psi, phi, phi_dot = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, PidState(), 1)
+        x, y, psi, phi, phi_dot, _, _ = step_kinematics(airframe, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, None, 0.0, 1)
         assert (x, y) == (0.0, pytest.approx(0.18))
         assert psi == 0.0
         assert phi == 0.0
@@ -78,7 +94,7 @@ class TestDynamicsStep:
 
     def test_turn_rate_at_45_degrees(self, free_airframe):
         bank = math.radians(45.0)
-        _, _, psi, _, _ = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, bank, PidState(), 1)
+        psi = step_kinematics(free_airframe, 0.0, 0.0, 9.0, 0.0, bank, 0.0, 0.0, None, bank, 1)[2]
         psi_dot = psi / SIM_DT
         assert psi_dot == pytest.approx(9.80665 / 9.0, rel=1e-12)
         assert psi_dot == pytest.approx(1.08963, abs=1e-5)
@@ -90,22 +106,22 @@ class TestDynamicsStep:
         needed = lp / free_airframe.k_a
         af = replace(free_airframe, kp=1.0, ki=0.0, kd_gain=0.0)
         # error = needed, kp=1 -> aileron = needed
-        *_, out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, needed, PidState(), 1)
+        out_phi_dot = step_kinematics(af, 0.0, 0.0, 9.0, 0.0, 0.0, phi_dot, 0.0, None, needed, 1)[4]
         assert out_phi_dot == pytest.approx(phi_dot, rel=1e-12)
 
     def test_never_non_finite_at_bank_stop(self, airframe):
-        pid = PidState()
         x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, math.radians(39.9), 5.0
+        integrator, prev_error = 0.0, None
         for _ in range(200):
-            x, y, psi, phi, phi_dot = step_kinematics(
-                airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid, 1
+            x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+                airframe, x, y, 9.0, psi, phi, phi_dot, integrator, prev_error, math.radians(45.0), 1
             )
             assert abs(phi) <= airframe.bank_limit + 1e-12
         assert math.isfinite(psi) and math.isfinite(x)
 
     def test_kinematics_energy_free(self, free_airframe):
         # constant airspeed: one step moves the UAV exactly v * dt
-        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.5, PidState(), 1)
+        x, y, *_ = step_kinematics(free_airframe, 3.0, -2.0, 9.0, 0.4, 0.1, 0.2, 0.0, None, 0.5, 1)
         assert math.hypot(x - 3.0, y + 2.0) == pytest.approx(9.0 * SIM_DT, rel=1e-12)
 
     def test_invalid_state_rejected(self):
@@ -125,11 +141,11 @@ def test_wrap_angle_range(psi):
 
 
 def test_heading_stays_wrapped(free_airframe):
-    pid = PidState()
     x, y, psi, phi, phi_dot = 0.0, 0.0, 3.0, math.radians(40.0), 0.0
+    integrator, prev_error = 0.0, None
     for _ in range(600):
-        x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(40.0), pid, 1
+        x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, integrator, prev_error, math.radians(40.0), 1
         )
         assert -math.pi <= psi < math.pi
 
@@ -174,11 +190,11 @@ class TestPredictTrajectory:
         s0 = UavState(0.0, 0.0, 9.0, 0.3, 0.05, 0.0, 100.0)
         action = RollAction(math.radians(30.0), 4.0)
         xs, ys, phis, _ = predict_trajectory(free_airframe, s0, action)
-        pid = PidState()
         x, y, psi, phi, phi_dot = s0.x, s0.y, s0.psi, s0.phi, s0.phi_dot
+        integrator, prev_error = 0.0, None
         for k in range(1, 201):
-            x, y, psi, phi, phi_dot = step_kinematics(
-                free_airframe, x, y, s0.v, psi, phi, phi_dot, action.target_bank, pid, 1
+            x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+                free_airframe, x, y, s0.v, psi, phi, phi_dot, integrator, prev_error, action.target_bank, 1
             )
             if k % 10 == 0:
                 i = k // 10
@@ -216,12 +232,12 @@ def test_step_constants_follow_the_fields():
 
 def test_bank_rise_time(free_airframe):
     # closed loop reaches a commanded 45 deg from level in roughly 1.5 s
-    pid = PidState()
     x, y, psi, phi, phi_dot = 0.0, 0.0, 0.0, 0.0, 0.0
+    integrator, prev_error = 0.0, None
     t, reached, overshoot = 0.0, None, 0.0
     while t < 4.0:
-        x, y, psi, phi, phi_dot = step_kinematics(
-            free_airframe, x, y, 9.0, psi, phi, phi_dot, math.radians(45.0), pid, 1
+        x, y, psi, phi, phi_dot, integrator, prev_error = step_kinematics(
+            free_airframe, x, y, 9.0, psi, phi, phi_dot, integrator, prev_error, math.radians(45.0), 1
         )
         t += 0.02
         if reached is None and phi >= 0.98 * math.radians(45.0):

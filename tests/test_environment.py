@@ -12,7 +12,6 @@ import soarsim.environment as environment
 from soarsim.dynamics import (
     SIM_DT,
     STEPS_PER_RECORD,
-    PidState,
     RollAction,
     UavState,
     predict_trajectory,
@@ -512,7 +511,7 @@ def test_predicted_poses_equal_executed_poses_in_a_calm_world(airframe, rng):
         for i in range(1, 61):
             env_tick(sc, airframe, w, bank, rng)
             assert (w.uav.x, w.uav.y, w.uav.phi, w.uav.psi) == (x[i], y[i], phi[i], psi[i])
-        assert w.pid != PidState()
+        assert (w.integrator, w.prev_error) != (0.0, None)
         if abs(bank) > airframe.bank_limit:
             assert abs(w.uav.phi) == airframe.bank_limit
 
@@ -542,8 +541,8 @@ def reference_step(sc, airframe, w, target_bank, rng) -> float:
     lift, turbulence included."""
     dt = SIM_DT
     u = w.uav
-    u.x, u.y, u.psi, u.phi, u.phi_dot = step_kinematics(
-        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, target_bank, w.pid, 1
+    u.x, u.y, u.psi, u.phi, u.phi_dot, w.integrator, w.prev_error = step_kinematics(
+        airframe, u.x, u.y, u.v, u.psi, u.phi, u.phi_dot, w.integrator, w.prev_error, target_bank, 1
     )
     w.step += 1
     w.t = w.step * dt
